@@ -24,7 +24,7 @@ from .clifford import (
     kernel_element,
     spinor_norm,
 )
-from .errors import MismatchError, InconclusiveError
+from .errors import YtwoError
 from .ortho import OrthoRep, conjugate_power_matrix, entries_are_t_polynomials
 from .presentation import evaluate, schedule, s_letter
 from .quadspace import (
@@ -125,7 +125,7 @@ def _guarded(report, name, fn, expected=None):
     try:
         fn()
         report.add(name, True, expected=expected)
-    except (MismatchError, InconclusiveError, ArithmeticError, ValueError) as exc:
+    except (YtwoError, ArithmeticError, ValueError) as exc:
         report.add(name, False, expected=expected, actual=None, detail=str(exc))
 
 

@@ -13,9 +13,19 @@ shortens the word, so rewriting terminates.  The coefficients produced
 by rewriting are powers of 1/t, so the structure constants of a
 monomial product are ring-independent: they are cached globally as
 ``{mono: polybits}`` where bit e of ``polybits`` is the coefficient of
-t**-e.  An algebra instance converts polybits to its own scalar ring
-(the Laurent ring, or its quadratic extension for the spinor-module
-work).
+t**-e.  Only a squared v_i contributes 1/t, so e <= m.
+
+Products never touch scalar objects in their inner loop.  An element's
+coefficients are read once as raw ints over a common base ``lo``, one
+``{mono: int}`` per power of alpha (one for the Laurent ring, two for
+c0 + c1*alpha), bit k standing for s**(lo + k).  Term pairs multiply
+with the carry-less ``_clmul``, and each structure constant is weighted
+by its *spread* mask: polybits bit e moves to bit 2*(m - e), i.e. s**-2e
+relative to the fixed base s**-2m, one table entry per bit so that every
+weight is a shift.  One int per output monomial and power of alpha is
+XOR-accumulated, alpha**2 = s*alpha + 1 folds alpha**2 back, and scalars
+are built only for the result.  A transpose is the same loop against a
+formal right factor whose structure constants are the reversals.
 
 The pin representation sends
 
@@ -48,87 +58,87 @@ from .rings import (
     QEScalar,
     S,
     T_INV,
+    _clmul,
     ff_rank,
     make_eval_map,
 )
 
 # -- monomial structure constants (shared across algebras) -----------------
+# Keys are monomials of the largest algebra in use, so there are at most
+# (m+1) * 2**(m+1) generator products, 4**(m+1) monomial pairs and
+# 2**(m+1) transposes.
 
 _MTG_CACHE: dict = {}
 _MTM_CACHE: dict = {}
 _TR_CACHE: dict = {}
 
 
+def _xor_into(acc: dict, c: int, pairs) -> dict:
+    """The one accumulate loop: acc[mono] ^= c * w for each (mono, w) in
+    pairs.  Either c or every w is a power of two, so c * w is the
+    carry-less product.  Zeros stay in acc; readers skip them."""
+    get = acc.get
+    for mono, w in pairs:
+        acc[mono] = get(mono, 0) ^ c * w
+    return acc
+
+
 def _mono_times_gen(mono: int, j: int):
-    """Product (monomial) * (generator j) as ((mono', e), ...) pairs,
-    the coefficient of mono' being t**-e."""
-    key = (mono, j)
-    hit = _MTG_CACHE.get(key)
-    if hit is not None:
-        return hit
-    bit = 1 << j
-    if mono == 0:
-        out = ((bit, 0),)
-    else:
-        k = mono.bit_length() - 1
+    """Product (monomial) * (generator j) as ((mono', w), ...) pairs, the
+    coefficient of mono' being t**-e with polybits w = 2**e."""
+    hit = _MTG_CACHE.get((mono, j))
+    if hit is None:
+        k = mono.bit_length() - 1  # the top generator, -1 for the scalar 1
         if k < j:
-            out = ((mono | bit, 0),)
+            hit = ((mono | 1 << j, 1),)
         elif k == j:
-            out = ((mono ^ bit, 0 if j == 0 else 1),)
-        else:
-            top = 1 << k
-            rest = mono ^ top
-            out = tuple((m2 | top, e) for m2, e in _mono_times_gen(rest, j))
-            out += ((rest, 0),)
-    _MTG_CACHE[key] = out
-    return out
+            hit = ((mono ^ 1 << j, 1 if j == 0 else 2),)
+        else:  # x_k x_j = x_j x_k + 1
+            rest = mono ^ 1 << k
+            hit = tuple((m2 | 1 << k, w) for m2, w in _mono_times_gen(rest, j))
+            hit += ((rest, 1),)
+        _MTG_CACHE[mono, j] = hit
+    return hit
 
 
-def _fold_gen(state: dict, j: int) -> dict:
-    nxt: dict = {}
-    for mono, poly in state.items():
-        for m2, e in _mono_times_gen(mono, j):
-            pb = poly << e
-            cur = nxt.get(m2, 0) ^ pb
-            if cur:
-                nxt[m2] = cur
-            elif m2 in nxt:
-                del nxt[m2]
-    return nxt
+def _fold_gens(mono: int, gens) -> dict:
+    """{mono': polybits} of mono times the generators in order."""
+    state = {mono: 1}
+    for j in gens:
+        nxt: dict = {}
+        for m2, poly in state.items():
+            _xor_into(nxt, poly, _mono_times_gen(m2, j))
+        state = nxt
+    return {m2: poly for m2, poly in state.items() if poly}
+
+
+def _bits(mono: int) -> list:
+    """Indices of the set bits of a monomial or polybits, ascending."""
+    return [i for i in range(mono.bit_length()) if mono >> i & 1]
 
 
 def _mono_times_mono(p: int, q: int) -> dict:
     """Product of two monomials as a {mono: polybits} dict."""
-    key = (p, q)
-    hit = _MTM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    state = {p: 1}
-    qq = q
-    while qq:
-        low = qq & -qq
-        state = _fold_gen(state, low.bit_length() - 1)
-        qq ^= low
-    _MTM_CACHE[key] = state
-    return state
+    hit = _MTM_CACHE.get((p, q))
+    if hit is None:
+        hit = _MTM_CACHE[p, q] = _fold_gens(p, _bits(q))
+    return hit
 
 
 def _mono_transpose(mono: int) -> dict:
     """The reversed product of a monomial's generators, canonicalized."""
     hit = _TR_CACHE.get(mono)
-    if hit is not None:
-        return hit
-    bits = []
-    mm = mono
-    while mm:
-        low = mm & -mm
-        bits.append(low.bit_length() - 1)
-        mm ^= low
-    state = {0: 1}
-    for j in reversed(bits):
-        state = _fold_gen(state, j)
-    _TR_CACHE[mono] = state
-    return state
+    if hit is None:
+        hit = _TR_CACHE[mono] = _fold_gens(0, reversed(_bits(mono)))
+    return hit
+
+
+def _laurent(lo: int, x: int) -> LaurentScalar:
+    """The scalar with coefficient of s**(lo + k) at bit k of x."""
+    if not x:
+        return L_ZERO
+    shift = (x & -x).bit_length() - 1
+    return LaurentScalar._new(lo + shift, x >> shift)
 
 
 # -- the algebra ------------------------------------------------------------
@@ -150,7 +160,9 @@ class CliffordAlgebra:
         else:
             self.scalar_zero = QE_ZERO
             self.scalar_one = QE_ONE
-        self._polybits_cache = {1: self.scalar_one}
+        # (p, q) -> _MTM_CACHE[p, q] and (mono, None) -> _TR_CACHE[mono] as
+        # ((mono', spread), ...); at most 4**(m+1) + 2**(m+1) pairs.
+        self._polybits_cache: dict = {}
         self.zero = CliffordElement(self, {})
         self.one = CliffordElement(self, {0: self.scalar_one})
 
@@ -160,21 +172,61 @@ class CliffordAlgebra:
             return c
         return QEScalar.from_laurent(c)
 
-    def _scalar_from_polybits(self, pb: int):
-        hit = self._polybits_cache.get(pb)
-        if hit is not None:
-            return hit
-        exps = []
-        e = 0
-        v = pb
-        while v:
-            if v & 1:
-                exps.append(-2 * e)
-            v >>= 1
-            e += 1
-        val = self.lift(LaurentScalar.from_exponents(exps))
-        self._polybits_cache[pb] = val
-        return val
+    def _spread_table(self, key) -> tuple:
+        p, q = key
+        consts = _mono_transpose(p) if q is None else _mono_times_mono(p, q)
+        table = self._polybits_cache[key] = tuple(
+            (mono, 1 << 2 * (self.m - e))
+            for mono, pb in consts.items() for e in _bits(pb)
+        )
+        return table
+
+    def _read(self, el) -> tuple:
+        """(lo, parts): parts[i] maps each monomial to its alpha**i
+        coefficient as a raw int, bit k standing for s**(lo + k)."""
+        if self.ring == "laurent":
+            cols = (el.terms,)
+        else:
+            items = el.terms.items()
+            cols = ({mono: c.c0 for mono, c in items},
+                    {mono: c.c1 for mono, c in items})
+        lo = min((c.off for col in cols for c in col.values() if c.mask), default=0)
+        return lo, [
+            {mono: c.mask << (c.off - lo) for mono, c in col.items() if c.mask}
+            for col in cols
+        ]
+
+    def _kernel(self, a, b) -> "CliffordElement":
+        """a * b over raw ints; b = None gives the transpose of a."""
+        la, xs = self._read(a)
+        lb, ys = (0, [{None: 1}]) if b is None else self._read(b)
+        tables = self._polybits_cache
+        parts = [{} for _ in range(len(xs) + len(ys) - 1)]
+        for i, xi in enumerate(xs):
+            for j, yj in enumerate(ys):
+                acc = parts[i + j]
+                for p, x in xi.items():
+                    for q, y in yj.items():
+                        c = _clmul(x, y) if x & (x - 1) and y & (y - 1) else x * y
+                        key = (p, q)
+                        _xor_into(acc, c, tables.get(key) or self._spread_table(key))
+        return self._build(la + lb - 2 * self.m, parts)
+
+    def _build(self, lo, parts) -> "CliffordElement":
+        if len(parts) == 3:  # alpha**2 = s*alpha + 1
+            top = parts.pop().items()
+            _xor_into(parts[1], 2, top)
+            _xor_into(parts[0], 1, top)
+        if self.ring == "laurent":
+            terms = {mono: _laurent(lo, x) for mono, x in parts[0].items() if x}
+        else:
+            c0, c1 = parts
+            terms = {}
+            for mono in c0.keys() | c1.keys():
+                x0, x1 = c0.get(mono, 0), c1.get(mono, 0)
+                if x0 or x1:
+                    terms[mono] = QEScalar(_laurent(lo, x0), _laurent(lo, x1))
+        return CliffordElement(self, terms)
 
     def scalar(self, c) -> "CliffordElement":
         if isinstance(c, LaurentScalar):
@@ -199,13 +251,7 @@ class CliffordAlgebra:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.m + 1:
             raise ValueError("need one coefficient per generator")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if isinstance(c, LaurentScalar):
-                c = self.lift(c)
-            if c:
-                terms[1 << i] = c
-        return CliffordElement(self, terms)
+        return self.from_terms({1 << i: c for i, c in enumerate(coeffs)})
 
     def from_terms(self, terms: dict) -> "CliffordElement":
         clean = {}
@@ -265,37 +311,20 @@ class CliffordElement:
 
     def __add__(self, other):
         self._check_ambient(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[mono] = cur
-            elif mono in out:
-                del out[mono]
-        return CliffordElement(self.algebra, out)
+        alg = self.algebra
+        (la, xs), (lb, ys) = alg._read(self), alg._read(other)
+        lo = min(la, lb)
+        parts = []
+        for x, y in zip(xs, ys):
+            acc = _xor_into({}, 1 << (la - lo), x.items())
+            parts.append(_xor_into(acc, 1 << (lb - lo), y.items()))
+        return alg._build(lo, parts)
 
     __sub__ = __add__
 
     def __mul__(self, other):
         self._check_ambient(other)
-        alg = self.algebra
-        ringify = alg._scalar_from_polybits
-        out: dict = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                c = cp * cq
-                if not c:
-                    continue
-                for mono, poly in _mono_times_mono(p, q).items():
-                    add = c if poly == 1 else c * ringify(poly)
-                    cur = out.get(mono)
-                    cur = add if cur is None else cur + add
-                    if cur:
-                        out[mono] = cur
-                    elif mono in out:
-                        del out[mono]
-        return CliffordElement(alg, out)
+        return self.algebra._kernel(self, other)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -320,19 +349,7 @@ class CliffordElement:
         )
 
     def transpose(self) -> "CliffordElement":
-        alg = self.algebra
-        ringify = alg._scalar_from_polybits
-        out: dict = {}
-        for mono, c in self.terms.items():
-            for m2, poly in _mono_transpose(mono).items():
-                add = c if poly == 1 else c * ringify(poly)
-                cur = out.get(m2)
-                cur = add if cur is None else cur + add
-                if cur:
-                    out[m2] = cur
-                elif m2 in out:
-                    del out[m2]
-        return CliffordElement(alg, out)
+        return self.algebra._kernel(self, None)
 
     # -- views -------------------------------------------------------------
 
@@ -395,13 +412,7 @@ class CliffordElement:
         parts = []
         for mono in sorted(self.terms):
             c = self.terms[mono]
-            names = []
-            mm = mono
-            while mm:
-                low = mm & -mm
-                i = low.bit_length() - 1
-                names.append("u" if i == 0 else f"v{i}")
-                mm ^= low
+            names = ["u" if i == 0 else f"v{i}" for i in _bits(mono)]
             word = "*".join(names) if names else "1"
             cs = str(c)
             if not names:
@@ -454,7 +465,6 @@ def spinor_norm(c: CliffordElement):
 def cl_inverse(c: CliffordElement) -> CliffordElement:
     """Inverse via the conjugation-norm trick (covers the Clifford group:
     if c * c^tr is a unit scalar, the inverse is c^tr / (c * c^tr))."""
-    alg = c.algebra
     cbar = c.transpose()
     z = c * cbar
     if not z.is_scalar:
@@ -573,28 +583,17 @@ def center_report(m: int, n: int = 5) -> CenterReport:
 
     def ff_bits(polybits: int) -> int:
         bits = 0
-        e = 0
-        v = polybits
-        while v:
-            if v & 1:
-                bits ^= field.pow_bits(t_inv_bits, e)
-            v >>= 1
-            e += 1
+        for e in _bits(polybits):
+            bits ^= field.pow_bits(t_inv_bits, e)
         return bits
 
     rows: dict = {}
     for j in range(m + 1):
         gbit = 1 << j
         for col in range(ncols):
-            comm: dict = {}
-            for mono, e in _mono_times_gen(col, j):
-                comm[mono] = comm.get(mono, 0) ^ (1 << e)
-            for mono, poly in _mono_times_mono(gbit, col).items():
-                cur = comm.get(mono, 0) ^ poly
-                comm[mono] = cur
+            comm = _xor_into({}, 1, _mono_times_gen(col, j))
+            _xor_into(comm, 1, _mono_times_mono(gbit, col).items())
             for mono, poly in comm.items():
-                if not poly:
-                    continue
                 v = ff_bits(poly)
                 if v:
                     row = rows.setdefault((j, mono), [0] * ncols)

@@ -167,9 +167,6 @@ class Representation:
                 f"{self.name} has no image for letter {letter!r}"
             ) from None
 
-    def supports(self, letter: str) -> bool:
-        return letter in self._images
-
     def letters(self):
         return sorted(self._images)
 

@@ -53,6 +53,78 @@ def ref_qe_mul(x, y):
     return {0: prod.get(0, frozenset()), 1: prod.get(1, frozenset())}
 
 
+# -- the Clifford algebra by word rewriting ---------------------------------
+# Generators are u = 0 and v_i = i.  An element is a dict from ascending
+# generator words to ref_qe coefficients (a Laurent coefficient is a
+# ref_qe with an empty alpha part); zero coefficients are never stored.
+
+
+def _ref_qe_add(x, y):
+    return {d: ref_lp_add(x[d], y[d]) for d in (0, 1)}
+
+
+def _ref_cl_add_into(acc, word, coeff):
+    total = _ref_qe_add(acc.get(word, ref_qe()), coeff)
+    if total[0] or total[1]:
+        acc[word] = total
+    else:
+        acc.pop(word, None)
+
+
+_WORD_CACHE: dict = {}
+
+
+def ref_cl_word(word):
+    """Normal form of a generator word, rewriting the leftmost adjacent
+    pair that is out of order: x_j x_i = x_i x_j + 1 (i < j), u u = 1,
+    v_i v_i = 1/t = s**-2."""
+    hit = _WORD_CACHE.get(word)
+    if hit is not None:
+        return hit
+    out = {}
+    for k in range(len(word) - 1):
+        a, b = word[k], word[k + 1]
+        if a == b:
+            square = ref_qe([0] if a == 0 else [-2])
+            for w, c in ref_cl_word(word[:k] + word[k + 2:]).items():
+                _ref_cl_add_into(out, w, ref_qe_mul(square, c))
+            break
+        if a > b:
+            for sub in (word[:k] + (b, a) + word[k + 2:], word[:k] + word[k + 2:]):
+                for w, c in ref_cl_word(sub).items():
+                    _ref_cl_add_into(out, w, c)
+            break
+    else:
+        out = {word: ref_qe([0])}
+    _WORD_CACHE[word] = out
+    return out
+
+
+def ref_cl_add(x, y):
+    out = dict(x)
+    for w, c in y.items():
+        _ref_cl_add_into(out, w, c)
+    return out
+
+
+def ref_cl_mul(x, y):
+    out = {}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            c = ref_qe_mul(cx, cy)
+            for w, cw in ref_cl_word(wx + wy).items():
+                _ref_cl_add_into(out, w, ref_qe_mul(c, cw))
+    return out
+
+
+def ref_cl_transpose(x):
+    out = {}
+    for wx, cx in x.items():
+        for w, cw in ref_cl_word(wx[::-1]).items():
+            _ref_cl_add_into(out, w, ref_qe_mul(cx, cw))
+    return out
+
+
 # -- GF(2)[x] as int bit masks ----------------------------------------------
 
 

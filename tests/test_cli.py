@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ytwo import cli
 from ytwo.cli import build_parser, run
+from ytwo.errors import NotCliffordGroupError, NotScalarError, NotUnitError
 
 
 def run_json(capsys, argv):
@@ -71,6 +73,26 @@ class TestJsonReports:
         assert by_name["group_order_phi"]["actual"] == "4080"
         assert by_name["group_order_eta"]["actual"] == "4080"
         assert by_name["a_order_phi"]["status"] == "pass"
+
+
+class TestGuardedDomainErrors:
+    """A domain error inside a guarded check is a structured fail, not a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "error", [NotUnitError, NotScalarError, NotCliffordGroupError]
+    )
+    def test_error_becomes_fail_check(self, capsys, monkeypatch, error):
+        def broken(k):
+            raise error(f"broken at k={k}")
+
+        monkeypatch.setattr(cli, "check_power_identities", broken)
+        code, data = run_json(capsys, ["verify", "powers", "--kmax", "1", "--json"])
+        assert code == 1
+        assert [(c["name"], c["status"], c["detail"]) for c in data["checks"]] == [
+            ("power_identities/k=0", "fail", "broken at k=0"),
+            ("power_identities/k=1", "fail", "broken at k=1"),
+        ]
 
 
 class TestSuites:

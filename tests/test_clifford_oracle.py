@@ -1,0 +1,112 @@
+"""Clifford products, sums and transposes against the word-rewriting
+reference in oracles.py, on both scalar rings for m = 3..6."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ytwo.clifford import get_algebra
+from ytwo.rings import LaurentScalar, QEScalar
+
+from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
+
+RINGS = ("laurent", "qe")
+MS = (3, 4, 5, 6)
+
+exps = st.lists(st.integers(-8, 8), max_size=4)
+# (monomial seed, c0 exponents, c1 exponents); the monomial is reduced mod 2**(m+1)
+raw_terms = st.lists(st.tuples(st.integers(0, 127), exps, exps), max_size=5)
+
+
+def build(alg, raw):
+    terms = {}
+    for mono, e0, e1 in raw:
+        c0 = LaurentScalar.from_exponents(e0)
+        if alg.ring == "qe":
+            c0 = QEScalar(c0, LaurentScalar.from_exponents(e1))
+        terms[mono % (1 << (alg.m + 1))] = c0
+    return alg.from_terms(terms)
+
+
+def to_ref(el):
+    out = {}
+    for mono, c in el.terms.items():
+        word = tuple(i for i in range(el.algebra.m + 1) if mono >> i & 1)
+        if isinstance(c, QEScalar):
+            out[word] = ref_qe(c.c0.exponents(), c.c1.exponents())
+        else:
+            out[word] = ref_qe(c.exponents())
+    return out
+
+
+def check_canonical(el):
+    """No stored zero and every Laurent part in canonical (off, mask) form."""
+    for c in el.terms.values():
+        assert c
+        for part in (c.c0, c.c1) if isinstance(c, QEScalar) else (c,):
+            assert part.mask & 1 or (part.mask == 0 and part.off == 0)
+
+
+# (v1 + v2)**2 = 1: the squares cancel.  r = u + v1 + ... + v6 squares
+# to q(r) = 0 at m = 6, so every term of r * r cancels.
+CANCEL = [(0b010, [0], []), (0b100, [0], [])]
+RADICAL = [(1 << i, [0], []) for i in range(7)]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=raw_terms, y=raw_terms)
+@example(x=[], y=[(3, [-5, 2], [1])])
+@example(x=[(3, [-5, 2], [1])], y=[])
+@example(x=CANCEL, y=CANCEL)
+@example(x=RADICAL, y=RADICAL)
+@example(x=[(1, [-3], [-1])], y=[(1, [3], [])])
+@example(
+    x=[(0b011, [-7, -6, 0], [4]), (0b110, [-1], [-2, 5])],
+    y=[(0b011, [0], []), (0b101, [-8, 8], [0])],
+)
+def test_mul_matches_reference(m, ring, x, y):
+    alg = get_algebra(m, ring)
+    a, b = build(alg, x), build(alg, y)
+    prod = a * b
+    check_canonical(prod)
+    assert to_ref(prod) == ref_cl_mul(to_ref(a), to_ref(b))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=raw_terms)
+@example(x=[])
+@example(x=CANCEL)
+@example(x=[(127, [-8, -3, 7], [-1, 0])])
+def test_transpose_matches_reference(m, ring, x):
+    alg = get_algebra(m, ring)
+    a = build(alg, x)
+    tr = a.transpose()
+    check_canonical(tr)
+    assert to_ref(tr) == ref_cl_transpose(to_ref(a))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=raw_terms, y=raw_terms)
+@example(x=CANCEL, y=CANCEL)
+@example(x=[(5, [-4], [])], y=[(5, [-4], []), (6, [2], [3])])
+def test_add_matches_reference(ring, x, y):
+    alg = get_algebra(4, ring)
+    a, b = build(alg, x), build(alg, y)
+    total = a + b
+    check_canonical(total)
+    assert to_ref(total) == ref_cl_add(to_ref(a), to_ref(b))
+    assert not a + a
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_cancelling_product_is_empty(ring):
+    alg = get_algebra(6, ring)
+    r = alg.radical_element()
+    assert (r * r).terms == {}
+    u, v1 = alg.u(), alg.v(1)
+    assert u * v1 + v1 * u == alg.one
+    assert (u * v1 + v1 * u + alg.one).terms == {}
