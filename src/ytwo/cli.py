@@ -34,7 +34,7 @@ from .quadspace import (
     q_eval,
     rmat_lower_laurent,
 )
-from .rings import L_ONE, S, cyclotomic_split
+from .rings import L_ONE, S, cyclotomic_split, field_degree
 from .spinor import (
     check_action,
     check_extended_action,
@@ -407,6 +407,31 @@ def _param_dict(args) -> dict:
     }
 
 
+def _int_in(lo, hi=None):
+    """Argument type: an int in [lo, hi] (no upper end when hi is None)."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _eval_order(text):
+    """Argument type: an evaluation order n, odd and >= 3, whose field
+    GF(2**d) is within the supported degree (checked without building it)."""
+    n = int(text)
+    try:
+        field_degree(n)
+    except YtwoError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ytwo",
@@ -424,43 +449,48 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an exact verification suite")
     vsub = p_verify.add_subparsers(dest="suite", required=True)
 
-    def common(p, m=True, kmax=None, n=None):
+    def common(p, m=True, m_max=None, kmax=None, kmin=0, n=None):
         if m:
-            p.add_argument("--m", type=int, default=4, help="rank parameter (>= 3)")
+            p.add_argument(
+                "--m", type=_int_in(3, m_max), default=4, help="rank parameter (>= 3)"
+            )
         if kmax is not None:
-            p.add_argument("--kmax", type=int, default=kmax)
+            p.add_argument("--kmax", type=_int_in(kmin), default=kmax)
         if n is not None:
-            p.add_argument("--n", type=int, default=n)
+            p.add_argument("--n", type=_eval_order, default=n)
         p.set_defaults(func=_cmd_verify)
 
-    common(vsub.add_parser("relations", parents=[shared]), kmax=20)
+    common(vsub.add_parser("relations", parents=[shared]), kmax=20, kmin=1)
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
     )
     p_lift = vsub.add_parser("lifting", parents=[shared])
     common(p_lift)
-    p_lift.add_argument("--words", type=int, default=200)
-    p_lift.add_argument("--maxlen", type=int, default=30)
+    p_lift.add_argument("--words", type=_int_in(0), default=200)
+    p_lift.add_argument("--maxlen", type=_int_in(0), default=30)
     common(vsub.add_parser("closed-form", parents=[shared]), kmax=20)
     common(vsub.add_parser("powers", parents=[shared]), m=False, kmax=50)
-    common(vsub.add_parser("basis", parents=[shared]))
-    common(vsub.add_parser("center", parents=[shared]), n=5)
-    common(vsub.add_parser("extended", parents=[shared]))
+    # the spinor basis and the center report support m <= 8 only
+    common(vsub.add_parser("basis", parents=[shared]), m_max=8)
+    common(vsub.add_parser("center", parents=[shared]), m_max=8, n=5)
+    common(vsub.add_parser("extended", parents=[shared]), m_max=8)
 
     p_dec = sub.add_parser("decompose", parents=[shared], help="hyperbolic pair extraction")
-    p_dec.add_argument("--rank", type=int, required=True, help="module rank m+1")
+    p_dec.add_argument(
+        "--rank", type=_int_in(4), required=True, help="module rank m+1"
+    )
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_spec = sub.add_parser("specialize", parents=[shared], help="finite-field small-cases report")
-    p_spec.add_argument("--m", type=int, required=True)
-    p_spec.add_argument("--n", type=int, required=True)
+    p_spec.add_argument("--m", type=_int_in(3), required=True)
+    p_spec.add_argument("--n", type=_eval_order, required=True)
     p_spec.add_argument("--enumerate", action="store_true")
     p_spec.add_argument("--cap", type=int, default=2_000_000)
     p_spec.add_argument("--threads", type=int, default=1)
     p_spec.set_defaults(func=_cmd_specialize)
 
     p_aug = sub.add_parser("augmentation", parents=[shared], help="cyclotomic splitting report")
-    p_aug.add_argument("--n", type=int, required=True)
+    p_aug.add_argument("--n", type=_eval_order, required=True)
     p_aug.set_defaults(func=_cmd_augmentation)
     return parser
 

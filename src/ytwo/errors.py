@@ -67,6 +67,11 @@ class InconclusiveError(YtwoError):
         self.tried = tuple(tried)
 
 
+class FieldTooLargeError(YtwoError):
+    """Requested finite field is above the supported degree; raised before
+    any table is built."""
+
+
 class CapExceededError(YtwoError):
     """Enumeration hit the element cap; a resource signal, not a result."""
 

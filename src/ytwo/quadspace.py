@@ -10,9 +10,16 @@ Everything uses one global convention: vectors are rows, row i of a
 matrix is the image of basis vector i, and composition reads left to
 right (x * (g h) = (x * g) * h).
 
-Scalars only need +, *, is_zero/is_one and inverse(), so the same code
-runs over the Laurent ring, its quadratic extension, or a finite field
-after specialization.
+``RMatrix`` stores its dense rows together with a cached sparse view,
+the nonzero entries of each row keyed by column.  Every product walks
+nonzero entries against nonzero entries only and passes the view it
+built on to the product matrix, so a word evaluated letter by letter
+never rescans a row.  Equality, hashing and JSON read the dense rows
+alone.
+
+Scalars only need +, *, truth (nonzero), is_one and inverse(), so the
+same code runs over the Laurent ring, its quadratic extension, or a
+finite field after specialization.
 """
 
 from __future__ import annotations
@@ -25,9 +32,20 @@ from .rings import L_ONE, L_ZERO, LaurentScalar, T_INV, gf2_rank
 
 
 class RMatrix:
-    """A square matrix over any char-2 scalar ring; rows act on the right."""
+    """A square matrix over any char-2 scalar ring; rows act on the right.
 
-    __slots__ = ("rows",)
+    ``rows`` holds every entry and alone defines equality and hashing.
+    Beside it the matrix caches a sparse view, built on first use: per
+    row, a dict from column j to the nonzero entry x.  (A dict per row,
+    not a tuple of (j, x) pairs: iterating a dict allocates nothing,
+    while the few hundred pair tuples of each 64x64 product raised peak
+    memory by half a megabyte through CPython's tuple free lists.)
+    Products, ``row_apply`` and ``is_identity`` walk that view, so they
+    never test a zero entry, and a product hands the view it built to
+    the matrix it returns.  The view is never mutated.
+    """
+
+    __slots__ = ("rows", "_nonzero")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -35,6 +53,21 @@ class RMatrix:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_nonzero", None)
+
+    @classmethod
+    def _from_view(cls, view, n, zero):
+        """The matrix whose nonzero entries are ``view``; the view is kept."""
+        rows = []
+        for entries in view:
+            row = [zero] * n
+            for j, x in entries.items():
+                row[j] = x
+            rows.append(tuple(row))
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", tuple(rows))
+        object.__setattr__(mat, "_nonzero", view)
+        return mat
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
@@ -49,23 +82,23 @@ class RMatrix:
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         )
 
+    def _view(self):
+        view = self._nonzero
+        if view is None:
+            view = tuple(
+                {j: x for j, x in enumerate(row) if x} for row in self.rows
+            )
+            object.__setattr__(self, "_nonzero", view)
+        return view
+
+    def _zero(self):
+        some = self.rows[0][0]
+        return some + some  # characteristic two
+
     def __mul__(self, other):
-        arows, brows = self.rows, other.rows
-        n = len(brows[0])
-        some = arows[0][0]
-        zero = some + some  # characteristic two
-        out = []
-        for arow in arows:
-            acc = [zero] * n
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = brows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return RMatrix(tuple(out))
+        bview = other._view()
+        view = tuple(_combine(entries, bview) for entries in self._view())
+        return RMatrix._from_view(view, len(other.rows), self._zero())
 
     def __pow__(self, k: int):
         if k <= 0:
@@ -82,32 +115,21 @@ class RMatrix:
 
     def row_apply(self, vec):
         """Image of a row vector under this matrix."""
-        rows = self.rows
-        n = len(rows[0])
-        some = rows[0][0]
-        zero = some + some
-        acc = [zero] * n
-        for k, a in enumerate(vec):
-            if not a:
-                continue
-            row = rows[k]
-            for j, b in enumerate(row):
-                if b:
-                    acc[j] = acc[j] + a * b
-        return tuple(acc)
+        out = [self._zero()] * len(self.rows)
+        coeffs = {k: a for k, a in enumerate(vec) if a}
+        for j, x in _combine(coeffs, self._view()).items():
+            out[j] = x
+        return tuple(out)
 
     def map_entries(self, fn) -> "RMatrix":
         return RMatrix(tuple(tuple(fn(x) for x in row) for row in self.rows))
 
     @property
     def is_identity(self):
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if i == j:
-                    if not x.is_one:
-                        return False
-                elif x:
-                    return False
+        for i, entries in enumerate(self._view()):
+            x = entries.get(i)
+            if len(entries) != 1 or x is None or not x.is_one:
+                return False
         return True
 
     def to_json(self):
@@ -126,6 +148,20 @@ class RMatrix:
 
     def __repr__(self):
         return f"RMatrix({self.size}x{self.size})"
+
+
+def _combine(coeffs, view):
+    """The row sum_k a_k * view[k] over the items k: a_k of ``coeffs``, as
+    a dict of its nonzero entries; ``view[k]`` is the dict of row k.
+    Entries that cancel are dropped."""
+    acc = {}
+    for k, a in coeffs.items():
+        for j, b in view[k].items():
+            if j in acc:
+                acc[j] = acc[j] + a * b
+            else:
+                acc[j] = a * b
+    return {j: x for j, x in acc.items() if x}
 
 
 class QuadSpace:

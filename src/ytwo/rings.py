@@ -29,6 +29,7 @@ import itertools
 from .errors import (
     BadModulusError,
     EvenNError,
+    FieldTooLargeError,
     NotUnitError,
     ZeroInputError,
 )
@@ -437,25 +438,46 @@ def find_irreducible(degree: int) -> int:
     raise ArithmeticError(f"no irreducible polynomial of degree {degree} found")
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n (a and n coprime)."""
-    r, x = 1, a % n
-    while x != 1:
-        x = (x * a) % n
-        r += 1
-        if r > n:
-            raise ArithmeticError(f"{a} is not invertible modulo {n}")
-    return r
+# GF(2**d) keeps 2**d-entry exp/log tables; degree 20 (n = 41) builds them
+# in about a second, degree 28 (n = 29) would need gigabytes.
+MAX_FIELD_DEGREE = 20
+
+
+def field_degree(n: int) -> int:
+    """Degree d of the smallest field GF(2**d) with a primitive n-th root
+    of unity: the order of 2 modulo odd n >= 3.
+
+    Takes at most ``MAX_FIELD_DEGREE`` steps and raises
+    ``FieldTooLargeError`` when the order is larger.
+    """
+    if n < 3 or n % 2 == 0:
+        raise EvenNError(f"n must be odd and >= 3, got {n}")
+    x = 1
+    for d in range(1, MAX_FIELD_DEGREE + 1):
+        x = 2 * x % n
+        if x == 1:
+            return d
+    raise FieldTooLargeError(
+        f"n = {n} needs GF(2**d) with d > {MAX_FIELD_DEGREE}, "
+        f"the largest supported field degree"
+    )
 
 
 class FiniteField:
     """GF(2**degree) presented by an irreducible modulus bit mask.
 
     Multiplication uses exp/log tables over the least primitive element,
-    built once at construction; fields used here are small (degree <= 16).
+    built once at construction, so the degree is at most
+    ``MAX_FIELD_DEGREE``; a larger one raises ``FieldTooLargeError``
+    before anything is searched or allocated.
     """
 
     def __init__(self, degree: int, modulus: int | None = None):
+        if degree > MAX_FIELD_DEGREE:
+            raise FieldTooLargeError(
+                f"GF(2**{degree}) is above the largest supported degree "
+                f"{MAX_FIELD_DEGREE}"
+            )
         if modulus is None:
             modulus = find_irreducible(degree)
         if _pdeg(modulus) != degree:
@@ -671,14 +693,12 @@ class EvalMap:
 def make_eval_map(n: int, modulus: int | None = None) -> EvalMap:
     """Construct the evaluation map for odd n >= 3.
 
-    The field degree is the multiplicative order d of 2 modulo n, so that
-    n divides 2**d - 1.  zeta is g**((2**d - 1)/n) for the least primitive
-    element g, a deterministic choice recorded in ``describe()``.
+    The field degree is ``field_degree(n)``, the multiplicative order d of
+    2 modulo n, so that n divides 2**d - 1.  zeta is g**((2**d - 1)/n)
+    for the least primitive element g, a deterministic choice recorded in
+    ``describe()``.
     """
-    if n < 3 or n % 2 == 0:
-        raise EvenNError(f"n must be odd and >= 3, got {n}")
-    d = multiplicative_order(2, n)
-    field = FiniteField(d, modulus)
+    field = FiniteField(field_degree(n), modulus)
     zeta = FFElement(field, field.generator_bits) ** ((field.order - 1) // n)
     return EvalMap(n, field, zeta)
 

@@ -59,12 +59,12 @@ def ref_qe_mul(x, y):
 # ref_qe with an empty alpha part); zero coefficients are never stored.
 
 
-def _ref_qe_add(x, y):
+def ref_qe_add(x, y):
     return {d: ref_lp_add(x[d], y[d]) for d in (0, 1)}
 
 
 def _ref_cl_add_into(acc, word, coeff):
-    total = _ref_qe_add(acc.get(word, ref_qe()), coeff)
+    total = ref_qe_add(acc.get(word, ref_qe()), coeff)
     if total[0] or total[1]:
         acc[word] = total
     else:
@@ -122,6 +122,31 @@ def ref_cl_transpose(x):
     for wx, cx in x.items():
         for w, cw in ref_cl_word(wx[::-1]).items():
             _ref_cl_add_into(out, w, ref_qe_mul(cx, cw))
+    return out
+
+
+# -- square matrices by the schoolbook product -------------------------------
+# A matrix is a list of rows.  A ring is an (add, mul, zero) triple over
+# one of the scalar references: ref_lp, ref_qe, or RefField residues.
+
+REF_LP_RING = (ref_lp_add, ref_lp_mul, frozenset())
+REF_QE_RING = (ref_qe_add, ref_qe_mul, ref_qe())
+
+
+def ref_mat_mul(a, b, ring):
+    """Entry (i, j) is the sum of a[i][k] * b[k][j] over every k, zero
+    terms included.  ``a`` may have any number of rows, so a row vector
+    times a matrix is a one-row product."""
+    add, mul, zero = ring
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            total = zero
+            for k in range(len(b)):
+                total = add(total, mul(row[k], b[k][j]))
+            out_row.append(total)
+        out.append(out_row)
     return out
 
 
@@ -191,6 +216,10 @@ class RefField:
         for _ in range(k):
             r = self.mul(r, a)
         return r
+
+    @property
+    def ring(self):
+        return (lambda a, b: a ^ b, self.mul, 0)
 
     def order(self, a):
         assert a

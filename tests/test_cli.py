@@ -157,3 +157,33 @@ class TestParser:
         assert code == 0
         by_name = {c["name"]: c for c in data["checks"]}
         assert by_name["group_order_phi"]["actual"] == "4080"
+
+
+class TestArgumentValidation:
+    """Out-of-range arguments are usage errors: exit 2 before any work,
+    with no traceback and no report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "relations", "--m", "2"],
+            ["verify", "relations", "--kmax", "0"],
+            ["verify", "closed-form", "--kmax", "-1"],
+            ["specialize", "--m", "3", "--n", "4"],
+            ["specialize", "--m", "2", "--n", "5"],
+            ["verify", "center", "--n", "4"],
+            ["verify", "lifting", "--words", "-5"],
+            ["verify", "lifting", "--maxlen", "-1"],
+            ["verify", "basis", "--m", "9"],
+            ["decompose", "--rank", "3"],
+            ["augmentation", "--n", "29"],
+            ["verify", "center", "--m", "3", "--n", "29"],
+        ],
+    )
+    def test_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--json"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err

@@ -5,9 +5,11 @@ import pytest
 from ytwo.errors import (
     BadModulusError,
     EvenNError,
+    FieldTooLargeError,
     NotUnitError,
     ZeroInputError,
 )
+from ytwo import rings
 from ytwo.rings import (
     ALPHA,
     ALPHA_INV,
@@ -24,6 +26,7 @@ from ytwo.rings import (
     T_INV,
     cyclotomic_split,
     ff_rank,
+    field_degree,
     find_irreducible,
     gf2_rank,
     make_eval_map,
@@ -320,3 +323,29 @@ class TestPackedRank:
                 for r in rows_bits
             ]
             assert ff_rank(field, rows) == gf2_rank(rows_bits)
+
+
+class TestFieldDegreeGuard:
+    def test_degree_is_order_of_two(self):
+        for n, d in ((3, 2), (5, 4), (7, 3), (9, 6), (17, 8), (41, 20)):
+            assert field_degree(n) == d
+        with pytest.raises(EvenNError):
+            field_degree(4)
+
+    def test_rejected_before_allocation(self, monkeypatch):
+        """n = 29 needs GF(2**28): refused before the modulus search or the
+        exp/log tables, both replaced here by a function that must not run."""
+
+        def forbidden(*args):
+            raise AssertionError("field construction started")
+
+        monkeypatch.setattr(rings, "find_irreducible", forbidden)
+        monkeypatch.setattr(FiniteField, "_build_tables", forbidden)
+        with pytest.raises(FieldTooLargeError):
+            field_degree(29)
+        with pytest.raises(FieldTooLargeError):
+            make_eval_map(29)
+        with pytest.raises(FieldTooLargeError):
+            FiniteField(28)
+        with pytest.raises(FieldTooLargeError):
+            FiniteField(21, (1 << 21) | 0b101)

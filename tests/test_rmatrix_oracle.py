@@ -1,0 +1,189 @@
+"""RMatrix products, row_apply and is_identity against the schoolbook
+product in oracles.py, over Laurent, QE and GF(8) entries.
+
+A raw entry is a pair (e0, e1) of s-exponent lists.  Over the Laurent
+ring it is e0; over QE it is e0 + e1*alpha; over GF(8) it is the residue
+with bit e % 3 set for each e in e0 (XOR), so one raw matrix serves all
+three rings and the explicit examples below hold in each.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ytwo.quadspace import RMatrix
+from ytwo.rings import FiniteField, LaurentScalar, QEScalar
+
+from oracles import REF_LP_RING, REF_QE_RING, RefField, ref_lp, ref_mat_mul, ref_qe
+
+RINGS = ("laurent", "qe", "ff")
+MODULUS = 0b1011  # x**3 + x + 1
+FIELD = FiniteField(3, MODULUS)
+REF_FIELD = RefField(MODULUS)
+
+Z = ((), ())
+ONE = ((0,), ())
+S = ((1,), ())
+
+exps = st.lists(st.integers(-2, 2), max_size=2)
+# zeros and ones are drawn often, so rows empty out and sums cancel
+entry = st.one_of(st.just(Z), st.just(ONE), st.tuples(exps, exps))
+matrix_triples = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        *[st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)]
+        * 3
+    )
+)
+perturbations = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), entry), max_size=4)
+
+
+def ff_bits(raw):
+    bits = 0
+    for e in raw[0]:
+        bits ^= 1 << (e % 3)
+    return bits
+
+
+def scalar(ring, raw):
+    if ring == "ff":
+        return FIELD.element(ff_bits(raw))
+    c0 = LaurentScalar.from_exponents(raw[0])
+    return QEScalar(c0, LaurentScalar.from_exponents(raw[1])) if ring == "qe" else c0
+
+
+def ref_scalar(ring, raw):
+    if ring == "ff":
+        return ff_bits(raw)
+    return ref_qe(raw[0], raw[1]) if ring == "qe" else ref_lp(raw[0])
+
+
+def ref_of(ring, x):
+    if ring == "ff":
+        return x.bits
+    if ring == "qe":
+        return ref_qe(x.c0.exponents(), x.c1.exponents())
+    return ref_lp(x.exponents())
+
+
+def from_ref(ring, r):
+    if ring == "ff":
+        return FIELD.element(r)
+    if ring == "qe":
+        return QEScalar(
+            LaurentScalar.from_exponents(r[0]), LaurentScalar.from_exponents(r[1])
+        )
+    return LaurentScalar.from_exponents(r)
+
+
+def ref_ring(ring):
+    return {"laurent": REF_LP_RING, "qe": REF_QE_RING, "ff": REF_FIELD.ring}[ring]
+
+
+def build(ring, raw):
+    return RMatrix([[scalar(ring, x) for x in row] for row in raw])
+
+
+def ref_build(ring, raw):
+    return [[ref_scalar(ring, x) for x in row] for row in raw]
+
+
+def ref_rows(ring, mat):
+    return [[ref_of(ring, x) for x in row] for row in mat.rows]
+
+
+def ref_identity(ring, n):
+    zero = ref_ring(ring)[2]
+    one = ref_scalar(ring, ONE)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def check_product(ring, mat, expected):
+    """``mat`` equals ``expected`` entrywise, compares and hashes equal to
+    the same matrix built from plain rows, and its carried sparse view
+    lists exactly its nonzero entries."""
+    assert ref_rows(ring, mat) == expected
+    plain = RMatrix([[from_ref(ring, r) for r in row] for row in expected])
+    assert mat == plain and hash(mat) == hash(plain)
+    for row, entries in zip(mat.rows, mat._view()):
+        assert sorted(entries) == [j for j, x in enumerate(row) if x]
+
+
+ZERO_ROWS = [[Z, Z, Z], [ONE, S, Z], [Z, Z, Z]]
+# row 0 of CANCEL_A times CANCEL_B is 1*1 + 1*1 = 0 in column 0
+CANCEL_A = [[ONE, ONE, Z], [Z, ONE, Z], [S, Z, S]]
+CANCEL_B = [[ONE, Z, Z], [ONE, ONE, Z], [ONE, Z, ONE]]
+ID3 = [[ONE, Z, Z], [Z, ONE, Z], [Z, Z, ONE]]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mats=matrix_triples)
+@example(mats=(ZERO_ROWS, CANCEL_B, CANCEL_A))
+@example(mats=(CANCEL_A, CANCEL_B, ZERO_ROWS))
+@example(mats=(CANCEL_B, CANCEL_A, ID3))
+def test_mul_matches_reference(ring, mats):
+    rr = ref_ring(ring)
+    a, b, c = (build(ring, m) for m in mats)
+    ra, rb, rc = (ref_build(ring, m) for m in mats)
+    ab = a * b
+    ref_ab = ref_mat_mul(ra, rb, rr)
+    check_product(ring, ab, ref_ab)
+    # the product's carried view serves as the left and the right operand
+    ref_abc = ref_mat_mul(ref_ab, rc, rr)
+    check_product(ring, ab * c, ref_abc)
+    check_product(ring, a * (b * c), ref_abc)
+    check_product(ring, c * ab, ref_mat_mul(rc, ref_ab, rr))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mats=matrix_triples)
+@example(mats=(ZERO_ROWS, CANCEL_B, CANCEL_A))
+@example(mats=(CANCEL_B, CANCEL_A, ZERO_ROWS))
+def test_row_apply_matches_reference(ring, mats):
+    rr = ref_ring(ring)
+    a, b, _ = (build(ring, m) for m in mats)
+    ra, rb, rc = (ref_build(ring, m) for m in mats)
+    ab = a * b
+    ref_ab = ref_mat_mul(ra, rb, rr)
+    for raw_vec, ref_vec in zip(mats[2], rc):
+        vec = tuple(scalar(ring, x) for x in raw_vec)
+        for mat, ref_mat in ((a, ra), (ab, ref_ab)):
+            out = mat.row_apply(vec)
+            assert [ref_of(ring, x) for x in out] == ref_mat_mul([ref_vec], ref_mat, rr)[0]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mats=matrix_triples, left=perturbations, right=perturbations)
+@example(mats=(ID3, ID3, ID3), left=[], right=[])
+@example(mats=(ID3, ID3, ID3), left=[(1, 1, Z)], right=[])
+@example(mats=(ID3, ID3, ID3), left=[(2, 2, S)], right=[(2, 2, S)])
+@example(mats=(ID3, ID3, ID3), left=[(0, 2, ONE)], right=[(0, 2, ONE)])
+@example(mats=(ID3, ID3, ID3), left=[(0, 0, Z), (0, 1, ONE)], right=[])
+@example(
+    mats=(ID3, ID3, ID3),
+    left=[(0, 0, Z), (0, 1, ONE), (1, 1, Z), (1, 0, ONE)],
+    right=[(0, 0, Z), (0, 1, ONE), (1, 1, Z), (1, 0, ONE)],
+)
+def test_is_identity_matches_reference(ring, mats, left, right):
+    """Identity matrices with up to four entries overwritten, and their
+    products: a permutation matrix has one unit per row off the diagonal,
+    and the products are the identity whenever the two perturbations undo
+    each other."""
+    rr = ref_ring(ring)
+    n = len(mats[0])
+
+    def perturbed(changes):
+        raw = [[ONE if i == j else Z for j in range(n)] for i in range(n)]
+        for i, j, x in changes:
+            raw[i % n][j % n] = x
+        return raw
+
+    ident = ref_identity(ring, n)
+    raw_l, raw_r = perturbed(left), perturbed(right)
+    ref_l, ref_r = ref_build(ring, raw_l), ref_build(ring, raw_r)
+    l, r = build(ring, raw_l), build(ring, raw_r)
+    assert l.is_identity == (ref_l == ident)
+    assert (l * r).is_identity == (ref_mat_mul(ref_l, ref_r, rr) == ident)
+    a = build(ring, mats[0])
+    assert a.is_identity == (ref_build(ring, mats[0]) == ident)
