@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -315,10 +314,7 @@ def _cmd_decompose(args) -> RunReport:
 def _cmd_specialize(args) -> RunReport:
     report = RunReport(command="specialize", params=_param_dict(args))
     mode = "force" if args.enumerate else "auto"
-    threads = int(os.environ.get("YTWO_THREADS", args.threads))
-    g = small_cases_check(
-        args.m, args.n, cap=args.cap, threads=threads, enumerate_mode=mode
-    )
+    g = small_cases_check(args.m, args.n, cap=args.cap, enumerate_mode=mode)
     report.add(
         f"relators_specialized/m={args.m}/n={args.n}",
         True,
@@ -482,11 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_spec = sub.add_parser("specialize", parents=[shared], help="finite-field small-cases report")
-    p_spec.add_argument("--m", type=_int_in(3), required=True)
+    # the eta images are 2**(m-2)-square: time and memory grow ~4x per step
+    p_spec.add_argument("--m", type=_int_in(3, 10), required=True)
     p_spec.add_argument("--n", type=_eval_order, required=True)
     p_spec.add_argument("--enumerate", action="store_true")
-    p_spec.add_argument("--cap", type=int, default=2_000_000)
-    p_spec.add_argument("--threads", type=int, default=1)
+    p_spec.add_argument("--cap", type=_int_in(1), default=2_000_000)
     p_spec.set_defaults(func=_cmd_specialize)
 
     p_aug = sub.add_parser("augmentation", parents=[shared], help="cyclotomic splitting report")

@@ -61,6 +61,7 @@ from .rings import (
     _clmul,
     ff_rank,
     make_eval_map,
+    pow_by_squaring,
 )
 
 # -- monomial structure constants (shared across algebras) -----------------
@@ -329,15 +330,7 @@ class CliffordElement:
     def __pow__(self, k: int):
         if k < 0:
             return cl_inverse(self) ** (-k)
-        result = self.algebra.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return pow_by_squaring(self, k) if k else self.algebra.one
 
     def scale(self, c) -> "CliffordElement":
         if isinstance(c, LaurentScalar) and self.algebra.ring == "qe":

@@ -103,15 +103,7 @@ class RMatrix:
     def __pow__(self, k: int):
         if k <= 0:
             raise ValueError("matrix powers need k >= 1 (identity not inferable)")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return rings.pow_by_squaring(self, k)
 
     def row_apply(self, vec):
         """Image of a row vector under this matrix."""

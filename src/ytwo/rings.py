@@ -47,6 +47,18 @@ def _clmul(a: int, b: int) -> int:
     return acc
 
 
+def pow_by_squaring(base, k: int):
+    """base**k for k >= 1 by square-and-multiply; needs no identity."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class LaurentScalar:
     """A GF(2) Laurent polynomial in s (see module docstring)."""
 
@@ -123,15 +135,7 @@ class LaurentScalar:
             return self.inverse() ** (-k)
         if self.mask == 1:
             return LaurentScalar._new(self.off * k, 1)
-        result = L_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return pow_by_squaring(self, k) if k else L_ONE
 
     def inverse(self) -> "LaurentScalar":
         """Invert; only monomials s**k are units of GF(2)[s, 1/s]."""
@@ -271,15 +275,7 @@ class QEScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = QE_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return pow_by_squaring(self, k) if k else QE_ONE
 
     def conj(self) -> "QEScalar":
         """The Galois conjugate, swapping alpha and 1/alpha = s + alpha."""

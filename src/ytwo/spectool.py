@@ -12,13 +12,11 @@ integer (each entry contributing its d coefficient bits, little-endian)
 right factor is GF(2)-linear in the packed row bits, each generator is
 compiled into per-chunk XOR lookup tables, making one product a handful
 of table hits; the visited set is an ordinary set of integers, so the
-result is independent of generator order and of how the frontier is
-chunked across threads.
+result is independent of generator order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import CapExceededError, DegenerateFormError
@@ -197,69 +195,42 @@ def _make_stepper(tables, n: int, row_bits: int):
     return step
 
 
-def _bfs_closure(ident: int, steppers, cap: int, threads: int) -> int:
+def _bfs_closure(ident: int, steppers, cap: int) -> int:
     visited = {ident}
     frontier = [ident]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            if pool is not None and len(frontier) > 4 * threads:
-                size = (len(frontier) + threads - 1) // threads
-                chunks = [
-                    frontier[i : i + size] for i in range(0, len(frontier), size)
-                ]
-                batches = pool.map(
-                    lambda ch: [st(x) for st in steppers for x in ch], chunks
-                )
-            else:
-                batches = [[st(x) for st in steppers for x in frontier]]
-            nxt = []
-            for batch in batches:
-                for y in batch:
-                    if y not in visited:
-                        visited.add(y)
-                        nxt.append(y)
-            if len(visited) > cap:
-                raise CapExceededError(
-                    f"enumeration passed the cap of {cap} elements",
-                    count=len(visited),
-                )
-            frontier = nxt
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier:
+        nxt = []
+        for y in [st(x) for st in steppers for x in frontier]:
+            if y not in visited:
+                visited.add(y)
+                nxt.append(y)
+        if len(visited) > cap:
+            raise CapExceededError(
+                f"enumeration passed the cap of {cap} elements",
+                count=len(visited),
+            )
+        frontier = nxt
     return len(visited)
 
 
-def group_order_bfs(
-    generators, cap: int = 2_000_000, threads: int = 1
-) -> int:
-    """Exact order of the group generated by invertible field matrices.
+def _segment_step(segments):
+    def step(x: int) -> int:
+        out = 0
+        for off, mask, st in segments:
+            out |= st((x >> off) & mask) << off
+        return out
+
+    return step
+
+
+def _group_order(generator_tuples, cap: int) -> int:
+    """Order of the group generated by tuples of invertible field matrices
+    (one matrix per component, multiplied componentwise).
 
     Breadth-first closure from the identity under right multiplication;
-    raises CapExceededError once the visited set would pass ``cap``.
+    a state is the concatenation of the component packings.  Raises
+    CapExceededError once the visited set would pass ``cap``.
     """
-    generators = list(generators)
-    if not generators:
-        return 1
-    field = generators[0].rows[0][0].field
-    n = generators[0].size
-    for g in generators:
-        if ff_rank(field, g.rows) != n:
-            raise ValueError("generator matrix is singular")
-    row_bits = n * field.degree
-    steppers = [
-        _make_stepper(_compile_generator(g), n, row_bits) for g in generators
-    ]
-    ident = pack_matrix(RMatrix.identity(n, field.one, field.zero))
-    return _bfs_closure(ident, steppers, cap, threads)
-
-
-def group_order_bfs_tuples(
-    generator_tuples, cap: int = 2_000_000, threads: int = 1
-) -> int:
-    """Order of a group of matrix tuples (one matrix per component ring,
-    multiplied componentwise).  States are the concatenated packings."""
     generator_tuples = [tuple(t) for t in generator_tuples]
     if not generator_tuples:
         return 1
@@ -274,27 +245,28 @@ def group_order_bfs_tuples(
         field = mat0.rows[0][0].field
         n = mat0.size
         row_bits = n * field.degree
-        total = n * row_bits
-        mask = (1 << total) - 1
+        mask = (1 << (n * row_bits)) - 1
         for g, tup in enumerate(generator_tuples):
+            if ff_rank(field, tup[c].rows) != n:
+                raise ValueError("generator matrix is singular")
             st = _make_stepper(_compile_generator(tup[c]), n, row_bits)
             per_gen[g].append((offset, mask, st))
-        ident |= pack_matrix(
-            RMatrix.identity(n, field.one, field.zero)
-        ) << offset
-        offset += total
+        ident |= pack_matrix(RMatrix.identity(n, field.one, field.zero)) << offset
+        offset += n * row_bits
+    # a single component runs its bare stepper, with no shift and no mask
+    steppers = [segs[0][2] if ncomp == 1 else _segment_step(segs) for segs in per_gen]
+    return _bfs_closure(ident, steppers, cap)
 
-    def make_step(segments):
-        def step(x: int) -> int:
-            out = 0
-            for off, mask, st in segments:
-                out |= st((x >> off) & mask) << off
-            return out
 
-        return step
+def group_order_bfs(generators, cap: int = 2_000_000) -> int:
+    """Exact order of the group generated by invertible field matrices."""
+    return _group_order([(g,) for g in generators], cap)
 
-    steppers = [make_step(segs) for segs in per_gen]
-    return _bfs_closure(ident, steppers, cap, threads)
+
+def group_order_bfs_tuples(generator_tuples, cap: int = 2_000_000) -> int:
+    """Order of a group of matrix tuples (one matrix per component ring,
+    multiplied componentwise).  States are the concatenated packings."""
+    return _group_order(generator_tuples, cap)
 
 
 def unit_coset_reps(n: int) -> list:
@@ -429,7 +401,6 @@ def small_cases_check(
     m: int,
     n: int,
     cap: int = 2_000_000,
-    threads: int = 1,
     enumerate_mode: str = "auto",
 ) -> GroupReport:
     """Specialize both representations at (m, n) and compare structural
@@ -472,9 +443,9 @@ def small_cases_check(
     )
     if want_enum:
         try:
-            report.order_phi = group_order_bfs(phi.b_matrices, cap, threads)
+            report.order_phi = group_order_bfs(phi.b_matrices, cap)
             report.order_eta = group_order_bfs_tuples(
-                eta_component_matrices(m, n), cap, threads
+                eta_component_matrices(m, n), cap
             )
             report.enumeration = "ran"
             if report.order_phi != report.order_eta:

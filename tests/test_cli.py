@@ -147,17 +147,6 @@ class TestParser:
         ):
             assert parser.parse_args(argv).seed == 42
 
-    def test_threads_env_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("YTWO_THREADS", "2")
-        code, data = run_json(
-            capsys,
-            ["specialize", "--m", "3", "--n", "5", "--enumerate",
-             "--threads", "1", "--json"],
-        )
-        assert code == 0
-        by_name = {c["name"]: c for c in data["checks"]}
-        assert by_name["group_order_phi"]["actual"] == "4080"
-
 
 class TestArgumentValidation:
     """Out-of-range arguments are usage errors: exit 2 before any work,
@@ -171,6 +160,8 @@ class TestArgumentValidation:
             ["verify", "closed-form", "--kmax", "-1"],
             ["specialize", "--m", "3", "--n", "4"],
             ["specialize", "--m", "2", "--n", "5"],
+            ["specialize", "--m", "11", "--n", "5"],
+            ["specialize", "--m", "3", "--n", "5", "--cap", "0"],
             ["verify", "center", "--n", "4"],
             ["verify", "lifting", "--words", "-5"],
             ["verify", "lifting", "--maxlen", "-1"],

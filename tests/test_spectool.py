@@ -125,12 +125,6 @@ class TestBFS:
         b = group_order_bfs(list(reversed(gens)))
         assert a == b
 
-    def test_thread_count_independent(self):
-        rep = specialize(3, 5, "phi")
-        a = group_order_bfs(rep.b_matrices, threads=1)
-        b = group_order_bfs(rep.b_matrices, threads=3)
-        assert a == b
-
     def test_cap(self):
         rep = specialize(3, 5, "phi")
         with pytest.raises(CapExceededError) as err:
@@ -144,6 +138,16 @@ class TestBFS:
         singular = RMatrix([[field.one, field.one], [field.one, field.one]])
         with pytest.raises(ValueError):
             group_order_bfs([singular])
+
+    def test_singular_component_rejected(self):
+        from ytwo.quadspace import RMatrix
+
+        field = FiniteField(4)
+        singular = RMatrix([[field.one, field.one], [field.one, field.one]])
+        ident = RMatrix.identity(2, field.one, field.zero)
+        for tup in ((singular, ident), (ident, singular)):
+            with pytest.raises(ValueError, match="singular"):
+                group_order_bfs_tuples([(ident, ident), tup])
 
     def test_tuples_single_component(self):
         rep = specialize(3, 5, "phi")
