@@ -298,11 +298,8 @@ class CliffordElement:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: CliffordAlgebra, terms: dict):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffordElement is immutable")
+        self.algebra = algebra
+        self.terms = terms
 
     def _check_ambient(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -333,8 +330,8 @@ class CliffordElement:
         return pow_by_squaring(self, k) if k else self.algebra.one
 
     def scale(self, c) -> "CliffordElement":
-        if isinstance(c, LaurentScalar) and self.algebra.ring == "qe":
-            c = QEScalar.from_laurent(c)
+        if isinstance(c, LaurentScalar):
+            c = self.algebra.lift(c)
         if not c:
             return self.algebra.zero
         return CliffordElement(

@@ -15,7 +15,9 @@ the nonzero entries of each row keyed by column.  Every product walks
 nonzero entries against nonzero entries only and passes the view it
 built on to the product matrix, so a word evaluated letter by letter
 never rescans a row.  Equality, hashing and JSON read the dense rows
-alone.
+alone.  A matrix is a value by the same convention as the scalars in
+``rings``: a plain ``__slots__`` class whose rows are never assigned
+after construction.
 
 Scalars only need +, *, truth (nonzero), is_one and inverse(), so the
 same code runs over the Laurent ring, its quadratic extension, or a
@@ -40,9 +42,11 @@ class RMatrix:
     not a tuple of (j, x) pairs: iterating a dict allocates nothing,
     while the few hundred pair tuples of each 64x64 product raised peak
     memory by half a megabyte through CPython's tuple free lists.)
-    Products, ``row_apply`` and ``is_identity`` walk that view, so they
-    never test a zero entry, and a product hands the view it built to
-    the matrix it returns.  The view is never mutated.
+    Products, ``row_apply``, ``is_identity`` and ``map_entries`` walk
+    that view, so they never test a zero entry, and a product hands the
+    view it built to the matrix it returns.  ``rows`` is never assigned
+    after construction and the view is never mutated: filling the
+    ``_nonzero`` cache on first use is the only later assignment.
     """
 
     __slots__ = ("rows", "_nonzero")
@@ -52,8 +56,8 @@ class RMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_nonzero", None)
+        self.rows = rows
+        self._nonzero = None
 
     @classmethod
     def _from_view(cls, view, n, zero):
@@ -65,12 +69,9 @@ class RMatrix:
                 row[j] = x
             rows.append(tuple(row))
         mat = object.__new__(cls)
-        object.__setattr__(mat, "rows", tuple(rows))
-        object.__setattr__(mat, "_nonzero", view)
+        mat.rows = tuple(rows)
+        mat._nonzero = view
         return mat
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RMatrix is immutable")
 
     @property
     def size(self):
@@ -88,7 +89,7 @@ class RMatrix:
             view = tuple(
                 {j: x for j, x in enumerate(row) if x} for row in self.rows
             )
-            object.__setattr__(self, "_nonzero", view)
+            self._nonzero = view
         return view
 
     def _zero(self):
@@ -114,7 +115,13 @@ class RMatrix:
         return tuple(out)
 
     def map_entries(self, fn) -> "RMatrix":
-        return RMatrix(tuple(tuple(fn(x) for x in row) for row in self.rows))
+        """The entrywise image under ``fn``, which must send zero to zero
+        (a ring map or coercion): only nonzero entries are mapped."""
+        view = tuple(
+            {j: y for j, x in entries.items() if (y := fn(x))}
+            for entries in self._view()
+        )
+        return RMatrix._from_view(view, len(self.rows), fn(self._zero()))
 
     @property
     def is_identity(self):
@@ -267,10 +274,6 @@ class HyperbolicDecomposition:
     residual: list  # basis of the undecomposed remainder
     residual_q: list  # q-values of the residual basis
     states: list = field(default_factory=list)  # (q0, q1, q_rest) per step
-
-    @property
-    def pair_count(self):
-        return len(self.pairs)
 
 
 # q-state table for the inductive step: (q0, q1, q_common) -> (alpha, beta).

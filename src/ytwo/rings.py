@@ -1,6 +1,9 @@
 """Exact scalar arithmetic in characteristic two.
 
-Three levels of scalars, all immutable values:
+Three levels of scalars, all values by convention: plain ``__slots__``
+classes whose fields are never assigned after construction, so
+arithmetic returns new objects and constants such as ``L_ZERO`` are
+shared freely.  Nothing enforces this at run time.
 
 * ``LaurentScalar`` -- an element of GF(2)[s, 1/s].  A scalar is stored
   as an integer bit mask together with the exponent of its lowest term:
@@ -71,18 +74,15 @@ class LaurentScalar:
             shift = (mask & -mask).bit_length() - 1
             off += shift
             mask >>= shift
-        object.__setattr__(self, "off", off)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentScalar is immutable")
+        self.off = off
+        self.mask = mask
 
     @classmethod
     def _new(cls, off: int, mask: int) -> "LaurentScalar":
         # internal fast path: caller guarantees canonical (off, mask)
         self = object.__new__(cls)
-        object.__setattr__(self, "off", off)
-        object.__setattr__(self, "mask", mask)
+        self.off = off
+        self.mask = mask
         return self
 
     @classmethod
@@ -251,11 +251,8 @@ class QEScalar:
     __slots__ = ("c0", "c1")
 
     def __init__(self, c0: LaurentScalar, c1: LaurentScalar = L_ZERO):
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QEScalar is immutable")
+        self.c0 = c0
+        self.c1 = c1
 
     @classmethod
     def from_laurent(cls, x: LaurentScalar) -> "QEScalar":
@@ -573,11 +570,8 @@ class FFElement:
     __slots__ = ("field", "bits")
 
     def __init__(self, field: FiniteField, bits: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FFElement is immutable")
+        self.field = field
+        self.bits = bits
 
     def __add__(self, other):
         return FFElement(self.field, self.bits ^ other.bits)

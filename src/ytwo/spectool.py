@@ -82,17 +82,21 @@ def specialize(
         flavor, b_style = "y", "y"
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
-    images = {
-        letter: source.image(letter).map_entries(emap.apply)
-        for letter in source.letters()
-    }
-    rep = SpecializedRep(kind, m, emap, images, b_style)
+    rep = _specialized_rep(kind, m, emap, source, b_style)
     bad = relator_failures(schedule(m, relator_k, flavor), rep)
     if bad:
         raise ArithmeticError(f"specialized relators failed: {bad}")
     if kind == "phi":
         _check_form_preserved(rep)
     return rep
+
+
+def _specialized_rep(kind, m, emap, source, b_style) -> SpecializedRep:
+    images = {
+        letter: source.image(letter).map_entries(emap.apply)
+        for letter in source.letters()
+    }
+    return SpecializedRep(kind, m, emap, images, b_style)
 
 
 def _check_form_preserved(rep: SpecializedRep):
@@ -305,15 +309,10 @@ def eta_component_matrices(m: int, n: int) -> list:
     """b-generator tuples for the full augmentation specialization of
     the block-recursive representation (one matrix per component)."""
     source = SpinorRep(m)
-    words = [b_word(i, m, style="y") for i in range(1, m + 1)]
-    components = []
-    for emap in augmentation_components(n):
-        images = {
-            letter: source.image(letter).map_entries(emap.apply)
-            for letter in source.letters()
-        }
-        rep = SpecializedRep("eta", m, emap, images, "y")
-        components.append([evaluate(w, rep) for w in words])
+    components = [
+        _specialized_rep("eta", m, emap, source, "y").b_matrices
+        for emap in augmentation_components(n)
+    ]
     return [tuple(comp[i] for comp in components) for i in range(m)]
 
 

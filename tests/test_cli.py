@@ -157,6 +157,9 @@ class TestArgumentValidation:
         [
             ["verify", "relations", "--m", "2"],
             ["verify", "relations", "--kmax", "0"],
+            ["verify", "relations", "--m", "11"],
+            ["verify", "lifting", "--m", "8"],
+            ["verify", "closed-form", "--m", "101"],
             ["verify", "closed-form", "--kmax", "-1"],
             ["specialize", "--m", "3", "--n", "4"],
             ["specialize", "--m", "2", "--n", "5"],
