@@ -588,8 +588,7 @@ def center_report(m: int, n: int = 5) -> CenterReport:
                 if v:
                     row = rows.setdefault((j, mono), [0] * ncols)
                     row[col] ^= v
-    matrix = [[field.element(v) for v in row] for row in rows.values()]
-    rank = ff_rank(field, matrix)
+    rank = ff_rank(field, list(rows.values()))
     return CenterReport(
         m=m,
         radical_is_central=radical_central,

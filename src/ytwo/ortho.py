@@ -49,11 +49,6 @@ class OrthoRep(Representation):
         super().__init__(images, space.identity_matrix())
 
 
-def generator_matrix(space: QuadSpace, letter: str) -> RMatrix:
-    """Single generator image without building the whole representation."""
-    return OrthoRep(space).image(letter)
-
-
 def triple_form_matrix(space: QuadSpace, f0, f1, f2) -> RMatrix:
     """The map u -> u + f0*w, v1 -> v1 + f1*w, v2 -> v2 + f2*w for
     w = u + v1 + v2, and v_i -> v_i + (f0+1)u + (f1+1)v1 + (f2+1)v2

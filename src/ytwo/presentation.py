@@ -43,10 +43,6 @@ def st_letter(i: int) -> str:
     return f"S{i}"
 
 
-def word_str(word) -> str:
-    return "".join(word)
-
-
 def invert_word(word) -> tuple:
     """Formal inverse, valid because non-a letters map to involutions."""
     flip = {A: A_INV, A_INV: A}

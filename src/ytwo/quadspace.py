@@ -239,10 +239,6 @@ def bilin(space: QuadSpace, x, y):
     return total
 
 
-def vec_to_json(vec):
-    return [x.to_json() for x in vec]
-
-
 def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 

@@ -740,24 +740,29 @@ def gf2_rank(rows) -> int:
 def ff_rank(field: FiniteField, rows) -> int:
     """Rank of a matrix over GF(2**d), via its GF(2) blow-up.
 
-    Each entry c becomes the d x d GF(2) matrix of multiplication by c;
-    the blown-up GF(2) rank is exactly d times the rank over the field.
+    ``rows`` is a list of equal-length lists of raw element bits (ints
+    below 2**d), never ``FFElement`` objects.  Each nonzero entry c
+    becomes the d x d GF(2) matrix of multiplication by c; zero entries
+    contribute nothing and are skipped.  The blown-up GF(2) rank is
+    exactly d times the rank over the field.
     """
     d = field.degree
+    mulx = field.mulx_bits
     packed = []
     for row in rows:
         acc = [0] * d
-        for j, c in enumerate(row):
-            v = c.bits
-            base = j * d
-            for k in range(d):
-                if v:
-                    vv = v
-                    while vv:
-                        low = vv & -vv
-                        acc[low.bit_length() - 1] |= 1 << (base + k)
-                        vv ^= low
-                v = field.mulx_bits(v)
+        for j, v in enumerate(row):
+            if not v:
+                continue
+            bit = 1 << (j * d)
+            for _ in range(d):
+                vv = v
+                while vv:
+                    low = vv & -vv
+                    acc[low.bit_length() - 1] |= bit
+                    vv ^= low
+                v = mulx(v)
+                bit <<= 1
         packed.extend(acc)
     r = gf2_rank(packed)
     if r % d:

@@ -127,7 +127,6 @@ def pack_matrix(mat: RMatrix) -> int:
     """Row-major little-endian bit packing; the dedup encoding."""
     field = mat.rows[0][0].field
     d = field.degree
-    n = mat.size
     out = 0
     shift = 0
     for row in mat.rows:
@@ -163,10 +162,10 @@ def _compile_generator(gen: RMatrix):
     for j in range(n):
         grow = gen.rows[j]
         for k in range(d):
-            xk = field.element(field.pow_bits(field.x.bits, k))
+            xk_bits = field.pow_bits(field.x.bits, k)
             packed = 0
             for c in range(n):
-                packed |= (xk * grow[c]).bits << (c * d)
+                packed |= field.mul_bits(xk_bits, grow[c].bits) << (c * d)
             bit_images.append(packed)
     tables = []
     for base in range(0, row_bits, _CHUNK_BITS):
@@ -251,7 +250,7 @@ def _group_order(generator_tuples, cap: int) -> int:
         row_bits = n * field.degree
         mask = (1 << (n * row_bits)) - 1
         for g, tup in enumerate(generator_tuples):
-            if ff_rank(field, tup[c].rows) != n:
+            if ff_rank(field, [[x.bits for x in row] for row in tup[c].rows]) != n:
                 raise ValueError("generator matrix is singular")
             st = _make_stepper(_compile_generator(tup[c]), n, row_bits)
             per_gen[g].append((offset, mask, st))
@@ -343,7 +342,7 @@ def dickson(mat: RMatrix, allow_degenerate: bool = False) -> int:
         )
     field = mat.rows[0][0].field
     rows = [
-        [x + field.one if i == j else x for j, x in enumerate(row)]
+        [x.bits ^ 1 if i == j else x.bits for j, x in enumerate(row)]
         for i, row in enumerate(mat.rows)
     ]
     return ff_rank(field, rows) & 1

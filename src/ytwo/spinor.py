@@ -171,27 +171,22 @@ def spinor_basis(m: int, order: str = "stage") -> WBasis:
     return WBasis(m, order, tuple(elems), tuple(words))
 
 
-def coefficient_matrix(elements, emap: EvalMap):
-    """Specialized monomial-coefficient matrix (rows = elements)."""
+def full_rank_at(elements, emap: EvalMap) -> bool:
+    """True iff the specialized coefficient matrix has full row rank.
+
+    Row i holds the raw field bits of ``emap`` applied to the
+    coefficients of ``elements[i]``, one column per monomial and 0 where
+    the monomial is absent; ``ff_rank`` skips those zero cells.
+    """
     if not elements:
-        return []
-    m = elements[0].algebra.m
-    ncols = 1 << (m + 1)
-    field = emap.field
+        return True
+    ncols = 1 << (elements[0].algebra.m + 1)
     rows = []
     for el in elements:
-        row = [field.zero] * ncols
+        row = [0] * ncols
         for mono, c in el.terms.items():
-            row[mono] = emap.apply(c)
+            row[mono] = emap.apply(c).bits
         rows.append(row)
-    return rows
-
-
-def full_rank_at(elements, emap: EvalMap) -> bool:
-    """True iff the specialized coefficient matrix has full row rank."""
-    rows = coefficient_matrix(elements, emap)
-    if not rows:
-        return True
     return ff_rank(emap.field, rows) == len(rows)
 
 

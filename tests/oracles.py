@@ -231,6 +231,28 @@ class RefField:
         return r
 
 
+def ref_ff_rank(field, rows):
+    """Rank over GF(2**d) of a list of rows of residues, by Gaussian
+    elimination in ``field`` (a RefField); a pivot a is inverted as
+    a**(q - 2)."""
+    rows = [list(r) for r in rows]
+    q = 1 << field.d
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.pow(rows[rank][col], q - 2)
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != rank and c:
+                rows[i] = [x ^ field.mul(c, y) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 # -- classical group order formulas ------------------------------------------
 
 

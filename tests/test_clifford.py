@@ -341,6 +341,10 @@ class TestCenter:
         assert rep.radical_is_central
         assert rep.specialized_dim == 2
 
+    @pytest.mark.parametrize("m, dim", [(7, 1), (8, 2)])
+    def test_large_m(self, m, dim):
+        assert center_report(m).specialized_dim == dim
+
     def test_symbolic_centrality_even(self):
         for m in (4, 6):
             alg = get_algebra(m)

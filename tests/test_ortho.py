@@ -6,7 +6,6 @@ from ytwo.ortho import (
     OrthoRep,
     conjugate_power_matrix,
     entries_are_t_polynomials,
-    generator_matrix,
     triple_form_matrix,
 )
 from ytwo.presentation import evaluate, s_letter
@@ -42,7 +41,7 @@ T1 = T
 class TestGenerators:
     def test_swap_generator(self):
         sp = QuadSpace(4)
-        mat = generator_matrix(sp, "S1")
+        mat = OrthoRep(sp).image("S1")
         # swaps v1 and v2, fixes u and the other v_j
         expect = [
             [ONE, ZERO, ZERO, ZERO, ZERO],
@@ -55,7 +54,7 @@ class TestGenerators:
 
     def test_tau_generator(self):
         sp = QuadSpace(3)
-        mat = generator_matrix(sp, "t")
+        mat = OrthoRep(sp).image("t")
         # u fixed, v_i -> v_i + u
         for i in range(1, 4):
             row = mat.rows[i]
@@ -65,7 +64,7 @@ class TestGenerators:
 
     def test_a_generator(self):
         sp = QuadSpace(4)
-        mat = generator_matrix(sp, "a")
+        mat = OrthoRep(sp).image("a")
         # u -> u + t v1; v1 -> u + (1+t) v1; v_j -> u + v_j
         assert mat.rows[0] == (ONE, T1, ZERO, ZERO, ZERO)
         assert mat.rows[1] == (ONE, ONE + T1, ZERO, ZERO, ZERO)
@@ -172,7 +171,7 @@ class TestTripleForms:
 
 class TestPolynomialEntries:
     def test_phi_a(self):
-        assert entries_are_t_polynomials(generator_matrix(QuadSpace(3), "a"))
+        assert entries_are_t_polynomials(OrthoRep(QuadSpace(3)).image("a"))
 
     def test_counterexample(self):
         bad = RMatrix([[S]])

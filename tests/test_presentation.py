@@ -12,7 +12,6 @@ from ytwo.presentation import (
     s_letter,
     schedule,
     st_letter,
-    word_str,
 )
 from ytwo.quadspace import QuadSpace, transvection
 
@@ -97,8 +96,7 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule(3, 1, "nope")
 
-    def test_word_str_round(self):
-        assert word_str(("t", "a", "S1")) == "taS1"
+    def test_invert_word(self):
         assert invert_word(("a", "s1", "A")) == ("a", "s1", "A")
         assert invert_word(("t", "a")) == ("A", "t")
 

@@ -256,10 +256,3 @@ class TestRMatrix:
         sp = QuadSpace(3)
         data = sp.identity_matrix().to_json()
         assert data[0][0] == [0] and data[0][1] == []
-
-    def test_vector_serialization(self):
-        from ytwo.quadspace import vec_to_json
-
-        sp = QuadSpace(3)
-        vec = vec_add(sp.basis_vector(0), vec_scale(s_pow(2), sp.basis_vector(2)))
-        assert vec_to_json(vec) == [[0], [], [2], []]

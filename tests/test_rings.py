@@ -300,7 +300,7 @@ class TestPackedRank:
     def test_ff_rank_identity(self):
         field = FiniteField(4)
         rows = [
-            [field.one if i == j else field.zero for j in range(3)]
+            [field.one.bits if i == j else field.zero.bits for j in range(3)]
             for i in range(3)
         ]
         assert ff_rank(field, rows) == 3
@@ -310,7 +310,7 @@ class TestPackedRank:
         a = [field.element(3), field.element(7), field.element(1)]
         b = [field.element(5) * x for x in a]
         c = [x + y for x, y in zip(a, b)]
-        assert ff_rank(field, [a, b, c]) == 1
+        assert ff_rank(field, [[x.bits for x in r] for r in (a, b, c)]) == 1
 
     def test_ff_rank_random_vs_gf2_subfield(self):
         # entries in {0,1}: rank over the big field equals GF(2) rank
@@ -319,7 +319,7 @@ class TestPackedRank:
         for _ in range(50):
             rows_bits = [rng.getrandbits(6) for _ in range(5)]
             rows = [
-                [field.one if (r >> j) & 1 else field.zero for j in range(6)]
+                [field.one.bits if (r >> j) & 1 else field.zero.bits for j in range(6)]
                 for r in rows_bits
             ]
             assert ff_rank(field, rows) == gf2_rank(rows_bits)

@@ -1,0 +1,122 @@
+"""Scalar arithmetic and GF(2**d) rank against the references in oracles.py.
+
+Laurent and QE sums, products and inverses are compared with
+``ref_lp``/``ref_qe``; GF(2**d) products and powers and ``ff_rank`` with
+``RefField`` and its Gaussian elimination ``ref_ff_rank``.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ytwo.errors import NotUnitError, ZeroInputError
+from ytwo.rings import FiniteField, LaurentScalar, QEScalar, ff_rank
+
+from oracles import (
+    RefField,
+    ref_ff_rank,
+    ref_lp,
+    ref_lp_add,
+    ref_lp_mul,
+    ref_qe,
+    ref_qe_add,
+    ref_qe_mul,
+)
+
+from test_power_oracle import exps, lp, lp_ref, qe, qe_ref
+
+FIELDS = {d: FiniteField(d) for d in range(1, 6)}
+REFS = {d: RefField(f.modulus) for d, f in FIELDS.items()}
+
+# unit factors of GF(2)[s, 1/s][alpha]: alpha, 1/alpha = s + alpha, and
+# 1 + alpha and 1 + 1/alpha (both of norm s), as (c0, c1) exponent lists
+QE_UNIT_FACTORS = [((), (0,)), ((1,), (0,)), ((0,), (0,)), ((0, 1), (0,))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(exps, exps)
+def test_laurent_add_mul(e, f):
+    x, y = lp(e), lp(f)
+    assert lp_ref(x + y) == ref_lp_add(ref_lp(e), ref_lp(f))
+    assert lp_ref(x * y) == ref_lp_mul(ref_lp(e), ref_lp(f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exps)
+def test_laurent_inverse(e):
+    # over GF(2) the units are exactly the monomials
+    x = lp(e)
+    if len(ref_lp(e)) == 1:
+        assert ref_lp_mul(ref_lp(e), lp_ref(x.inverse())) == ref_lp([0])
+    else:
+        with pytest.raises(NotUnitError if ref_lp(e) else ZeroInputError):
+            x.inverse()
+
+
+@settings(max_examples=80, deadline=None)
+@given(exps, exps, exps, exps)
+def test_qe_add_mul(a0, a1, b0, b1):
+    x, y = qe(a0, a1), qe(b0, b1)
+    rx, ry = ref_qe(a0, a1), ref_qe(b0, b1)
+    assert qe_ref(x + y) == ref_qe_add(rx, ry)
+    assert qe_ref(x * y) == ref_qe_mul(rx, ry)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-3, 3), st.lists(st.sampled_from(QE_UNIT_FACTORS), max_size=4))
+def test_qe_inverse_of_units(e, factors):
+    # the unit s**e * (product of factors), multiplied out by the reference
+    want = ref_qe([e])
+    for c0, c1 in factors:
+        want = ref_qe_mul(want, ref_qe(c0, c1))
+    x = qe(sorted(want[0]), sorted(want[1]))
+    assert ref_qe_mul(want, qe_ref(x.inverse())) == ref_qe([0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 31), st.integers(0, 31), st.integers(-40, 40))
+def test_ff_mul_pow(d, a, b, k):
+    field, ref = FIELDS[d], REFS[d]
+    a, b = a % field.order, b % field.order
+    assert (field.element(a) * field.element(b)).bits == ref.mul(a, b)
+    if a or k >= 0:
+        assert (field.element(a) ** k).bits == ref.pow(a, k)
+
+
+@st.composite
+def rank_cases(draw):
+    """(d, rows, plants): a random matrix, mostly zeros, and planted rows.
+
+    A plant (i, j, c) appends c * row_i + row_j: a sum when c = 1, a
+    scalar multiple of row_i when i = j, and a zero row when both hold.
+    """
+    d = draw(st.integers(1, 5))
+    element = st.integers(0, (1 << d) - 1)
+    cell = st.one_of(st.just(0), element)
+    ncols = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=1, max_size=6)
+    )
+    index = st.integers(0, 5)
+    plants = draw(st.lists(st.tuples(index, index, element), max_size=3))
+    return d, rows, plants
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_cases())
+@example((3, [[0, 0, 0], [1, 6, 3], [0, 0, 0]], []))  # zero rows
+@example((4, [[0, 5, 0, 7], [0, 3, 0, 1], [0, 9, 0, 2]], []))  # zero columns
+@example((2, [[0, 0], [0, 0]], []))  # all zero
+@example((1, [[1, 0, 1], [0, 1, 1], [1, 1, 0]], []))  # GF(2)
+# planted: a sum, a scalar multiple (6 r0 + r0 = 7 r0) and a zero row
+@example((5, [[1, 17, 4, 0, 30], [2, 0, 9, 31, 5]], [(0, 1, 1), (0, 0, 6), (1, 1, 1)]))
+# a repeated row whose only entry sits after seven zero cells
+@example((3, [[0, 0, 0, 0, 0, 0, 0, 5]] * 2 + [[7, 0, 0, 0, 0, 0, 0, 1]], [(2, 0, 4)]))
+def test_ff_rank(case):
+    d, rows, plants = case
+    field, ref = FIELDS[d], REFS[d]
+    want = ref_ff_rank(ref, rows)
+    assert ff_rank(field, rows) == want
+    for i, j, c in plants:
+        ri, rj = rows[i % len(rows)], rows[j % len(rows)]
+        rows = rows + [[ref.mul(c, x) ^ y for x, y in zip(ri, rj)]]
+    assert ff_rank(field, rows) == ref_ff_rank(ref, rows) == want
