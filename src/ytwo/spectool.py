@@ -10,9 +10,10 @@ the identity.  A matrix over GF(2**d) is packed row-major into a single
 integer (each entry contributing its d coefficient bits, little-endian)
 -- the canonical encoding used for deduplication.  Because a fixed
 right factor is GF(2)-linear in the packed row bits, each generator is
-compiled into per-chunk XOR lookup tables, making one product a handful
-of table hits; the visited set is an ordinary set of integers, so the
-result is independent of generator order.
+compiled into per-chunk XOR lookup tables.  A state of any number of
+components is the concatenation of their packings, stepped by one row
+schedule covering every row of every component; the visited set is an
+ordinary set of integers, so the result is independent of generator order.
 """
 
 from __future__ import annotations
@@ -63,17 +64,14 @@ class SpecializedRep(Representation):
         )
 
 
-def specialize(
-    m: int,
-    n: int,
-    kind: str = "phi",
-    modulus: int | None = None,
-    relator_k: int = 10,
-) -> SpecializedRep:
+_RELATOR_K = 10
+
+
+def specialize(m: int, n: int, kind: str = "phi") -> SpecializedRep:
     """Specialize the transvection ("phi") or block-recursive ("eta")
     representation at the order-n evaluation map, verifying the relators
-    up to relator_k over the field."""
-    emap = make_eval_map(n, modulus)
+    up to ``_RELATOR_K`` over the field."""
+    emap = make_eval_map(n)
     if kind == "phi":
         source = OrthoRep(QuadSpace(m))
         flavor, b_style = "y-tilde", "st"
@@ -83,7 +81,7 @@ def specialize(
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
     rep = _specialized_rep(kind, m, emap, source, b_style)
-    bad = relator_failures(schedule(m, relator_k, flavor), rep)
+    bad = relator_failures(schedule(m, _RELATOR_K, flavor), rep)
     if bad:
         raise ArithmeticError(f"specialized relators failed: {bad}")
     if kind == "phi":
@@ -152,8 +150,9 @@ def unpack_matrix(packed: int, n: int, field) -> RMatrix:
 _CHUNK_BITS = 16
 
 
-def _compile_generator(gen: RMatrix):
-    """Per-chunk XOR tables for packed-row right-multiplication."""
+def _compile_generator(gen: RMatrix, offset: int) -> list:
+    """Row schedule of right-multiplication by ``gen`` packed at bit
+    ``offset``: a (shift, row mask, chunk XOR tables) entry per row."""
     field = gen.rows[0][0].field
     d = field.degree
     n = gen.size
@@ -175,24 +174,24 @@ def _compile_generator(gen: RMatrix):
             low = v & -v
             table[v] = table[v ^ low] ^ bit_images[base + low.bit_length() - 1]
         tables.append(table)
-    return tables
-
-
-def _make_stepper(tables, n: int, row_bits: int):
     rmask = (1 << row_bits) - 1
+    return [(offset + i * row_bits, rmask, tables) for i in range(n)]
+
+
+def _make_stepper(rows):
     cmask = (1 << _CHUNK_BITS) - 1
 
     def step(packed: int) -> int:
         out = 0
-        for i in range(n):
-            r = (packed >> (i * row_bits)) & rmask
+        for shift, rmask, tables in rows:
+            r = (packed >> shift) & rmask
             img = 0
             ci = 0
             while r:
                 img ^= tables[ci][r & cmask]
                 r >>= _CHUNK_BITS
                 ci += 1
-            out |= img << (i * row_bits)
+            out |= img << shift
         return out
 
     return step
@@ -216,23 +215,14 @@ def _bfs_closure(ident: int, steppers, cap: int) -> int:
     return len(visited)
 
 
-def _segment_step(segments):
-    def step(x: int) -> int:
-        out = 0
-        for off, mask, st in segments:
-            out |= st((x >> off) & mask) << off
-        return out
-
-    return step
-
-
 def _group_order(generator_tuples, cap: int) -> int:
     """Order of the group generated by tuples of invertible field matrices
     (one matrix per component, multiplied componentwise).
 
     Breadth-first closure from the identity under right multiplication;
     a state is the concatenation of the component packings.  Raises
-    CapExceededError once the visited set would pass ``cap``.
+    ValueError unless component c is invertible, of one size and over one
+    field in every tuple, and CapExceededError past ``cap`` elements.
     """
     generator_tuples = [tuple(t) for t in generator_tuples]
     if not generator_tuples:
@@ -240,25 +230,28 @@ def _group_order(generator_tuples, cap: int) -> int:
     ncomp = len(generator_tuples[0])
     if any(len(t) != ncomp for t in generator_tuples):
         raise ValueError("generator tuples must have equal length")
-    per_gen = [[] for _ in generator_tuples]
+    for c, mat0 in enumerate(generator_tuples[0]):
+        n = mat0.size
+        field = mat0.rows[0][0].field
+        for tup in generator_tuples:
+            mat = tup[c]
+            if mat.size != n or mat.rows[0][0].field != field:
+                raise ValueError(
+                    f"component {c}: generators must all be {n}x{n} over {field}"
+                )
+            if ff_rank(field, [[x.bits for x in row] for row in mat.rows]) != n:
+                raise ValueError("generator matrix is singular")
+    schedules = [[] for _ in generator_tuples]
     ident = 0
     offset = 0
-    for c in range(ncomp):
-        mat0 = generator_tuples[0][c]
+    for c, mat0 in enumerate(generator_tuples[0]):
         field = mat0.rows[0][0].field
         n = mat0.size
-        row_bits = n * field.degree
-        mask = (1 << (n * row_bits)) - 1
         for g, tup in enumerate(generator_tuples):
-            if ff_rank(field, [[x.bits for x in row] for row in tup[c].rows]) != n:
-                raise ValueError("generator matrix is singular")
-            st = _make_stepper(_compile_generator(tup[c]), n, row_bits)
-            per_gen[g].append((offset, mask, st))
+            schedules[g] += _compile_generator(tup[c], offset)
         ident |= pack_matrix(RMatrix.identity(n, field.one, field.zero)) << offset
-        offset += n * row_bits
-    # a single component runs its bare stepper, with no shift and no mask
-    steppers = [segs[0][2] if ncomp == 1 else _segment_step(segs) for segs in per_gen]
-    return _bfs_closure(ident, steppers, cap)
+        offset += n * n * field.degree
+    return _bfs_closure(ident, [_make_stepper(rows) for rows in schedules], cap)
 
 
 def group_order_bfs(generators, cap: int = 2_000_000) -> int:
@@ -315,16 +308,19 @@ def eta_component_matrices(m: int, n: int) -> list:
     return [tuple(comp[i] for comp in components) for i in range(m)]
 
 
-def matrix_order(mat: RMatrix, bound: int = 100_000) -> int:
-    """Multiplicative order of a field matrix (bounded search)."""
+_ORDER_BOUND = 100_000
+
+
+def matrix_order(mat: RMatrix) -> int:
+    """Multiplicative order of a field matrix (search up to _ORDER_BOUND)."""
     field = mat.rows[0][0].field
     ident = RMatrix.identity(mat.size, field.one, field.zero)
     acc = mat
-    for k in range(1, bound + 1):
+    for k in range(1, _ORDER_BOUND + 1):
         if acc == ident:
             return k
         acc = acc * mat
-    raise ArithmeticError(f"order exceeds bound {bound}")
+    raise ArithmeticError(f"order exceeds bound {_ORDER_BOUND}")
 
 
 def dickson(mat: RMatrix, allow_degenerate: bool = False) -> int:

@@ -190,24 +190,28 @@ def full_rank_at(elements, emap: EvalMap) -> bool:
     return ff_rank(emap.field, rows) == len(rows)
 
 
-def independence_certificate(elements, ns=(5, 7, 11)) -> bool:
+# orders n of the evaluation maps tried, in turn, by the certificate
+_CERT_NS = (5, 7, 11)
+
+
+def independence_certificate(elements) -> bool:
     """Certify ring-linear independence by specialization.
 
-    Returns True on the first n whose evaluation map gives the
-    coefficient matrix full row rank (which implies independence over
-    the ring).  If every listed specialization is rank-deficient the
-    result is inconclusive, not a dependence proof, and is raised as
-    such.
+    Returns True on the first n in ``_CERT_NS`` whose evaluation map
+    gives the coefficient matrix full row rank (which implies
+    independence over the ring).  If every listed specialization is
+    rank-deficient the result is inconclusive, not a dependence proof,
+    and is raised as such.
     """
     elements = list(getattr(elements, "elements", elements))
     tried = []
-    for n in ns:
+    for n in _CERT_NS:
         emap = make_eval_map(n)
         if full_rank_at(elements, emap):
             return True
         tried.append(n)
     raise InconclusiveError(
-        f"rank-deficient at every specialization n in {tuple(ns)}", tried=tried
+        f"rank-deficient at every specialization n in {_CERT_NS}", tried=tried
     )
 
 
@@ -223,43 +227,44 @@ def _expand_rhs(row, basis_elems):
     return acc
 
 
-def check_action(m: int, letters=None) -> dict:
-    """Verify that right multiplication on the stage basis matches the
-    block-recursive matrices entry for entry; exact over QE."""
-    if not 3 <= m <= 8:
-        raise ValueError(f"need 3 <= m <= 8, got {m}")
-    basis = spinor_basis(m)
-    pin = PinRep(m, "qe")
-    eta = SpinorRep(m)
-    if letters is None:
-        letters = [A] + [s_letter(i) for i in range(1, m)]
-    for letter in letters:
-        mat = eta.image(letter)
+def _check_rows(expected: dict, elems, pin, message: str):
+    """Check x_i * image == expansion of the expected row i over ``elems``
+    for every letter and row; the first failure raises MismatchError
+    with ``message.format(letter, i)`` and witness ``(letter, i)``."""
+    for letter, mat in expected.items():
         img = pin.image(letter)
-        for i, x in enumerate(basis.elements):
-            lhs = x * img
-            rhs = _expand_rhs(mat.rows[i], basis.elements)
-            if lhs != rhs:
-                raise MismatchError(
-                    f"action mismatch for {letter} on basis row {i}",
-                    witness=(letter, i),
-                )
-    return {"m": m, "checked": list(letters), "rows": len(basis)}
+        for i, x in enumerate(elems):
+            if x * img != _expand_rhs(mat.rows[i], elems):
+                raise MismatchError(message.format(letter, i), witness=(letter, i))
 
 
-def check_extended_action(m: int, ns=(5, 7, 11)) -> dict:
+def check_action(m: int) -> dict:
+    """Verify that right multiplication on the stage basis matches the
+    block-recursive matrices entry for entry, for a and every s_i; exact
+    over QE."""
+    basis = spinor_basis(m)
+    eta = SpinorRep(m)
+    letters = [A] + [s_letter(i) for i in range(1, m)]
+    _check_rows(
+        {letter: eta.image(letter) for letter in letters},
+        basis.elements,
+        PinRep(m, "qe"),
+        "action mismatch for {} on basis row {}",
+    )
+    return {"m": m, "checked": letters, "rows": len(basis)}
+
+
+def check_extended_action(m: int) -> dict:
     """Verify the doubled module: on the basis (stage basis, then its
     u-translates) tau acts as the block swap, a as diag(a, a**-1) and
     each s_i diagonally; also certifies independence of the doubled
     basis by specialization."""
-    if not 3 <= m <= 8:
-        raise ValueError(f"need 3 <= m <= 8, got {m}")
     basis = spinor_basis(m)
     pin = PinRep(m, "qe")
     eta = SpinorRep(m)
     u = pin.image(TAU)
     elems = list(basis.elements) + [x * u for x in basis.elements]
-    independence_certificate(elems, ns=ns)
+    independence_certificate(elems)
     half = len(basis)
     ident = _id_rows(half)
     zero = _zero_rows(half)
@@ -270,14 +275,5 @@ def check_extended_action(m: int, ns=(5, 7, 11)) -> dict:
     for i in range(1, m):
         s_rows = eta.image(s_letter(i)).rows
         expected[s_letter(i)] = _block2(s_rows, zero, zero, s_rows)
-    for letter, mat in expected.items():
-        img = pin.image(letter)
-        for i, x in enumerate(elems):
-            lhs = x * img
-            rhs = _expand_rhs(mat.rows[i], elems)
-            if lhs != rhs:
-                raise MismatchError(
-                    f"extended action mismatch for {letter} on row {i}",
-                    witness=(letter, i),
-                )
+    _check_rows(expected, elems, pin, "extended action mismatch for {} on row {}")
     return {"m": m, "rows": len(elems), "checked": sorted(expected)}

@@ -1,9 +1,10 @@
 import random
+from functools import reduce
 
 import pytest
 
 from ytwo.errors import CapExceededError, DegenerateFormError
-from ytwo.presentation import b_word, evaluate, st_letter
+from ytwo.presentation import b_word, st_letter
 from ytwo.quadspace import QuadSpace, transvection, vec_add
 from ytwo.rings import FiniteField, make_eval_map
 from ytwo.spectool import (
@@ -84,25 +85,48 @@ class TestPacking:
 
 
 class TestPackedStepper:
-    @pytest.mark.parametrize("m,n", [(3, 5), (3, 7), (4, 5)])
-    def test_stepper_matches_matrix_product(self, m, n):
+    @pytest.mark.parametrize(
+        "m,n,kind",
+        [(3, 5, "phi"), (3, 7, "phi"), (4, 5, "phi"), (3, 7, "eta")],
+        ids=["3-5", "3-7", "4-5", "eta-3-7"],
+    )
+    def test_stepper_matches_matrix_product(self, m, n, kind):
+        # a state packs one matrix per component (two for eta at (3,7))
+        # and one concatenated schedule steps them all
+        from ytwo.quadspace import RMatrix
         from ytwo.spectool import _compile_generator, _make_stepper
 
-        rep = specialize(m, n, "phi")
-        field = rep.field
+        if kind == "phi":
+            rep = specialize(m, n, "phi")
+            pool = [(rep.image(x),) for x in rep.letters()]
+            gens = [(rep.image("a"),), (rep.image("S1"),)]
+        else:
+            pool = gens = eta_component_matrices(m, n)
+        fields = [mat.rows[0][0].field for mat in pool[0]]
+        ident = tuple(
+            RMatrix.identity(mat.size, f.one, f.zero)
+            for mat, f in zip(pool[0], fields)
+        )
+        offsets = [0]
+        for mat, f in zip(pool[0], fields):
+            offsets.append(offsets[-1] + mat.size**2 * f.degree)
+
+        def pack(tup):
+            return sum(pack_matrix(x) << off for x, off in zip(tup, offsets))
+
+        def times(xs, ys):
+            return tuple(x * y for x, y in zip(xs, ys))
+
         rng = random.Random(42)
-        letters = rep.letters()
-        for gen_letter in ("a", "S1"):
-            gen = rep.image(gen_letter)
-            step = _make_stepper(
-                _compile_generator(gen), gen.size, gen.size * field.degree
-            )
+        for gen in gens:
+            schedule = []
+            for mat, off in zip(gen, offsets):
+                schedule += _compile_generator(mat, off)
+            step = _make_stepper(schedule)
             for _ in range(25):
-                word = tuple(
-                    rng.choice(letters) for _ in range(rng.randint(0, 6))
-                )
-                mat = evaluate(word, rep)
-                assert step(pack_matrix(mat)) == pack_matrix(mat * gen)
+                word = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+                state = reduce(times, word, ident)
+                assert step(pack(state)) == pack(times(state, gen))
 
 
 class TestBFS:
@@ -148,6 +172,21 @@ class TestBFS:
         for tup in ((singular, ident), (ident, singular)):
             with pytest.raises(ValueError, match="singular"):
                 group_order_bfs_tuples([(ident, ident), tup])
+
+    def test_mismatched_generators_rejected(self):
+        eta5 = specialize(3, 5, "eta").b_matrices  # 2x2 over GF(16)
+        eta7 = specialize(3, 7, "eta").b_matrices  # 2x2 over GF(8)
+        phi5 = specialize(3, 5, "phi").b_matrices  # 4x4 over GF(16)
+        phi7 = specialize(3, 7, "phi").b_matrices  # 4x4 over GF(8)
+        for gens in (
+            [eta5[0], eta7[1]],
+            [phi7[0], phi5[1]],
+            [phi7[0], eta7[0], phi7[1]],
+        ):
+            with pytest.raises(ValueError, match="component 0"):
+                group_order_bfs(gens)
+        with pytest.raises(ValueError, match="component 1"):
+            group_order_bfs_tuples([(phi5[0], eta5[0]), (phi5[1], eta7[0])])
 
     def test_tuples_single_component(self):
         rep = specialize(3, 5, "phi")

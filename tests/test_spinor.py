@@ -1,8 +1,9 @@
 import pytest
 
 from ytwo.clifford import PinRep, get_algebra
-from ytwo.errors import InconclusiveError
+from ytwo.errors import InconclusiveError, MismatchError
 from ytwo.presentation import relator_failures, s_letter, schedule
+from ytwo.quadspace import RMatrix
 from ytwo.rings import (
     ALPHA,
     ALPHA_INV,
@@ -147,6 +148,28 @@ class TestActionOnModule:
     def test_full_action(self, m):
         report = check_action(m)
         assert report["rows"] == 1 << (m - 2)
+
+    def test_planted_wrong_row_is_witnessed(self, monkeypatch):
+        # one flipped entry in row 2 of the s2 matrix: a and s1 pass, and
+        # both checks stop at (s2, 2)
+        letter, row = s_letter(2), 2
+        true_image = SpinorRep.image
+
+        def planted(self, name):
+            mat = true_image(self, name)
+            if name != letter:
+                return mat
+            rows = [list(r) for r in mat.rows]
+            rows[row][0] = QE_ONE if rows[row][0] == QE_ZERO else QE_ZERO
+            return RMatrix(rows)
+
+        monkeypatch.setattr(SpinorRep, "image", planted)
+        with pytest.raises(MismatchError, match="^action .* s2 on basis row 2") as err:
+            check_action(4)
+        assert err.value.witness == (letter, row)
+        with pytest.raises(MismatchError, match="^extended .* s2 on row 2") as err:
+            check_extended_action(4)
+        assert err.value.witness == (letter, row)
 
     def test_module_invariance(self):
         # the a-image keeps W invariant: implied by check_action, shown
