@@ -10,10 +10,13 @@ the identity.  A matrix over GF(2**d) is packed row-major into a single
 integer (each entry contributing its d coefficient bits, little-endian)
 -- the canonical encoding used for deduplication.  Because a fixed
 right factor is GF(2)-linear in the packed row bits, each generator is
-compiled into per-chunk XOR lookup tables.  A state of any number of
-components is the concatenation of their packings, stepped by one row
-schedule covering every row of every component; the visited set is an
-ordinary set of integers, so the result is independent of generator order.
+compiled into a block schedule: a state of any number of components is
+the concatenation of their packings, its whole rows (across component
+boundaries) are grouped into blocks of at most 128 bits, and each block
+has one XOR lookup table per 12-bit chunk, shared by blocks with equal
+bit images.  The closure steps a whole level at a time, one pass over
+the level per chunk and generator, then deduplicates into an ordinary
+set of integers, so the result is independent of generator order.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ from dataclasses import dataclass, field as dc_field
 from .errors import CapExceededError, DegenerateFormError
 from .presentation import (
     A,
-    A_INV,
     Representation,
     TAU,
     b_word,
     evaluate,
     relator_failures,
-    s_letter,
     schedule,
     st_letter,
 )
@@ -147,65 +148,94 @@ def unpack_matrix(packed: int, n: int, field) -> RMatrix:
     return RMatrix(rows)
 
 
-_CHUNK_BITS = 16
+_BLOCK_BITS = 128
+_CHUNK_BITS = 12
 
 
-def _compile_generator(gen: RMatrix, offset: int) -> list:
-    """Row schedule of right-multiplication by ``gen`` packed at bit
-    ``offset``: a (shift, row mask, chunk XOR tables) entry per row."""
-    field = gen.rows[0][0].field
+def _row_images(mat: RMatrix) -> list:
+    """Packed image under right multiplication by ``mat`` of each bit of
+    one packed row (bit k of entry j is x**k in column j)."""
+    field = mat.rows[0][0].field
     d = field.degree
-    n = gen.size
-    row_bits = n * d
-    bit_images = []
-    for j in range(n):
-        grow = gen.rows[j]
+    images = []
+    for grow in mat.rows:
         for k in range(d):
             xk_bits = field.pow_bits(field.x.bits, k)
             packed = 0
-            for c in range(n):
-                packed |= field.mul_bits(xk_bits, grow[c].bits) << (c * d)
-            bit_images.append(packed)
+            for c, entry in enumerate(grow):
+                packed |= field.mul_bits(xk_bits, entry.bits) << (c * d)
+            images.append(packed)
+    return images
+
+
+def _chunk_tables(images: list) -> list:
+    """XOR table for each ``_CHUNK_BITS`` chunk of a block with these bit
+    images; the last table may be narrower, and len(table) - 1 is its mask."""
     tables = []
-    for base in range(0, row_bits, _CHUNK_BITS):
-        width = min(_CHUNK_BITS, row_bits - base)
-        table = [0] * (1 << width)
-        for v in range(1, 1 << width):
+    for base in range(0, len(images), _CHUNK_BITS):
+        part = images[base : base + _CHUNK_BITS]
+        table = [0] * (1 << len(part))
+        for v in range(1, len(table)):
             low = v & -v
-            table[v] = table[v ^ low] ^ bit_images[base + low.bit_length() - 1]
+            table[v] = table[v ^ low] ^ part[low.bit_length() - 1]
         tables.append(table)
-    rmask = (1 << row_bits) - 1
-    return [(offset + i * row_bits, rmask, tables) for i in range(n)]
+    return tables
 
 
-def _make_stepper(rows):
-    cmask = (1 << _CHUNK_BITS) - 1
+def _compile_generator(gens) -> list:
+    """Block schedule of right multiplication by the tuple ``gens`` (one
+    matrix per component) on the concatenated packing: consecutive whole
+    rows, crossing component boundaries, grouped into ``(shift, tables)``
+    blocks of at most ``_BLOCK_BITS`` bits (a wider row is a block alone).
+    Blocks with equal bit images share one table list."""
+    rows = []
+    for mat in gens:
+        rows += [_row_images(mat)] * mat.size
+    shared = {}
+    blocks = []
+    shift = 0
+    i = 0
+    while i < len(rows):
+        images = list(rows[i])
+        i += 1
+        while i < len(rows) and len(images) + len(rows[i]) <= _BLOCK_BITS:
+            images += [img << len(images) for img in rows[i]]
+            i += 1
+        key = tuple(images)
+        if key not in shared:
+            shared[key] = _chunk_tables(images)
+        blocks.append((shift, shared[key]))
+        shift += len(images)
+    return blocks
 
-    def step(packed: int) -> int:
-        out = 0
-        for shift, rmask, tables in rows:
-            r = (packed >> shift) & rmask
-            img = 0
-            ci = 0
-            while r:
-                img ^= tables[ci][r & cmask]
-                r >>= _CHUNK_BITS
-                ci += 1
-            out |= img << shift
-        return out
 
-    return step
+def _apply(blocks: list, states: list) -> list:
+    """Images of a whole list of packed states under one block schedule:
+    one pass over the states per chunk, one shift-merge per later block."""
+    out = None
+    for shift, tables in blocks:
+        img = None
+        for ci, table in enumerate(tables):
+            at = shift + ci * _CHUNK_BITS
+            mask = len(table) - 1
+            if img is None:
+                img = [table[x >> at & mask] for x in states]
+            else:
+                img = [y ^ table[x >> at & mask] for y, x in zip(img, states)]
+        out = img if out is None else [o | y << shift for o, y in zip(out, img)]
+    return out
 
 
-def _bfs_closure(ident: int, steppers, cap: int) -> int:
+def _bfs_closure(ident: int, schedules, cap: int) -> int:
     visited = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for y in [st(x) for st in steppers for x in frontier]:
-            if y not in visited:
-                visited.add(y)
-                nxt.append(y)
+        for blocks in schedules:
+            for y in _apply(blocks, frontier):
+                if y not in visited:
+                    visited.add(y)
+                    nxt.append(y)
         if len(visited) > cap:
             raise CapExceededError(
                 f"enumeration passed the cap of {cap} elements",
@@ -230,6 +260,10 @@ def _group_order(generator_tuples, cap: int) -> int:
     ncomp = len(generator_tuples[0])
     if any(len(t) != ncomp for t in generator_tuples):
         raise ValueError("generator tuples must have equal length")
+    if not ncomp:
+        return 1
+    ident = 0
+    offset = 0
     for c, mat0 in enumerate(generator_tuples[0]):
         n = mat0.size
         field = mat0.rows[0][0].field
@@ -241,17 +275,10 @@ def _group_order(generator_tuples, cap: int) -> int:
                 )
             if ff_rank(field, [[x.bits for x in row] for row in mat.rows]) != n:
                 raise ValueError("generator matrix is singular")
-    schedules = [[] for _ in generator_tuples]
-    ident = 0
-    offset = 0
-    for c, mat0 in enumerate(generator_tuples[0]):
-        field = mat0.rows[0][0].field
-        n = mat0.size
-        for g, tup in enumerate(generator_tuples):
-            schedules[g] += _compile_generator(tup[c], offset)
         ident |= pack_matrix(RMatrix.identity(n, field.one, field.zero)) << offset
         offset += n * n * field.degree
-    return _bfs_closure(ident, [_make_stepper(rows) for rows in schedules], cap)
+    schedules = [_compile_generator(tup) for tup in generator_tuples]
+    return _bfs_closure(ident, schedules, cap)
 
 
 def group_order_bfs(generators, cap: int = 2_000_000) -> int:

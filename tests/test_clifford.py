@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ytwo.clifford import (
-    CenterReport,
     PinRep,
     center_report,
     check_power_identities,

@@ -4,9 +4,7 @@ import pytest
 
 from ytwo.errors import NonUnitNormError, UnsupportedFormError
 from ytwo.quadspace import (
-    HyperbolicDecomposition,
     QuadSpace,
-    RMatrix,
     bilin,
     gram_rank_gf2,
     hyperbolic_decompose,
@@ -16,7 +14,7 @@ from ytwo.quadspace import (
     vec_add,
     vec_scale,
 )
-from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, T_INV, s_pow
+from ytwo.rings import L_ONE, L_ZERO, T_INV, s_pow
 
 
 def rand_vec(space, rng, scalars=None):

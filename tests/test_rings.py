@@ -13,7 +13,6 @@ from ytwo import rings
 from ytwo.rings import (
     ALPHA,
     ALPHA_INV,
-    EvalMap,
     FiniteField,
     L_ONE,
     L_ZERO,
@@ -31,7 +30,6 @@ from ytwo.rings import (
     gf2_rank,
     make_eval_map,
     s_pow,
-    t_pow,
 )
 
 from oracles import (

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ytwo.errors import NotUnitError, ZeroInputError
-from ytwo.rings import FiniteField, LaurentScalar, QEScalar, ff_rank
+from ytwo.rings import FiniteField, ff_rank
 
 from oracles import (
     RefField,

@@ -4,8 +4,8 @@ from functools import reduce
 import pytest
 
 from ytwo.errors import CapExceededError, DegenerateFormError
-from ytwo.presentation import b_word, st_letter
-from ytwo.quadspace import QuadSpace, transvection, vec_add
+from ytwo.presentation import st_letter
+from ytwo.quadspace import QuadSpace, transvection
 from ytwo.rings import FiniteField, make_eval_map
 from ytwo.spectool import (
     EXPECTED_ORDERS,
@@ -87,14 +87,23 @@ class TestPacking:
 class TestPackedStepper:
     @pytest.mark.parametrize(
         "m,n,kind",
-        [(3, 5, "phi"), (3, 7, "phi"), (4, 5, "phi"), (3, 7, "eta")],
-        ids=["3-5", "3-7", "4-5", "eta-3-7"],
+        [
+            (3, 5, "phi"),
+            (3, 7, "phi"),
+            (4, 5, "phi"),
+            (6, 5, "phi"),
+            (3, 7, "eta"),
+            (3, 9, "eta"),
+        ],
+        ids=["3-5", "3-7", "4-5", "6-5", "eta-3-7", "eta-3-9"],
     )
     def test_stepper_matches_matrix_product(self, m, n, kind):
-        # a state packs one matrix per component (two for eta at (3,7))
-        # and one concatenated schedule steps them all
+        # a state packs one matrix per component (two for eta at (3,7) and
+        # (3,9)) and one block schedule steps a whole list of them; (6,5)
+        # is 7x7 over GF(16): a 4-row block whose last chunk is 4 bits,
+        # then a 3-row block; (3,9) is one block across GF(4) and GF(64)
         from ytwo.quadspace import RMatrix
-        from ytwo.spectool import _compile_generator, _make_stepper
+        from ytwo.spectool import _apply, _compile_generator
 
         if kind == "phi":
             rep = specialize(m, n, "phi")
@@ -119,14 +128,43 @@ class TestPackedStepper:
 
         rng = random.Random(42)
         for gen in gens:
-            schedule = []
-            for mat, off in zip(gen, offsets):
-                schedule += _compile_generator(mat, off)
-            step = _make_stepper(schedule)
+            blocks = _compile_generator(gen)
+            states = []
             for _ in range(25):
                 word = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
-                state = reduce(times, word, ident)
-                assert step(pack(state)) == pack(times(state, gen))
+                states.append(reduce(times, word, ident))
+            assert _apply(blocks, [pack(x) for x in states]) == [
+                pack(times(x, gen)) for x in states
+            ]
+
+    def test_block_tables_bounded_and_shared(self):
+        # the table memory bound: no block is wider than _BLOCK_BITS, and
+        # blocks share one table list exactly when their bit images agree
+        from ytwo.spectool import _BLOCK_BITS, _compile_generator
+
+        def check(gen, state_bits):
+            blocks = _compile_generator(gen)
+            widths = [sum(len(t).bit_length() - 1 for t in ts) for _, ts in blocks]
+            shifts = [sum(widths[:i]) for i in range(len(blocks))]
+            assert [s for s, _ in blocks] == shifts
+            assert sum(widths) == state_bits
+            assert max(widths) <= _BLOCK_BITS
+            images = [
+                [t[1 << k] for t in ts for k in range(len(t).bit_length() - 1)]
+                for _, ts in blocks
+            ]
+            for (_, ts1), im1 in zip(blocks, images):
+                for (_, ts2), im2 in zip(blocks, images):
+                    assert (ts1 is ts2) == (im1 == im2)
+            return len({id(ts) for _, ts in blocks})
+
+        rep = specialize(6, 5, "phi")
+        for mat in rep.b_matrices:
+            assert check((mat,), 7 * 7 * 4) == 2
+            # 14 rows of 28 bits: blocks of rows 0-3, 4-7 (across the
+            # component boundary) and 8-11 share one list, rows 12-13 another
+            assert len(_compile_generator((mat, mat))) == 4
+            assert check((mat, mat), 2 * 7 * 7 * 4) == 2
 
 
 class TestBFS:
