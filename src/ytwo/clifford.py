@@ -17,15 +17,19 @@ t**-e.  Only a squared v_i contributes 1/t, so e <= m.
 
 Products never touch scalar objects in their inner loop.  An element's
 coefficients are read once as raw ints over a common base ``lo``, one
-``{mono: int}`` per power of alpha (one for the Laurent ring, two for
-c0 + c1*alpha), bit k standing for s**(lo + k).  Term pairs multiply
-with the carry-less ``_clmul``, and each structure constant is weighted
-by its *spread* mask: polybits bit e moves to bit 2*(m - e), i.e. s**-2e
-relative to the fixed base s**-2m, one table entry per bit so that every
-weight is a shift.  One int per output monomial and power of alpha is
-XOR-accumulated, alpha**2 = s*alpha + 1 folds alpha**2 back, and scalars
-are built only for the result.  A transpose is the same loop against a
-formal right factor whose structure constants are the reversals.
+list of ``(mono, int)`` pairs per power of alpha (one for the Laurent
+ring, two for c0 + c1*alpha), bit k standing for s**(lo + k).  Term
+pairs multiply with the carry-less ``_clmul``, and each structure
+constant is weighted by its *spread* mask: polybits bit e moves to bit
+2*(m - e), i.e. s**-2e relative to the fixed base s**-2m, one table
+entry per bit so that every weight is a shift.  Spread tables are keyed
+by the one int p * (N + 1) + q for the monomial pair (p, q), N = 2**(m+1)
+being the number of monomials.  The accumulator is a plain list of N
+ints per power of alpha, XOR-updated in the inlined entry loop with no
+function call per term pair; alpha**2 = s*alpha + 1 folds alpha**2
+back, and scalars are built only for the result.  A transpose is the
+same loop against a formal right factor q = N, which no monomial can
+equal, whose structure constants are the reversals.
 
 The pin representation sends
 
@@ -75,9 +79,10 @@ _TR_CACHE: dict = {}
 
 
 def _xor_into(acc: dict, c: int, pairs) -> dict:
-    """The one accumulate loop: acc[mono] ^= c * w for each (mono, w) in
-    pairs.  Either c or every w is a power of two, so c * w is the
-    carry-less product.  Zeros stay in acc; readers skip them."""
+    """acc[mono] ^= c * w for each (mono, w) in pairs, for the structure
+    constants and ``center_report``; the product kernel inlines its own.
+    Either c or every w is a power of two, so c * w is the carry-less
+    product.  Zeros stay in acc; readers skip them."""
     get = acc.get
     for mono, w in pairs:
         acc[mono] = get(mono, 0) ^ c * w
@@ -161,8 +166,11 @@ class CliffordAlgebra:
         else:
             self.scalar_zero = QE_ZERO
             self.scalar_one = QE_ONE
-        # (p, q) -> _MTM_CACHE[p, q] and (mono, None) -> _TR_CACHE[mono] as
-        # ((mono', spread), ...); at most 4**(m+1) + 2**(m+1) pairs.
+        # the number of monomials; also the formal transpose factor's index
+        self._dim = 1 << (m + 1)
+        # p * (dim + 1) + q -> _MTM_CACHE[p, q] and p * (dim + 1) + dim ->
+        # _TR_CACHE[p] as ((mono', spread), ...); at most 4**(m+1) + 2**(m+1)
+        # entries.
         self._polybits_cache: dict = {}
         self.zero = CliffordElement(self, {})
         self.one = CliffordElement(self, {0: self.scalar_one})
@@ -173,60 +181,72 @@ class CliffordAlgebra:
             return c
         return QEScalar.from_laurent(c)
 
-    def _spread_table(self, key) -> tuple:
-        p, q = key
-        consts = _mono_transpose(p) if q is None else _mono_times_mono(p, q)
-        table = self._polybits_cache[key] = tuple(
+    def _spread_table(self, p: int, q: int) -> tuple:
+        consts = _mono_transpose(p) if q == self._dim else _mono_times_mono(p, q)
+        table = self._polybits_cache[p * (self._dim + 1) + q] = tuple(
             (mono, 1 << 2 * (self.m - e))
             for mono, pb in consts.items() for e in _bits(pb)
         )
         return table
 
     def _read(self, el) -> tuple:
-        """(lo, parts): parts[i] maps each monomial to its alpha**i
-        coefficient as a raw int, bit k standing for s**(lo + k)."""
+        """(lo, parts): parts[i] lists (mono, x) for each monomial with a
+        nonzero alpha**i coefficient x, a raw int whose bit k stands for
+        s**(lo + k)."""
+        items = el.terms.items()
         if self.ring == "laurent":
-            cols = (el.terms,)
-        else:
-            items = el.terms.items()
-            cols = ({mono: c.c0 for mono, c in items},
-                    {mono: c.c1 for mono, c in items})
-        lo = min((c.off for col in cols for c in col.values() if c.mask), default=0)
+            lo = min((c.off for c in el.terms.values()), default=0)
+            return lo, [[(mono, c.mask << (c.off - lo)) for mono, c in items]]
+        lo = min(
+            (x.off for c in el.terms.values() for x in (c.c0, c.c1) if x.mask),
+            default=0,
+        )
         return lo, [
-            {mono: c.mask << (c.off - lo) for mono, c in col.items() if c.mask}
-            for col in cols
+            [(mono, c.c0.mask << (c.c0.off - lo)) for mono, c in items if c.c0.mask],
+            [(mono, c.c1.mask << (c.c1.off - lo)) for mono, c in items if c.c1.mask],
         ]
 
     def _kernel(self, a, b) -> "CliffordElement":
         """a * b over raw ints; b = None gives the transpose of a."""
+        dim = self._dim
         la, xs = self._read(a)
-        lb, ys = (0, [{None: 1}]) if b is None else self._read(b)
+        lb, ys = (0, [[(dim, 1)]]) if b is None else self._read(b)
         tables = self._polybits_cache
-        parts = [{} for _ in range(len(xs) + len(ys) - 1)]
+        stride = dim + 1
+        parts = [[0] * dim for _ in range(len(xs) + len(ys) - 1)]
         for i, xi in enumerate(xs):
             for j, yj in enumerate(ys):
                 acc = parts[i + j]
-                for p, x in xi.items():
-                    for q, y in yj.items():
-                        c = _clmul(x, y) if x & (x - 1) and y & (y - 1) else x * y
-                        key = (p, q)
-                        _xor_into(acc, c, tables.get(key) or self._spread_table(key))
+                for p, x in xi:
+                    row = p * stride
+                    x_wide = x & (x - 1)
+                    for q, y in yj:
+                        # a power of two on either side: * is carry-less
+                        c = _clmul(x, y) if x_wide and y & (y - 1) else x * y
+                        table = tables.get(row + q)
+                        if table is None:
+                            table = self._spread_table(p, q)
+                        for mono, w in table:
+                            acc[mono] ^= c * w
         return self._build(la + lb - 2 * self.m, parts)
 
     def _build(self, lo, parts) -> "CliffordElement":
+        """The element with alpha**i coefficient parts[i][mono] (raw ints
+        over the base lo, as in ``_read``)."""
         if len(parts) == 3:  # alpha**2 = s*alpha + 1
-            top = parts.pop().items()
-            _xor_into(parts[1], 2, top)
-            _xor_into(parts[0], 1, top)
-        if self.ring == "laurent":
-            terms = {mono: _laurent(lo, x) for mono, x in parts[0].items() if x}
-        else:
+            top = parts.pop()
             c0, c1 = parts
-            terms = {}
-            for mono in c0.keys() | c1.keys():
-                x0, x1 = c0.get(mono, 0), c1.get(mono, 0)
-                if x0 or x1:
-                    terms[mono] = QEScalar(_laurent(lo, x0), _laurent(lo, x1))
+            for mono, x in enumerate(top):
+                if x:
+                    c1[mono] ^= x << 1
+                    c0[mono] ^= x
+        if self.ring == "laurent":
+            terms = {mono: _laurent(lo, x) for mono, x in enumerate(parts[0]) if x}
+        else:
+            terms = {
+                mono: QEScalar(_laurent(lo, x0), _laurent(lo, x1))
+                for mono, (x0, x1) in enumerate(zip(*parts)) if x0 or x1
+            }
         return CliffordElement(self, terms)
 
     def scalar(self, c) -> "CliffordElement":
@@ -312,10 +332,15 @@ class CliffordElement:
         alg = self.algebra
         (la, xs), (lb, ys) = alg._read(self), alg._read(other)
         lo = min(la, lb)
+        sa, sb = la - lo, lb - lo
         parts = []
         for x, y in zip(xs, ys):
-            acc = _xor_into({}, 1 << (la - lo), x.items())
-            parts.append(_xor_into(acc, 1 << (lb - lo), y.items()))
+            acc = [0] * alg._dim
+            for mono, c in x:
+                acc[mono] ^= c << sa
+            for mono, c in y:
+                acc[mono] ^= c << sb
+            parts.append(acc)
         return alg._build(lo, parts)
 
     __sub__ = __add__

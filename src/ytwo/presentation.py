@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
 A = "a"
 A_INV = "A"
@@ -169,7 +170,9 @@ class Representation:
 
 def evaluate(word, rep: Representation):
     """Product of letter images in word order (identity for the empty word)."""
-    return reduce(lambda acc, g: acc * rep.image(g), word, rep.identity)
+    if not word:
+        return rep.identity
+    return reduce(mul, map(rep.image, word))
 
 
 def relator_failures(sched: RelationSchedule, rep: Representation) -> list:

@@ -123,9 +123,14 @@ class LaurentScalar:
         m1, m2 = self.mask, other.mask
         if not m1 or not m2:
             return L_ZERO
+        # a factor 1 returns the other operand itself: values are immutable
         if m1 == 1:
+            if not self.off:
+                return other
             return LaurentScalar._new(self.off + other.off, m2)
         if m2 == 1:
+            if not other.off:
+                return self
             return LaurentScalar._new(self.off + other.off, m1)
         # product of masks with odd low bits is odd: still canonical
         return LaurentScalar._new(self.off + other.off, _clmul(m1, m2))
@@ -266,6 +271,11 @@ class QEScalar:
     def __mul__(self, other):
         a0, a1 = self.c0, self.c1
         b0, b1 = other.c0, other.c1
+        # a factor 1 returns the other operand itself, as for LaurentScalar
+        if a0.mask == 1 and not a0.off and not a1.mask:
+            return other
+        if b0.mask == 1 and not b0.off and not b1.mask:
+            return self
         p11 = a1 * b1
         return QEScalar(a0 * b0 + p11, a0 * b1 + a1 * b0 + p11 * S)
 

@@ -1,10 +1,11 @@
 """Clifford products, sums and transposes against the word-rewriting
-reference in oracles.py, on both scalar rings for m = 3..6."""
+reference in oracles.py, on both scalar rings for m = 3..6, plus every
+monomial product and transpose of fresh algebras at m = 3 and 4."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ytwo.clifford import get_algebra
+from ytwo.clifford import CliffordAlgebra, get_algebra
 from ytwo.rings import LaurentScalar, QEScalar
 
 from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
@@ -110,3 +111,45 @@ def test_cancelling_product_is_empty(ring):
     u, v1 = alg.u(), alg.v(1)
     assert u * v1 + v1 * u == alg.one
     assert (u * v1 + v1 * u + alg.one).terms == {}
+
+
+# (c0, c1) exponents of the left and right coefficients.  Over "qe" both
+# carry alpha, so every product has an alpha**2 part to fold back.
+FULL_COEFFS = {
+    "laurent": (([-1, 2], []), ([3], [])),
+    "qe": (([-1], [0, 2]), ([2], [-3])),
+}
+
+
+@pytest.mark.parametrize("transposes_first", (True, False), ids=("tr-first", "mul-first"))
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", (3, 4))
+def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first):
+    # A fresh algebra starts with no spread tables, so each table is built
+    # by the check that needs it; filling transposes or products first
+    # catches a transpose table read back for a product pair or the reverse.
+    alg = CliffordAlgebra(m, ring)
+    (l0, l1), (r0, r1) = FULL_COEFFS[ring]
+    monos = range(1 << (m + 1))
+    left = [build(alg, [(p, l0, l1)]) for p in monos]
+    right = [build(alg, [(q, r0, r1)]) for q in monos]
+
+    def check_transposes():
+        for a in left:
+            tr = a.transpose()
+            check_canonical(tr)
+            assert to_ref(tr) == ref_cl_transpose(to_ref(a))
+
+    def check_products():
+        for a in left:
+            for b in right:
+                prod = a * b
+                check_canonical(prod)
+                assert to_ref(prod) == ref_cl_mul(to_ref(a), to_ref(b))
+
+    checks = (check_transposes, check_products)
+    for check in checks if transposes_first else checks[::-1]:
+        check()
+    # one table per monomial pair and per transposed monomial, the count
+    # the benchmark's cache_entries reads
+    assert len(alg._polybits_cache) == 4 ** (m + 1) + 2 ** (m + 1)

@@ -1,7 +1,7 @@
 """Scalar arithmetic and GF(2**d) rank against the references in oracles.py.
 
 Laurent and QE sums, products and inverses are compared with
-``ref_lp``/``ref_qe``; GF(2**d) products and powers and ``ff_rank`` with
+``ref_lp``/``ref_qe``, products by one and zero on both sides too; GF(2**d) products and powers and ``ff_rank`` with
 ``RefField`` and its Gaussian elimination ``ref_ff_rank``.
 """
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ytwo.errors import NotUnitError, ZeroInputError
-from ytwo.rings import FiniteField, ff_rank
+from ytwo.rings import L_ONE, L_ZERO, QE_ONE, QE_ZERO, FiniteField, ff_rank
 
 from oracles import (
     RefField,
@@ -59,6 +59,54 @@ def test_qe_add_mul(a0, a1, b0, b1):
     rx, ry = ref_qe(a0, a1), ref_qe(b0, b1)
     assert qe_ref(x + y) == ref_qe_add(rx, ry)
     assert qe_ref(x * y) == ref_qe_mul(rx, ry)
+
+
+# 0, 1, s**k with k != 0, or dense: a factor 1 may be returned as is, and
+# s**k must not be mistaken for it
+special = st.one_of(
+    st.just([]),
+    st.just([0]),
+    st.integers(-8, 8).filter(bool).map(lambda k: [k]),
+    exps,
+)
+
+
+def assert_canonical_laurent(x):
+    assert x.mask & 1 or (x.mask == 0 and x.off == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(special)
+@example([3])
+@example([-1])
+def test_laurent_mul_by_one_and_zero(e):
+    x, rx = lp(e), ref_lp(e)
+    for prod, want in (
+        (x * L_ONE, ref_lp_mul(rx, ref_lp([0]))),
+        (L_ONE * x, ref_lp_mul(ref_lp([0]), rx)),
+        (x * L_ZERO, ref_lp_mul(rx, ref_lp())),
+        (L_ZERO * x, ref_lp_mul(ref_lp(), rx)),
+    ):
+        assert lp_ref(prod) == want
+        assert_canonical_laurent(prod)
+
+
+@settings(max_examples=80, deadline=None)
+@given(special, special)
+@example([3], [])
+@example([-1], [0])
+@example([0], [])
+def test_qe_mul_by_one_and_zero(e0, e1):
+    x, rx = qe(e0, e1), ref_qe(e0, e1)
+    for prod, want in (
+        (x * QE_ONE, ref_qe_mul(rx, ref_qe([0]))),
+        (QE_ONE * x, ref_qe_mul(ref_qe([0]), rx)),
+        (x * QE_ZERO, ref_qe_mul(rx, ref_qe())),
+        (QE_ZERO * x, ref_qe_mul(ref_qe(), rx)),
+    ):
+        assert qe_ref(prod) == want
+        assert_canonical_laurent(prod.c0)
+        assert_canonical_laurent(prod.c1)
 
 
 @settings(max_examples=80, deadline=None)
