@@ -349,9 +349,15 @@ def _cmd_specialize(args) -> RunReport:
         detail="caveat: degenerate form" if g.dickson_caveat else None,
     )
     if g.enumeration == "ran":
-        for label, order in (("phi", g.order_phi), ("eta", g.order_eta)):
+        orders = {"phi": g.order_phi, "eta": g.order_eta}
+        for label, other in (("phi", "eta"), ("eta", "phi")):
+            order = orders[label]
             if g.expected_order is None:
-                report.add(f"group_order_{label}", True, actual=str(order))
+                agree = order == orders[other]
+                report.add(
+                    f"group_order_{label}", agree, actual=str(order),
+                    detail=None if agree else f"{other} order {orders[other]}",
+                )
             else:
                 report.add(
                     f"group_order_{label}",

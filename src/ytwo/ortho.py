@@ -101,4 +101,4 @@ def conjugate_power_matrix(space: QuadSpace, k: int) -> RMatrix:
 
 def entries_are_t_polynomials(mat: RMatrix) -> bool:
     """True iff every Laurent entry has only even, nonnegative exponents."""
-    return all(x.in_t_polynomial() for row in mat.rows for x in row)
+    return all(x.in_t_polynomial() for row in mat.entries for x in row.values())

@@ -10,14 +10,13 @@ Everything uses one global convention: vectors are rows, row i of a
 matrix is the image of basis vector i, and composition reads left to
 right (x * (g h) = (x * g) * h).
 
-``RMatrix`` stores its dense rows together with a cached sparse view,
-the nonzero entries of each row keyed by column.  Every product walks
-nonzero entries against nonzero entries only and passes the view it
-built on to the product matrix, so a word evaluated letter by letter
-never rescans a row.  Equality, hashing and JSON read the dense rows
-alone.  A matrix is a value by the same convention as the scalars in
-``rings``: a plain ``__slots__`` class whose rows are never assigned
-after construction.
+``RMatrix`` stores only the nonzero entries of each row, keyed by
+column, and the ring's zero.  Every product walks nonzero entries
+against nonzero entries only, and equality and hashing read the same
+sparse rows; dense rows are built only when read (JSON, printing).  A
+matrix is a value by the same convention as the scalars in ``rings``:
+a plain ``__slots__`` class whose fields are never assigned after
+construction.
 
 Scalars only need +, *, truth (nonzero), is_one and inverse(), so the
 same code runs over the Laurent ring, its quadratic extension, or a
@@ -36,70 +35,64 @@ from .rings import L_ONE, L_ZERO, LaurentScalar, T_INV, gf2_rank
 class RMatrix:
     """A square matrix over any char-2 scalar ring; rows act on the right.
 
-    ``rows`` holds every entry and alone defines equality and hashing.
-    Beside it the matrix caches a sparse view, built on first use: per
-    row, a dict from column j to the nonzero entry x.  (A dict per row,
-    not a tuple of (j, x) pairs: iterating a dict allocates nothing,
-    while the few hundred pair tuples of each 64x64 product raised peak
-    memory by half a megabyte through CPython's tuple free lists.)
-    Products, ``row_apply``, ``is_identity`` and ``map_entries`` walk
-    that view, so they never test a zero entry, and a product hands the
-    view it built to the matrix it returns.  ``rows`` is never assigned
-    after construction and the view is never mutated: filling the
-    ``_nonzero`` cache on first use is the only later assignment.
+    The matrix is stored once, sparsely: ``entries`` holds per row a dict
+    from column j to the nonzero entry x, and ``zero`` is the ring's
+    zero.  (A dict per row, not a tuple of (j, x) pairs: iterating a
+    dict allocates nothing, while the few hundred pair tuples of each
+    64x64 product raised peak memory by half a megabyte through
+    CPython's tuple free lists.)  Products, ``row_apply``,
+    ``is_identity`` and ``map_entries`` walk only the nonzero entries,
+    and so do equality and hashing; ``zero`` takes part in equality, so
+    all-zero matrices over different rings differ.  ``rows`` builds the
+    dense rows on each read.  No field is assigned after construction
+    and no row dict is mutated.
     """
 
-    __slots__ = ("rows", "_nonzero")
+    __slots__ = ("entries", "zero")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         n = len(rows)
+        if not n:
+            raise ValueError("matrix must have at least one row")
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        self.rows = rows
-        self._nonzero = None
+        first = rows[0]
+        self.entries = tuple({j: x for j, x in enumerate(r) if x} for r in rows)
+        self.zero = first[0] + first[0]  # characteristic two
 
     @classmethod
-    def _from_view(cls, view, n, zero):
-        """The matrix whose nonzero entries are ``view``; the view is kept."""
-        rows = []
-        for entries in view:
-            row = [zero] * n
-            for j, x in entries.items():
-                row[j] = x
-            rows.append(tuple(row))
+    def _sparse(cls, entries, zero):
+        """The matrix with row dicts ``entries`` of nonzero entries, kept as is."""
         mat = object.__new__(cls)
-        mat.rows = tuple(rows)
-        mat._nonzero = view
+        mat.entries = entries
+        mat.zero = zero
         return mat
 
     @property
+    def rows(self):
+        """The dense rows, built on each read."""
+        rows = []
+        for nonzero in self.entries:
+            row = [self.zero] * len(self.entries)
+            for j, x in nonzero.items():
+                row[j] = x
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @property
     def size(self):
-        return len(self.rows)
+        return len(self.entries)
 
     @classmethod
     def identity(cls, n, one, zero):
-        return cls(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
-
-    def _view(self):
-        view = self._nonzero
-        if view is None:
-            view = tuple(
-                {j: x for j, x in enumerate(row) if x} for row in self.rows
-            )
-            self._nonzero = view
-        return view
-
-    def _zero(self):
-        some = self.rows[0][0]
-        return some + some  # characteristic two
+        if n < 1:
+            raise ValueError("matrix must have at least one row")
+        return cls._sparse(tuple({i: one} for i in range(n)), zero)
 
     def __mul__(self, other):
-        bview = other._view()
-        view = tuple(_combine(entries, bview) for entries in self._view())
-        return RMatrix._from_view(view, len(other.rows), self._zero())
+        b = other.entries
+        return RMatrix._sparse(tuple(_combine(a, b) for a in self.entries), self.zero)
 
     def __pow__(self, k: int):
         if k <= 0:
@@ -108,26 +101,22 @@ class RMatrix:
 
     def row_apply(self, vec):
         """Image of a row vector under this matrix."""
-        out = [self._zero()] * len(self.rows)
-        coeffs = {k: a for k, a in enumerate(vec) if a}
-        for j, x in _combine(coeffs, self._view()).items():
-            out[j] = x
-        return tuple(out)
+        acc = _combine({k: a for k, a in enumerate(vec) if a}, self.entries)
+        return tuple(acc.get(j, self.zero) for j in range(len(self.entries)))
 
     def map_entries(self, fn) -> "RMatrix":
         """The entrywise image under ``fn``, which must send zero to zero
         (a ring map or coercion): only nonzero entries are mapped."""
-        view = tuple(
-            {j: y for j, x in entries.items() if (y := fn(x))}
-            for entries in self._view()
+        entries = tuple(
+            {j: y for j, x in row.items() if (y := fn(x))} for row in self.entries
         )
-        return RMatrix._from_view(view, len(self.rows), fn(self._zero()))
+        return RMatrix._sparse(entries, fn(self.zero))
 
     @property
     def is_identity(self):
-        for i, entries in enumerate(self._view()):
-            x = entries.get(i)
-            if len(entries) != 1 or x is None or not x.is_one:
+        for i, row in enumerate(self.entries):
+            x = row.get(i)
+            if len(row) != 1 or x is None or not x.is_one:
                 return False
         return True
 
@@ -135,10 +124,16 @@ class RMatrix:
         return [[x.to_json() for x in row] for row in self.rows]
 
     def __eq__(self, other):
-        return isinstance(other, RMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, RMatrix)
+            and self.zero == other.zero
+            and self.entries == other.entries
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        # frozensets: a product fills its row dicts in another order than
+        # the constructor does
+        return hash(tuple(frozenset(row.items()) for row in self.entries))
 
     def __str__(self):
         return "\n".join(
@@ -149,13 +144,13 @@ class RMatrix:
         return f"RMatrix({self.size}x{self.size})"
 
 
-def _combine(coeffs, view):
-    """The row sum_k a_k * view[k] over the items k: a_k of ``coeffs``, as
-    a dict of its nonzero entries; ``view[k]`` is the dict of row k.
+def _combine(coeffs, entries):
+    """The row sum_k a_k * entries[k] over the items k: a_k of ``coeffs``,
+    as a dict of its nonzero entries; ``entries[k]`` is the dict of row k.
     Entries that cancel are dropped."""
     acc = {}
     for k, a in coeffs.items():
-        for j, b in view[k].items():
+        for j, b in entries[k].items():
             if j in acc:
                 acc[j] = acc[j] + a * b
             else:

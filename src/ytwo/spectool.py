@@ -124,14 +124,12 @@ def _check_form_preserved(rep: SpecializedRep):
 
 def pack_matrix(mat: RMatrix) -> int:
     """Row-major little-endian bit packing; the dedup encoding."""
-    field = mat.rows[0][0].field
-    d = field.degree
+    d = mat.zero.field.degree
+    n = mat.size
     out = 0
-    shift = 0
-    for row in mat.rows:
-        for entry in row:
-            out |= entry.bits << shift
-            shift += d
+    for i, row in enumerate(mat.entries):
+        for j, x in row.items():
+            out |= x.bits << ((i * n + j) * d)
     return out
 
 
@@ -155,14 +153,14 @@ _CHUNK_BITS = 12
 def _row_images(mat: RMatrix) -> list:
     """Packed image under right multiplication by ``mat`` of each bit of
     one packed row (bit k of entry j is x**k in column j)."""
-    field = mat.rows[0][0].field
+    field = mat.zero.field
     d = field.degree
     images = []
-    for grow in mat.rows:
+    for row in mat.entries:
         for k in range(d):
             xk_bits = field.pow_bits(field.x.bits, k)
             packed = 0
-            for c, entry in enumerate(grow):
+            for c, entry in row.items():
                 packed |= field.mul_bits(xk_bits, entry.bits) << (c * d)
             images.append(packed)
     return images
@@ -266,10 +264,10 @@ def _group_order(generator_tuples, cap: int) -> int:
     offset = 0
     for c, mat0 in enumerate(generator_tuples[0]):
         n = mat0.size
-        field = mat0.rows[0][0].field
+        field = mat0.zero.field
         for tup in generator_tuples:
             mat = tup[c]
-            if mat.size != n or mat.rows[0][0].field != field:
+            if mat.size != n or mat.zero.field != field:
                 raise ValueError(
                     f"component {c}: generators must all be {n}x{n} over {field}"
                 )
@@ -340,7 +338,7 @@ _ORDER_BOUND = 100_000
 
 def matrix_order(mat: RMatrix) -> int:
     """Multiplicative order of a field matrix (search up to _ORDER_BOUND)."""
-    field = mat.rows[0][0].field
+    field = mat.zero.field
     ident = RMatrix.identity(mat.size, field.one, field.zero)
     acc = mat
     for k in range(1, _ORDER_BOUND + 1):
@@ -363,7 +361,7 @@ def dickson(mat: RMatrix, allow_degenerate: bool = False) -> int:
             f"size {n} means even m: the form has a radical; "
             "pass allow_degenerate to report the raw parity"
         )
-    field = mat.rows[0][0].field
+    field = mat.zero.field
     rows = [
         [x.bits ^ 1 if i == j else x.bits for j, x in enumerate(row)]
         for i, row in enumerate(mat.rows)

@@ -53,20 +53,22 @@ from .rings import (
 )
 
 
-def _id_rows(n):
-    return tuple(
-        tuple(QE_ONE if i == j else QE_ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def _zero_rows(n):
-    return ((QE_ZERO,) * n,) * n
+def _ident(n):
+    return tuple({i: QE_ONE} for i in range(n))
 
 
 def _block2(tl, tr, bl, br) -> RMatrix:
-    rows = [list(a) + list(b) for a, b in zip(tl, tr)]
-    rows += [list(a) + list(b) for a, b in zip(bl, br)]
-    return RMatrix(rows)
+    """The matrix [[tl, tr], [bl, br]] of h x h blocks, each given by its
+    sparse rows (``RMatrix.entries``), or None for a zero block."""
+    h = len(tl or tr)
+    rows = []
+    for left, right in ((tl, tr), (bl, br)):
+        for i in range(h):
+            row = dict(left[i]) if left else {}
+            if right:
+                row.update((h + j, x) for j, x in right[i].items())
+            rows.append(row)
+    return RMatrix._sparse(tuple(rows), QE_ZERO)
 
 
 class SpinorRep(Representation):
@@ -83,7 +85,7 @@ class SpinorRep(Representation):
         images = {A: a, A_INV: a_inv}
         for i in range(1, m):
             images[s_letter(i)] = s_imgs[i]
-        super().__init__(images, RMatrix(_id_rows(self.dim)))
+        super().__init__(images, RMatrix.identity(self.dim, QE_ONE, QE_ZERO))
 
 
 def _build_level(m: int):
@@ -95,17 +97,16 @@ def _build_level(m: int):
         return a, a_inv, {1: s1, 2: s2}
     a_p, a_inv_p, s_p = _build_level(m - 1)
     half = 1 << (m - 3)
-    ident = _id_rows(half)
-    zero = _zero_rows(half)
-    a = _block2(a_p.rows, zero, zero, a_inv_p.rows)
-    a_inv = _block2(a_inv_p.rows, zero, zero, a_p.rows)
+    ident = _ident(half)
+    a = _block2(a_p.entries, None, None, a_inv_p.entries)
+    a_inv = _block2(a_inv_p.entries, None, None, a_p.entries)
     s_imgs = {
-        1: _block2(ident, zero, ident, ident),
-        2: _block2(zero, ident, ident, zero),
-        3: _block2(s_p[2].rows, zero, ident, s_p[2].rows),
+        1: _block2(ident, None, ident, ident),
+        2: _block2(None, ident, ident, None),
+        3: _block2(s_p[2].entries, None, ident, s_p[2].entries),
     }
     for k in range(4, m):
-        s_imgs[k] = _block2(s_p[k - 1].rows, zero, zero, s_p[k - 1].rows)
+        s_imgs[k] = _block2(s_p[k - 1].entries, None, None, s_p[k - 1].entries)
     return a, a_inv, s_imgs
 
 
@@ -215,16 +216,13 @@ def independence_certificate(elements) -> bool:
     )
 
 
-def _expand_rhs(row, basis_elems):
+def _expand_rhs(entries, basis_elems):
+    """sum_j c_j * basis_elems[j] over the nonzero entries j: c_j of a row."""
     acc = None
-    for c, x in zip(row, basis_elems):
-        if not c:
-            continue
-        term = x.scale(c)
+    for j, c in entries.items():
+        term = basis_elems[j].scale(c)
         acc = term if acc is None else acc + term
-    if acc is None:
-        return basis_elems[0].algebra.zero
-    return acc
+    return basis_elems[0].algebra.zero if acc is None else acc
 
 
 def _check_rows(expected: dict, elems, pin, message: str):
@@ -234,7 +232,7 @@ def _check_rows(expected: dict, elems, pin, message: str):
     for letter, mat in expected.items():
         img = pin.image(letter)
         for i, x in enumerate(elems):
-            if x * img != _expand_rhs(mat.rows[i], elems):
+            if x * img != _expand_rhs(mat.entries[i], elems):
                 raise MismatchError(message.format(letter, i), witness=(letter, i))
 
 
@@ -266,14 +264,13 @@ def check_extended_action(m: int) -> dict:
     elems = list(basis.elements) + [x * u for x in basis.elements]
     independence_certificate(elems)
     half = len(basis)
-    ident = _id_rows(half)
-    zero = _zero_rows(half)
+    ident = _ident(half)
     expected = {
-        TAU: _block2(zero, ident, ident, zero),
-        A: _block2(eta.image(A).rows, zero, zero, eta.image(A_INV).rows),
+        TAU: _block2(None, ident, ident, None),
+        A: _block2(eta.image(A).entries, None, None, eta.image(A_INV).entries),
     }
     for i in range(1, m):
-        s_rows = eta.image(s_letter(i)).rows
-        expected[s_letter(i)] = _block2(s_rows, zero, zero, s_rows)
+        s_rows = eta.image(s_letter(i)).entries
+        expected[s_letter(i)] = _block2(s_rows, None, None, s_rows)
     _check_rows(expected, elems, pin, "extended action mismatch for {} on row {}")
     return {"m": m, "rows": len(elems), "checked": sorted(expected)}

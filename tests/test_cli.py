@@ -75,6 +75,40 @@ class TestJsonReports:
         assert by_name["a_order_phi"]["status"] == "pass"
 
 
+class TestSpecializeOrders:
+    @pytest.mark.parametrize(
+        "eta_order, code, phi_detail, eta_detail",
+        [(4080, 0, None, None), (4081, 1, "eta order 4081", "phi order 4080")],
+    )
+    def test_orders_compared_without_expected_order(
+        self, capsys, monkeypatch, eta_order, code, phi_detail, eta_detail
+    ):
+        real = cli.small_cases_check
+
+        def unexpected(*args, **kwargs):
+            g = real(*args, **kwargs)
+            g.expected_order = None
+            if g.order_eta != eta_order:
+                g.order_eta = eta_order
+                g.failures = ["group orders disagree"]
+            return g
+
+        monkeypatch.setattr(cli, "small_cases_check", unexpected)
+        got, data = run_json(
+            capsys, ["specialize", "--m", "3", "--n", "5", "--enumerate", "--json"]
+        )
+        assert got == code
+        by_name = {c["name"]: c for c in data["checks"]}
+        status = "pass" if code == 0 else "fail"
+        for label, actual, detail in (
+            ("phi", "4080", phi_detail), ("eta", str(eta_order), eta_detail)
+        ):
+            check = by_name[f"group_order_{label}"]
+            assert (check["status"], check["actual"], check["detail"]) == (
+                status, actual, detail
+            )
+
+
 class TestGuardedDomainErrors:
     """A domain error inside a guarded check is a structured fail, not a
     traceback."""

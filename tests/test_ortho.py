@@ -177,6 +177,9 @@ class TestPolynomialEntries:
         bad = RMatrix([[S]])
         assert not entries_are_t_polynomials(bad)
         assert entries_are_t_polynomials(RMatrix([[T]]))
+        # the odd entry in the last row, after a zero and a t-polynomial
+        assert not entries_are_t_polynomials(RMatrix([[T, ZERO], [ZERO, S]]))
+        assert entries_are_t_polynomials(RMatrix([[T, ZERO], [ZERO, T]]))
 
     def test_random_words(self):
         sp = QuadSpace(4)

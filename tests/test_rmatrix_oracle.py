@@ -1,5 +1,6 @@
 """RMatrix products, row_apply and is_identity against the schoolbook
-product in oracles.py, over Laurent, QE and GF(8) entries.
+product in oracles.py, over Laurent, QE and GF(8) entries, and matrix
+equality across rings and across the order a row's entries were found in.
 
 A raw entry is a pair (e0, e1) of s-exponent lists.  Over the Laurent
 ring it is e0; over QE it is e0 + e1*alpha; over GF(8) it is the residue
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ytwo.quadspace import RMatrix
-from ytwo.rings import FiniteField, LaurentScalar, QEScalar
+from ytwo.rings import L_ONE, L_ZERO, QE_ZERO, FiniteField, LaurentScalar, QEScalar
 
 from oracles import REF_LP_RING, REF_QE_RING, RefField, ref_lp, ref_mat_mul, ref_qe
 
@@ -98,12 +99,12 @@ def ref_identity(ring, n):
 
 def check_product(ring, mat, expected):
     """``mat`` equals ``expected`` entrywise, compares and hashes equal to
-    the same matrix built from plain rows, and its carried sparse view
-    lists exactly its nonzero entries."""
+    the same matrix built from plain rows, and its sparse rows list
+    exactly its nonzero entries."""
     assert ref_rows(ring, mat) == expected
     plain = RMatrix([[from_ref(ring, r) for r in row] for row in expected])
     assert mat == plain and hash(mat) == hash(plain)
-    for row, entries in zip(mat.rows, mat._view()):
+    for row, entries in zip(mat.rows, mat.entries):
         assert sorted(entries) == [j for j, x in enumerate(row) if x]
 
 
@@ -112,6 +113,11 @@ ZERO_ROWS = [[Z, Z, Z], [ONE, S, Z], [Z, Z, Z]]
 CANCEL_A = [[ONE, ONE, Z], [Z, ONE, Z], [S, Z, S]]
 CANCEL_B = [[ONE, Z, Z], [ONE, ONE, Z], [ONE, Z, ONE]]
 ID3 = [[ONE, Z, Z], [Z, ONE, Z], [Z, Z, ONE]]
+# row 0 of ORDER_A times ORDER_B finds column 2 (through row 1) before
+# column 0 (through row 2): its dict is filled in the order 2, 0
+ORDER_A = [[Z, ONE, ONE], [ONE, Z, Z], [Z, Z, ONE]]
+ORDER_B = [[Z, ONE, Z], [Z, Z, ONE], [ONE, Z, Z]]
+ORDER_AB = [[ONE, Z, ONE], [Z, ONE, Z], [ONE, Z, Z]]
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -127,7 +133,7 @@ def test_mul_matches_reference(ring, mats):
     ab = a * b
     ref_ab = ref_mat_mul(ra, rb, rr)
     check_product(ring, ab, ref_ab)
-    # the product's carried view serves as the left and the right operand
+    # the product serves as the left and the right operand
     ref_abc = ref_mat_mul(ref_ab, rc, rr)
     check_product(ring, ab * c, ref_abc)
     check_product(ring, a * (b * c), ref_abc)
@@ -187,3 +193,41 @@ def test_is_identity_matches_reference(ring, mats, left, right):
     assert (l * r).is_identity == (ref_mat_mul(ref_l, ref_r, rr) == ident)
     a = build(ring, mats[0])
     assert a.is_identity == (ref_build(ring, mats[0]) == ident)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_product_equals_plain_rows_filled_in_another_order(ring):
+    ab = build(ring, ORDER_A) * build(ring, ORDER_B)
+    plain = build(ring, ORDER_AB)
+    assert list(ab.entries[0]) == [2, 0] and list(plain.entries[0]) == [0, 2]
+    assert ab == plain and hash(ab) == hash(plain)
+    assert ab.rows == plain.rows
+
+
+ZEROS = {
+    "laurent": L_ZERO,
+    "qe": QE_ZERO,
+    "gf4": FiniteField(2, 0b111).zero,
+    "gf16": FiniteField(4, 0b10011).zero,
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("left", sorted(ZEROS))
+@pytest.mark.parametrize("right", sorted(ZEROS))
+def test_all_zero_matrices_over_different_rings_differ(left, right, n):
+    a = RMatrix([[ZEROS[left]] * n] * n)
+    b = RMatrix([[ZEROS[right]] * n] * n)
+    assert (a == b) == (left == right)
+    assert a.rows == ((ZEROS[left],) * n,) * n
+
+
+@pytest.mark.parametrize("rows", [[], (), [[]]])
+def test_empty_matrix_rejected(rows):
+    with pytest.raises(ValueError):
+        RMatrix(rows)
+
+
+def test_empty_identity_rejected():
+    with pytest.raises(ValueError):
+        RMatrix.identity(0, L_ONE, L_ZERO)

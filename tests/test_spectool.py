@@ -111,7 +111,7 @@ class TestPackedStepper:
             gens = [(rep.image("a"),), (rep.image("S1"),)]
         else:
             pool = gens = eta_component_matrices(m, n)
-        fields = [mat.rows[0][0].field for mat in pool[0]]
+        fields = [mat.zero.field for mat in pool[0]]
         ident = tuple(
             RMatrix.identity(mat.size, f.one, f.zero)
             for mat, f in zip(pool[0], fields)

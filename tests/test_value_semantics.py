@@ -3,7 +3,7 @@
 The value classes are plain ``__slots__`` classes and nothing stops a
 field from being assigned after construction, so this checks the
 convention on every operation: each operand's JSON and hash, and a
-matrix's sparse view, read the same after the operation as before.
+matrix's sparse rows, read the same after the operation as before.
 Operands come from the strategies of the oracle tests.
 """
 
@@ -22,7 +22,7 @@ from test_rmatrix_oracle import FIELD, RINGS, build as build_matrix, entry, matr
 def snapshot(x):
     snap = (x.to_json(), hash(x))
     if isinstance(x, RMatrix):
-        view = [sorted((j, y.to_json()) for j, y in row.items()) for row in x._view()]
+        view = [sorted((j, y.to_json()) for j, y in row.items()) for row in x.entries]
         snap += (view,)
     return snap
 
@@ -50,7 +50,7 @@ def frobenius(x):
 def test_operations_leave_operands_unchanged(ring, raw, mats, terms, m):
     a, b = (scalar(ring, x) for x in raw)
     p, q, r = (build_matrix(ring, x) for x in mats)
-    pq = p * q  # carries the sparse view its product built
+    pq = p * q  # its row dicts were filled by the product
     operands = [a, b, p, q, r, pq]
     ops = [
         lambda: a + b,
