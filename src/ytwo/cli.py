@@ -25,7 +25,7 @@ from .clifford import (
 )
 from .errors import YtwoError
 from .ortho import OrthoRep, conjugate_power_matrix, entries_are_t_polynomials
-from .presentation import evaluate, schedule, s_letter
+from .presentation import evaluate, relator_failures, schedule, s_letter
 from .quadspace import (
     QuadSpace,
     bilin,
@@ -141,12 +141,12 @@ def _suite_relations(args, report):
         reps.append(("eta", SpinorRep(args.m), "y"))
     for label, rep, flavor in reps:
         sched = schedule(args.m, args.kmax, flavor)
-        for name, word in sched:
-            value = evaluate(word, rep)
-            ok = getattr(value, "is_identity", False)
+        bad = set(relator_failures(sched, rep))
+        for name in sched.names():
+            ok = name not in bad
             report.add(
                 f"{label}/m={args.m}/{name}",
-                bool(ok),
+                ok,
                 expected="identity",
                 actual=None if ok else "non-identity",
             )
@@ -315,68 +315,12 @@ def _cmd_specialize(args) -> RunReport:
     report = RunReport(command="specialize", params=_param_dict(args))
     mode = "force" if args.enumerate else "auto"
     g = small_cases_check(args.m, args.n, cap=args.cap, enumerate_mode=mode)
-    report.add(
-        f"relators_specialized/m={args.m}/n={args.n}",
-        True,
-        detail=f"map {g.map_desc}",
-    )
-    report.add(
-        "a_order_phi", g.a_order_phi == args.n, expected=str(args.n),
-        actual=str(g.a_order_phi),
-    )
-    report.add(
-        "a_order_eta", g.a_order_eta == args.n, expected=str(args.n),
-        actual=str(g.a_order_eta),
-    )
-    expected_radical = 1 if args.m % 2 == 0 else 0
-    report.add(
-        "radical_rank",
-        g.radical_rank == expected_radical,
-        expected=str(expected_radical),
-        actual=str(g.radical_rank),
-    )
-    if g.q_radical is not None:
-        expected_qr = 0 if args.m % 4 == 2 else 1
-        report.add(
-            "q_radical", g.q_radical == expected_qr,
-            expected=str(expected_qr), actual=str(g.q_radical),
-        )
-    report.add(
-        "dickson_b_generators",
-        all(v == 0 for v in g.dickson_values.values()),
-        expected="0 (even transvection count)",
-        actual=str(g.dickson_values),
-        detail="caveat: degenerate form" if g.dickson_caveat else None,
-    )
-    if g.enumeration == "ran":
-        orders = {"phi": g.order_phi, "eta": g.order_eta}
-        for label, other in (("phi", "eta"), ("eta", "phi")):
-            order = orders[label]
-            if g.expected_order is None:
-                agree = order == orders[other]
-                report.add(
-                    f"group_order_{label}", agree, actual=str(order),
-                    detail=None if agree else f"{other} order {orders[other]}",
-                )
-            else:
-                report.add(
-                    f"group_order_{label}",
-                    order == g.expected_order,
-                    expected=str(g.expected_order),
-                    actual=str(order),
-                )
-    elif g.enumeration == "cap":
-        report.skip("group_order", detail=f"cap {args.cap} exceeded")
-        report.cap_hit = bool(args.enumerate)
-    else:
-        report.skip(
-            "group_order",
-            detail=(
-                "expected order "
-                + (str(g.expected_order) if g.expected_order else "unknown")
-                + f" exceeds cap {args.cap}; structural checks only"
-            ),
-        )
+    for name, ok, expected, actual, detail in g.checks:
+        if ok is None:
+            report.skip(name, detail=detail)
+        else:
+            report.add(name, ok, expected=expected, actual=actual, detail=detail)
+    report.cap_hit = args.enumerate and g.enumeration == "cap"
     return report
 
 
@@ -462,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=_eval_order, default=n)
         p.set_defaults(func=_cmd_verify)
 
-    # --m caps: relations --rep all takes 17 s at m=11, lifting 365 MB at
-    # m=8 on 20 words, closed-form 21 s and 317 MB at m=200
+    # --m caps: relations --rep all takes 17 s at m=11, lifting 340-360 MB
+    # at m=8 on 20 words, closed-form 21 s and 317 MB at m=200
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=20, kmin=1)
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"

@@ -179,13 +179,6 @@ def relator_failures(sched: RelationSchedule, rep: Representation) -> list:
     """Names of schedule relators whose image is not the identity."""
     bad = []
     for name, word in sched:
-        if not _is_identity(evaluate(word, rep), rep.identity):
+        if not evaluate(word, rep).is_identity:
             bad.append(name)
     return bad
-
-
-def _is_identity(value, identity) -> bool:
-    is_id = getattr(value, "is_identity", None)
-    if is_id is not None:
-        return bool(is_id)
-    return value == identity

@@ -703,29 +703,30 @@ def make_eval_map(n: int, modulus: int | None = None) -> EvalMap:
     return EvalMap(n, field, zeta)
 
 
-def cyclotomic_split(n: int) -> list:
-    """Degrees of the irreducible factors of (x**n + 1)/(x + 1) over GF(2).
-
-    Computed as the sizes of the 2-cyclotomic cosets of {1, ..., n-1}
-    modulo n; the sum of the returned degrees is n - 1.
-    """
+def cyclotomic_cosets(n: int) -> list:
+    """The 2-cyclotomic cosets of {1, ..., n-1} modulo odd n >= 3, each
+    walked x -> 2x from its least element, in order of that element."""
     if n < 3 or n % 2 == 0:
         raise EvenNError(f"n must be odd and >= 3, got {n}")
     seen = set()
-    degrees = []
+    cosets = []
     for c in range(1, n):
         if c in seen:
             continue
-        size = 0
+        coset = []
         x = c
-        while True:
+        while x not in seen:
             seen.add(x)
-            size += 1
+            coset.append(x)
             x = (2 * x) % n
-            if x == c:
-                break
-        degrees.append(size)
-    return sorted(degrees)
+        cosets.append(coset)
+    return cosets
+
+
+def cyclotomic_split(n: int) -> list:
+    """Degrees of the irreducible factors of (x**n + 1)/(x + 1) over GF(2):
+    the sizes of the 2-cyclotomic cosets, which sum to n - 1."""
+    return sorted(len(coset) for coset in cyclotomic_cosets(n))
 
 
 # -- packed GF(2) linear algebra ------------------------------------------

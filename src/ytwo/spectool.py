@@ -22,6 +22,7 @@ set of integers, so the result is independent of generator order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 
 from .errors import CapExceededError, DegenerateFormError
 from .presentation import (
@@ -43,7 +44,7 @@ from .quadspace import (
     q_eval,
     radical_vector,
 )
-from .rings import EvalMap, cyclotomic_split, ff_rank, make_eval_map
+from .rings import EvalMap, cyclotomic_cosets, cyclotomic_split, ff_rank, make_eval_map
 from .spinor import SpinorRep
 
 
@@ -292,19 +293,7 @@ def group_order_bfs_tuples(generator_tuples, cap: int = 2_000_000) -> int:
 
 def unit_coset_reps(n: int) -> list:
     """Least representative of each 2-cyclotomic coset of the units mod n."""
-    from math import gcd
-
-    reps = []
-    seen = set()
-    for c in range(1, n):
-        if gcd(c, n) != 1 or c in seen:
-            continue
-        reps.append(c)
-        x = c
-        while x not in seen:
-            seen.add(x)
-            x = (2 * x) % n
-    return reps
+    return [c[0] for c in cyclotomic_cosets(n) if gcd(c[0], n) == 1]
 
 
 def augmentation_components(n: int) -> list:
@@ -396,6 +385,7 @@ class GroupReport:
     order_phi: int | None = None
     order_eta: int | None = None
     enumeration: str = "skip"  # ran | skip | cap
+    cap: int = 2_000_000
     a_order_phi: int | None = None
     a_order_eta: int | None = None
     radical_rank: int | None = None
@@ -403,17 +393,72 @@ class GroupReport:
     dickson_values: dict = dc_field(default_factory=dict)
     dickson_caveat: bool = False
     aug_degrees: tuple = ()
-    failures: list = dc_field(default_factory=list)
+
+    @property
+    def checks(self) -> list:
+        """The row's verdict: one ``(name, ok, expected, actual, detail)``
+        tuple per named check, with ``ok`` None for a skipped check."""
+        out = []
+
+        def add(name, ok, expected=None, actual=None, detail=None):
+            out.append((name, ok, expected, actual, detail))
+
+        m, n = self.m, self.n
+        add(f"relators_specialized/m={m}/n={n}", True, detail=f"map {self.map_desc}")
+        for label, order in (("phi", self.a_order_phi), ("eta", self.a_order_eta)):
+            add(f"a_order_{label}", order == n, str(n), str(order))
+        rank, want = self.radical_rank, 1 if m % 2 == 0 else 0
+        add("radical_rank", rank == want, str(want), str(rank))
+        if self.q_radical is not None:
+            want = 0 if m % 4 == 2 else 1
+            add("q_radical", self.q_radical == want, str(want), str(self.q_radical))
+        add(
+            "dickson_b_generators",
+            all(v == 0 for v in self.dickson_values.values()),
+            "0 (even transvection count)",
+            str(self.dickson_values),
+            "caveat: degenerate form" if self.dickson_caveat else None,
+        )
+        expected, cap = self.expected_order, self.cap
+        if self.enumeration == "ran":
+            orders = {"phi": self.order_phi, "eta": self.order_eta}
+            for label, other in (("phi", "eta"), ("eta", "phi")):
+                order = orders[label]
+                if expected is None:
+                    ok = order == orders[other]
+                    detail = None if ok else f"{other} order {orders[other]}"
+                    add(f"group_order_{label}", ok, None, str(order), detail)
+                else:
+                    ok = order == expected
+                    add(f"group_order_{label}", ok, str(expected), str(order))
+        elif self.enumeration == "cap" and expected is not None and expected <= cap:
+            # passing the cap proves the order exceeds the expected one
+            add("group_order", False, str(expected), f"> {cap}", f"cap {cap} exceeded")
+        else:
+            if self.enumeration == "cap":
+                detail = f"cap {cap} exceeded"
+            elif expected is not None and expected > cap:
+                detail = (
+                    f"expected order {expected} exceeds cap {cap}; "
+                    "structural checks only"
+                )
+            else:
+                known = "unknown" if expected is None else expected
+                detail = f"expected order {known}; enumeration not requested"
+            add("group_order", None, detail=detail)
+        return out
+
+    @property
+    def failures(self) -> list:
+        """Names of the failed checks."""
+        return [name for name, ok, *_ in self.checks if ok is False]
 
     @property
     def status(self) -> str:
-        if self.failures:
+        oks = [ok for _, ok, *_ in self.checks]
+        if False in oks:
             return "fail"
-        if self.enumeration == "cap":
-            return "skip"
-        if self.enumeration != "ran" and self.expected_order is not None:
-            return "skip"
-        return "pass"
+        return "skip" if None in oks else "pass"
 
 
 def small_cases_check(
@@ -422,9 +467,10 @@ def small_cases_check(
     cap: int = 2_000_000,
     enumerate_mode: str = "auto",
 ) -> GroupReport:
-    """Specialize both representations at (m, n) and compare structural
-    invariants (and, under the cap, exact enumerated orders) against the
-    small-cases expectations.
+    """Specialize both representations at (m, n) and record the
+    structural invariants (and, under the cap, exact enumerated orders)
+    that ``GroupReport.checks`` compares against the small-cases
+    expectations.
 
     ``enumerate_mode``: "auto" runs the closure only when the expected
     order is known and within the cap; "force" always attempts it (a cap
@@ -433,16 +479,12 @@ def small_cases_check(
     """
     phi = specialize(m, n, "phi")
     eta = specialize(m, n, "eta")
-    report = GroupReport(m=m, n=n, map_desc=phi.map.describe())
+    report = GroupReport(m=m, n=n, map_desc=phi.map.describe(), cap=cap)
     report.aug_degrees = tuple(cyclotomic_split(n))
     report.expected_order = EXPECTED_ORDERS.get((m, n))
 
     report.a_order_phi = matrix_order(phi.image(A))
     report.a_order_eta = matrix_order(eta.image(A))
-    if report.a_order_phi != n:
-        report.failures.append(f"a-order under phi is {report.a_order_phi}, not {n}")
-    if report.a_order_eta != n:
-        report.failures.append(f"a-order under eta is {report.a_order_eta}, not {n}")
 
     space = QuadSpace(m)
     report.radical_rank = (m + 1) - gram_rank_gf2(m)
@@ -467,22 +509,6 @@ def small_cases_check(
                 eta_component_matrices(m, n), cap
             )
             report.enumeration = "ran"
-            if report.order_phi != report.order_eta:
-                report.failures.append(
-                    f"group orders disagree: phi {report.order_phi}, "
-                    f"eta {report.order_eta}"
-                )
-            if report.expected_order is not None:
-                if report.order_phi != report.expected_order:
-                    report.failures.append(
-                        f"phi group order {report.order_phi} != "
-                        f"{report.expected_order}"
-                    )
-                if report.order_eta != report.expected_order:
-                    report.failures.append(
-                        f"eta group order {report.order_eta} != "
-                        f"{report.expected_order}"
-                    )
         except CapExceededError:
             report.enumeration = "cap"
     return report

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ytwo import cli
+from ytwo import cli, spectool
 from ytwo.cli import build_parser, run
 from ytwo.errors import NotCliffordGroupError, NotScalarError, NotUnitError
 
@@ -90,7 +90,6 @@ class TestSpecializeOrders:
             g.expected_order = None
             if g.order_eta != eta_order:
                 g.order_eta = eta_order
-                g.failures = ["group orders disagree"]
             return g
 
         monkeypatch.setattr(cli, "small_cases_check", unexpected)
@@ -107,6 +106,32 @@ class TestSpecializeOrders:
             assert (check["status"], check["actual"], check["detail"]) == (
                 status, actual, detail
             )
+
+    def test_cap_hit_below_expected_order_fails(self, capsys, monkeypatch):
+        # passing a cap at or above the expected order disproves that order
+        monkeypatch.setitem(spectool.EXPECTED_ORDERS, (3, 5), 1000)
+        code, data = run_json(
+            capsys, ["specialize", "--m", "3", "--n", "5", "--cap", "2000", "--json"]
+        )
+        assert code == 1
+        assert data["checks"][-1] == {
+            "name": "group_order",
+            "status": "fail",
+            "expected": "1000",
+            "actual": "> 2000",
+            "detail": "cap 2000 exceeded",
+        }
+
+    def test_unknown_order_not_enumerated(self, capsys):
+        code, data = run_json(capsys, ["specialize", "--m", "3", "--n", "9", "--json"])
+        assert code == 0
+        assert data["checks"][-1] == {
+            "name": "group_order",
+            "status": "skip",
+            "expected": None,
+            "actual": None,
+            "detail": "expected order unknown; enumeration not requested",
+        }
 
 
 class TestGuardedDomainErrors:

@@ -1,13 +1,20 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no
+top-level function or class in ``src/ytwo`` is dead.
 
-A stdlib ``ast`` scan of every module in ``src/ytwo`` and ``tests``.  A
-name counts as used when it appears as an identifier anywhere in the
-module, including as the root of an attribute chain.  Package
-``__init__.py`` files (their imports are re-exports) and
-``from __future__`` imports are exempt.
+Stdlib ``ast`` scans.  For imports, every module in ``src/ytwo`` and
+``tests``: a name counts as used when it appears as an identifier
+anywhere in the module, including as the root of an attribute chain.
+Package ``__init__.py`` files (their imports are re-exports) and
+``from __future__`` imports are exempt.  For definitions, a top-level
+function or class counts as referenced when its name appears, outside
+its own definition, as an identifier, an attribute, an imported name (so
+a re-export in ``__init__.py`` counts) or a string constant (the bench
+tracer names what it wraps by string) in ``src``, ``tests`` or
+``perfbench``.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -38,6 +45,41 @@ def unused_imports(source: str) -> list:
     )
 
 
+def referenced_names(trees, skip=None) -> set:
+    """Identifiers, attribute names, imported names and string constants
+    in ``trees``, not counting anything inside the node ``skip``."""
+    names = set()
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced_definitions(source: str, elsewhere: set) -> list:
+    """Top-level functions and classes of ``source`` that neither the
+    rest of ``source`` references nor ``elsewhere`` names."""
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (node.lineno, node.name)
+        for node in tree.body
+        if isinstance(node, defs)
+        and node.name not in elsewhere
+        and node.name not in referenced_names([tree], skip=node)
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -46,3 +88,34 @@ def test_no_unused_imports(path):
 def test_scan_finds_planted_import():
     source = "import os\nfrom math import gcd, lcm\n\nprint(os.sep, gcd(4, 6))\n"
     assert unused_imports(source) == [(2, "lcm")]
+
+
+PACKAGE = sorted((ROOT / "src" / "ytwo").glob("*.py"))
+EVERYWHERE = sorted(
+    p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+
+
+@functools.cache
+def names_in_file(path) -> set:
+    return referenced_names([ast.parse(path.read_text())])
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_no_unreferenced_definitions(path):
+    elsewhere = set().union(*(names_in_file(p) for p in EVERYWHERE if p != path))
+    assert unreferenced_definitions(path.read_text(), elsewhere) == []
+
+
+def test_scan_finds_planted_definition():
+    source = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Dead:\n    pass\n\n"
+        "def named():\n    pass\n\n"
+        "def exported():\n    pass\n"
+    )
+    others = ["from mod import exported\nprint(used())\n", "TARGETS = ['named']\n"]
+    elsewhere = referenced_names(ast.parse(other) for other in others)
+    found = unreferenced_definitions(source, elsewhere)
+    assert found == [(4, "recursive"), (7, "Dead")]

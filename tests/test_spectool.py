@@ -1,8 +1,11 @@
+import json
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
 
+from ytwo.cli import run
 from ytwo.errors import CapExceededError, DegenerateFormError
 from ytwo.presentation import st_letter
 from ytwo.quadspace import QuadSpace, transvection
@@ -342,6 +345,49 @@ class TestSmallCases:
         assert rep.radical_rank == 1 and rep.q_radical == 1
         assert rep.a_order_phi == 5
         assert rep.aug_degrees == (4,)
+
+    @pytest.mark.parametrize(
+        "m, field, value, check",
+        [
+            (3, "radical_rank", 1, "radical_rank"),
+            (4, "q_radical", 0, "q_radical"),
+            (3, "dickson_values", {"b1": 1, "b2": 0, "b3": 0}, "dickson_b_generators"),
+        ],
+    )
+    def test_structural_fact_judged(self, m, field, value, check):
+        rep = replace(small_cases_check(m, 5, enumerate_mode="never"), **{field: value})
+        assert rep.status == "fail"
+        assert check in rep.failures
+
+    @pytest.mark.parametrize(
+        "m, mode, detail",
+        [
+            (4, "never", "expected order 979200; enumeration not requested"),
+            (6, "auto", "expected order 4171235328000 exceeds cap 2000000; "
+             "structural checks only"),
+        ],
+    )
+    def test_group_order_skip_detail(self, m, mode, detail):
+        rep = small_cases_check(m, 5, enumerate_mode=mode)
+        assert rep.checks[-1] == ("group_order", None, None, None, detail)
+        assert rep.status == "skip"
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (6, 5)])
+    def test_cli_prints_the_checks(self, capsys, m, n):
+        code = run(["specialize", "--m", str(m), "--n", str(n), "--json"])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)["checks"]
+        rendered = [
+            {
+                "name": name,
+                "status": {True: "pass", False: "fail", None: "skip"}[ok],
+                "expected": expected,
+                "actual": actual,
+                "detail": detail,
+            }
+            for name, ok, expected, actual, detail in small_cases_check(m, n).checks
+        ]
+        assert printed == rendered
 
     def test_root_choice_conjugate_same_order(self):
         # a conjugate primitive root gives a conjugate image: same order
