@@ -1,9 +1,12 @@
 """Command-line front end: verification suites with text or JSON reports.
 
-Every subcommand runs a suite of named checks and prints one line per
-check (or a JSON document with ``--json``).  Exit status: 0 when every
-check passed, 1 on any failure, 2 on usage errors, 3 when an explicitly
-requested enumeration hit the resource cap.
+Every subcommand runs a suite of named checks.  A check is one
+``(name, ok, expected, actual, detail)`` tuple, the record that
+``spectool.GroupReport.checks`` yields, with ``ok`` True (pass), False
+(fail) or None (skip); ``RunReport`` keeps these tuples and prints one
+line per check, or a JSON document with ``--json``.  Exit status: 1 on
+any failed check, else 3 when an explicitly requested enumeration hit
+the resource cap, else 0; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -44,26 +47,14 @@ from .spinor import (
 from .spectool import augmentation_components, small_cases_check
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | skip
-    expected: str | None = None
-    actual: str | None = None
-    detail: str | None = None
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "detail": self.detail,
-        }
+_STATUS = {True: "pass", False: "fail", None: "skip"}
 
 
 @dataclass
 class RunReport:
+    """A command's checks, each a ``(name, ok, expected, actual, detail)``
+    tuple as ``GroupReport.checks`` yields them (``ok`` None: skipped)."""
+
     command: str
     params: dict
     checks: list = dc_field(default_factory=list)
@@ -71,47 +62,38 @@ class RunReport:
     cap_hit: bool = False
 
     def add(self, name, ok, expected=None, actual=None, detail=None):
-        self.checks.append(
-            CheckResult(
-                name,
-                "pass" if ok else "fail",
-                expected=expected,
-                actual=actual,
-                detail=detail,
-            )
-        )
-
-    def skip(self, name, detail=None):
-        self.checks.append(CheckResult(name, "skip", detail=detail))
+        self.checks.append((name, bool(ok), expected, actual, detail))
 
     @property
     def exit_code(self):
-        if any(c.status == "fail" for c in self.checks):
+        if any(ok is False for _, ok, *_ in self.checks):
             return 1
-        if self.cap_hit:
-            return 3
-        return 0
+        return 3 if self.cap_hit else 0
 
     def to_json(self):
+        keys = ("name", "status", "expected", "actual", "detail")
         return {
             "command": self.command,
             "params": {k: str(v) for k, v in self.params.items()},
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [
+                dict(zip(keys, (name, _STATUS[ok], *rest)))
+                for name, ok, *rest in self.checks
+            ],
             "elapsed_ms": self.elapsed_ms,
         }
 
     def render_text(self) -> str:
         lines = []
-        for c in self.checks:
-            line = f"[{c.status}] {c.name}"
-            if c.status == "fail" and (c.expected or c.actual):
-                line += f" (expected {c.expected}, got {c.actual})"
-            if c.detail:
-                line += f"  -- {c.detail}"
+        counts = dict.fromkeys(_STATUS.values(), 0)
+        for name, ok, expected, actual, detail in self.checks:
+            status = _STATUS[ok]
+            counts[status] += 1
+            line = f"[{status}] {name}"
+            if ok is False and (expected or actual):
+                line += f" (expected {expected}, got {actual})"
+            if detail:
+                line += f"  -- {detail}"
             lines.append(line)
-        counts = {"pass": 0, "fail": 0, "skip": 0}
-        for c in self.checks:
-            counts[c.status] += 1
         lines.append(
             f"{self.command}: {counts['pass']} passed, {counts['fail']} failed, "
             f"{counts['skip']} skipped ({self.elapsed_ms} ms)"
@@ -315,11 +297,7 @@ def _cmd_specialize(args) -> RunReport:
     report = RunReport(command="specialize", params=_param_dict(args))
     mode = "force" if args.enumerate else "auto"
     g = small_cases_check(args.m, args.n, cap=args.cap, enumerate_mode=mode)
-    for name, ok, expected, actual, detail in g.checks:
-        if ok is None:
-            report.skip(name, detail=detail)
-        else:
-            report.add(name, ok, expected=expected, actual=actual, detail=detail)
+    report.checks += g.checks
     report.cap_hit = args.enumerate and g.enumeration == "cap"
     return report
 

@@ -405,9 +405,6 @@ class CliffordElement:
             out[mono.bit_length() - 1] = c
         return tuple(out)
 
-    def monomials(self):
-        return sorted(self.terms)
-
     def to_json(self):
         return [[mono, self.terms[mono].to_json()] for mono in sorted(self.terms)]
 

@@ -156,10 +156,6 @@ class LaurentScalar:
         return self.mask != 0
 
     @property
-    def is_zero(self):
-        return self.mask == 0
-
-    @property
     def is_one(self):
         return self.mask == 1 and self.off == 0
 
@@ -296,7 +292,7 @@ class QEScalar:
         return prod.c0
 
     def inverse(self) -> "QEScalar":
-        if self.is_zero:
+        if not self:
             raise ZeroInputError("cannot invert the zero scalar")
         n = self.norm()
         n_inv = n.inverse()  # NotUnitError propagates
@@ -305,10 +301,6 @@ class QEScalar:
 
     def __bool__(self):
         return bool(self.c0.mask or self.c1.mask)
-
-    @property
-    def is_zero(self):
-        return not (self.c0.mask or self.c1.mask)
 
     @property
     def is_one(self):
@@ -334,7 +326,7 @@ class QEScalar:
         return hash((self.c0, self.c1))
 
     def __str__(self):
-        if self.is_zero:
+        if not self:
             return "0"
         parts = []
         if self.c0.mask:
@@ -607,10 +599,6 @@ class FFElement:
 
     def __bool__(self):
         return self.bits != 0
-
-    @property
-    def is_zero(self):
-        return self.bits == 0
 
     @property
     def is_one(self):

@@ -380,7 +380,7 @@ class GroupReport:
     m: int
     n: int
     map_desc: dict
-    generator_label: str = "b1..bm"
+    specialization_error: str | None = None  # why specialize() failed
     expected_order: int | None = None
     order_phi: int | None = None
     order_eta: int | None = None
@@ -404,7 +404,10 @@ class GroupReport:
             out.append((name, ok, expected, actual, detail))
 
         m, n = self.m, self.n
-        add(f"relators_specialized/m={m}/n={n}", True, detail=f"map {self.map_desc}")
+        name = f"relators_specialized/m={m}/n={n}"
+        if self.specialization_error is not None:
+            return [(name, False, None, None, self.specialization_error)]
+        add(name, True, detail=f"map {self.map_desc}")
         for label, order in (("phi", self.a_order_phi), ("eta", self.a_order_eta)):
             add(f"a_order_{label}", order == n, str(n), str(order))
         rank, want = self.radical_rank, 1 if m % 2 == 0 else 0
@@ -476,9 +479,18 @@ def small_cases_check(
     order is known and within the cap; "force" always attempts it (a cap
     hit is recorded as enumeration="cap", not raised, and any order
     fields already completed stay populated); "never" skips it.
+
+    A specialization that fails (a relator or the form check) ends the
+    row: its error becomes the failed ``relators_specialized`` check.
     """
-    phi = specialize(m, n, "phi")
-    eta = specialize(m, n, "eta")
+    try:
+        phi = specialize(m, n, "phi")
+        eta = specialize(m, n, "eta")
+    except ArithmeticError as exc:
+        desc = make_eval_map(n).describe()
+        return GroupReport(
+            m=m, n=n, map_desc=desc, cap=cap, specialization_error=str(exc)
+        )
     report = GroupReport(m=m, n=n, map_desc=phi.map.describe(), cap=cap)
     report.aug_degrees = tuple(cyclotomic_split(n))
     report.expected_order = EXPECTED_ORDERS.get((m, n))

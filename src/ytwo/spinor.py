@@ -134,16 +134,11 @@ def seed_vector(m: int) -> CliffordElement:
 
 @dataclass(frozen=True)
 class WBasis:
-    """Ordered basis of the spinor submodule.
-
-    ``order="stage"`` is the doubling order (stage j appends the
-    s_j-translates of everything so far, j = m-1 down to 2);
-    ``order="length"`` is the same elements sorted by word length and
-    then lexicographically by the applied index set.
+    """Ordered basis of the spinor submodule, in doubling order: stage j
+    appends the s_j-translates of everything so far, j = m-1 down to 2.
     """
 
     m: int
-    order: str
     elements: tuple
     words: tuple  # applied s-indices, in application order
 
@@ -151,11 +146,9 @@ class WBasis:
         return len(self.elements)
 
 
-def spinor_basis(m: int, order: str = "stage") -> WBasis:
+def spinor_basis(m: int) -> WBasis:
     if not 3 <= m <= 8:
         raise ValueError(f"need 3 <= m <= 8, got {m}")
-    if order not in ("stage", "length"):
-        raise ValueError(f"unknown order {order!r}")
     pin = PinRep(m, "qe")
     elems = [seed_vector(m)]
     words = [()]
@@ -163,13 +156,7 @@ def spinor_basis(m: int, order: str = "stage") -> WBasis:
         img = pin.image(s_letter(j))
         elems += [x * img for x in elems]
         words += [wd + (j,) for wd in words]
-    if order == "length":
-        paired = sorted(
-            zip(elems, words), key=lambda ew: (len(ew[1]), tuple(sorted(ew[1])))
-        )
-        elems = [e for e, _ in paired]
-        words = [w for _, w in paired]
-    return WBasis(m, order, tuple(elems), tuple(words))
+    return WBasis(m, tuple(elems), tuple(words))
 
 
 def full_rank_at(elements, emap: EvalMap) -> bool:

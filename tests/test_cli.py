@@ -108,19 +108,35 @@ class TestSpecializeOrders:
             )
 
     def test_cap_hit_below_expected_order_fails(self, capsys, monkeypatch):
-        # passing a cap at or above the expected order disproves that order
+        # passing a cap at or above the expected order disproves that order;
+        # under --enumerate the cap is hit too, and the failure wins (1, not 3)
         monkeypatch.setitem(spectool.EXPECTED_ORDERS, (3, 5), 1000)
-        code, data = run_json(
-            capsys, ["specialize", "--m", "3", "--n", "5", "--cap", "2000", "--json"]
-        )
+        argv = ["specialize", "--m", "3", "--n", "5", "--cap", "2000", "--json"]
+        for extra in ([], ["--enumerate"]):
+            code, data = run_json(capsys, argv + extra)
+            assert code == 1
+            assert data["checks"][-1] == {
+                "name": "group_order",
+                "status": "fail",
+                "expected": "1000",
+                "actual": "> 2000",
+                "detail": "cap 2000 exceeded",
+            }
+
+    def test_failed_specialization_is_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectool, "relator_failures", lambda *args: ["comm_k1"])
+        code, data = run_json(capsys, ["specialize", "--m", "3", "--n", "5", "--json"])
         assert code == 1
-        assert data["checks"][-1] == {
-            "name": "group_order",
-            "status": "fail",
-            "expected": "1000",
-            "actual": "> 2000",
-            "detail": "cap 2000 exceeded",
-        }
+        assert data["checks"] == [
+            {
+                "name": "relators_specialized/m=3/n=5",
+                "status": "fail",
+                "expected": None,
+                "actual": None,
+                "detail": "specialized relators failed: ['comm_k1']",
+            }
+        ]
+        assert spectool.small_cases_check(3, 5).status == "fail"
 
     def test_unknown_order_not_enumerated(self, capsys):
         code, data = run_json(capsys, ["specialize", "--m", "3", "--n", "9", "--json"])
@@ -132,6 +148,20 @@ class TestSpecializeOrders:
             "actual": None,
             "detail": "expected order unknown; enumeration not requested",
         }
+
+
+class TestTextReport:
+    def test_lines_character_for_character(self):
+        report = cli.RunReport(command="specialize", params={}, elapsed_ms=12)
+        report.add("a_order_phi", True, "5", "5")
+        report.add("group_order", False, "1000", "> 2000", "cap 2000 exceeded")
+        report.checks.append(("group_order_eta", None, None, None, "not requested"))
+        assert report.render_text() == (
+            "[pass] a_order_phi\n"
+            "[fail] group_order (expected 1000, got > 2000)  -- cap 2000 exceeded\n"
+            "[skip] group_order_eta  -- not requested\n"
+            "specialize: 1 passed, 1 failed, 1 skipped (12 ms)"
+        )
 
 
 class TestGuardedDomainErrors:

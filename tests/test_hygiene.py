@@ -1,16 +1,18 @@
 """Source hygiene: no module imports a name it never uses, and no
-top-level function or class in ``src/ytwo`` is dead.
+top-level function or class, and no class member, in ``src/ytwo`` is
+dead.
 
 Stdlib ``ast`` scans.  For imports, every module in ``src/ytwo`` and
 ``tests``: a name counts as used when it appears as an identifier
 anywhere in the module, including as the root of an attribute chain.
 Package ``__init__.py`` files (their imports are re-exports) and
 ``from __future__`` imports are exempt.  For definitions, a top-level
-function or class counts as referenced when its name appears, outside
-its own definition, as an identifier, an attribute, an imported name (so
-a re-export in ``__init__.py`` counts) or a string constant (the bench
-tracer names what it wraps by string) in ``src``, ``tests`` or
-``perfbench``.
+function or class, or a method, property or annotated field in the body
+of a top-level class (dunder names exempt), counts as referenced when
+its name appears, outside its own definition, as an identifier, an
+attribute, an imported name (so a re-export in ``__init__.py`` counts)
+or a string constant (the bench tracer names what it wraps by string)
+in ``src``, ``tests`` or ``perfbench``.
 """
 
 import ast
@@ -66,17 +68,38 @@ def referenced_names(trees, skip=None) -> set:
     return names
 
 
+def definitions(tree):
+    """``(node, name)`` for each top-level function and class of
+    ``tree`` and each method, property and annotated field in the body
+    of a top-level class, dunder names left out."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*funcs, ast.ClassDef)):
+            yield node, node.name
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, funcs):
+                name = member.name
+            elif isinstance(member, ast.AnnAssign) and isinstance(
+                member.target, ast.Name
+            ):
+                name = member.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield member, name
+
+
 def unreferenced_definitions(source: str, elsewhere: set) -> list:
-    """Top-level functions and classes of ``source`` that neither the
-    rest of ``source`` references nor ``elsewhere`` names."""
+    """The ``definitions`` of ``source`` that neither the rest of
+    ``source`` references nor ``elsewhere`` names."""
     tree = ast.parse(source)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
-        (node.lineno, node.name)
-        for node in tree.body
-        if isinstance(node, defs)
-        and node.name not in elsewhere
-        and node.name not in referenced_names([tree], skip=node)
+        (node.lineno, name)
+        for node, name in definitions(tree)
+        if name not in elsewhere
+        and name not in referenced_names([tree], skip=node)
     )
 
 
@@ -119,3 +142,19 @@ def test_scan_finds_planted_definition():
     elsewhere = referenced_names(ast.parse(other) for other in others)
     found = unreferenced_definitions(source, elsewhere)
     assert found == [(4, "recursive"), (7, "Dead")]
+
+
+def test_scan_finds_planted_member():
+    source = (
+        "class Box:\n"
+        "    size: int\n"
+        "    label: str = ''\n\n"
+        "    def __len__(self):\n        return self.size\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n\n"
+        "    @property\n    def dead(self):\n        return 0\n"
+    )
+    elsewhere = referenced_names([ast.parse("print(Box().used())\n")])
+    found = unreferenced_definitions(source, elsewhere)
+    assert found == [(3, "label"), (11, "recursive"), (15, "dead")]

@@ -63,14 +63,6 @@ class TestBasis:
     def test_size(self, m):
         assert len(spinor_basis(m)) == 1 << (m - 2)
 
-    @pytest.mark.parametrize("m", [3, 4, 5, 6])
-    def test_length_order_same_set(self, m):
-        stage = spinor_basis(m)
-        length = spinor_basis(m, "length")
-        assert set(stage.elements) == set(length.elements)
-        lens = [len(w) for w in length.words]
-        assert lens == sorted(lens)
-
     def test_bad_m(self):
         with pytest.raises(ValueError):
             spinor_basis(2)
