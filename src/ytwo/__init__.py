@@ -40,7 +40,6 @@ from .rings import (
     cyclotomic_split,
     make_eval_map,
     s_pow,
-    t_pow,
 )
 from .quadspace import (
     HyperbolicDecomposition,

@@ -198,7 +198,7 @@ def _suite_basis(args, report):
 
 
 def _suite_center(args, report):
-    rep = center_report(args.m, n=args.n)
+    rep = center_report(args.m)
     if args.m % 2 == 0:
         report.add(
             f"center_radical_central/m={args.m}",
@@ -331,14 +331,13 @@ def _param_dict(args) -> dict:
     }
 
 
-def _int_in(lo, hi=None):
-    """Argument type: an int in [lo, hi] (no upper end when hi is None)."""
+def _int_in(lo, hi):
+    """Argument type: an int in [lo, hi]."""
 
     def parse(text):
         value = int(text)
-        if value < lo or (hi is not None and value > hi):
-            bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}, got {value}")
         return value
 
     parse.__name__ = "int"
@@ -373,29 +372,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an exact verification suite")
     vsub = p_verify.add_subparsers(dest="suite", required=True)
 
-    def common(p, m=True, m_max=None, kmax=None, kmin=0, n=None):
-        if m:
+    def common(p, m_max=None, kmax=None, n=None):
+        if m_max:
             p.add_argument(
                 "--m", type=_int_in(3, m_max), default=4, help="rank parameter (>= 3)"
             )
-        if kmax is not None:
-            p.add_argument("--kmax", type=_int_in(kmin), default=kmax)
+        if kmax:
+            default, lo, hi = kmax
+            p.add_argument("--kmax", type=_int_in(lo, hi), default=default)
         if n is not None:
-            p.add_argument("--n", type=_eval_order, default=n)
+            help_n = "evaluation order; the centre dimension is the same at every n"
+            p.add_argument("--n", type=_eval_order, default=n, help=help_n)
         p.set_defaults(func=_cmd_verify)
 
-    # --m caps: relations --rep all takes 17 s at m=11, lifting 340-360 MB
-    # at m=8 on 20 words, closed-form 21 s and 317 MB at m=200
-    common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=20, kmin=1)
+    # Each bound keeps its command within reach (README gives the times
+    # at each bound).  The next --m step: relations --rep all takes 17 s
+    # at m=11, lifting 258-389 MB by seed at m=8 on 20 words, closed-form
+    # 21 s and 317 MB at m=200.
+    common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
     )
     p_lift = vsub.add_parser("lifting", parents=[shared])
     common(p_lift, m_max=7)
-    p_lift.add_argument("--words", type=_int_in(0), default=200)
-    p_lift.add_argument("--maxlen", type=_int_in(0), default=30)
-    common(vsub.add_parser("closed-form", parents=[shared]), m_max=100, kmax=20)
-    common(vsub.add_parser("powers", parents=[shared]), m=False, kmax=50)
+    p_lift.add_argument("--words", type=_int_in(0, 2500), default=200)
+    p_lift.add_argument("--maxlen", type=_int_in(0, 100), default=30)
+    common(vsub.add_parser("closed-form", parents=[shared]), m_max=100, kmax=(20, 0, 50))
+    common(vsub.add_parser("powers", parents=[shared]), kmax=(50, 0, 1000))
     # the spinor basis and the center report support m <= 8 only
     common(vsub.add_parser("basis", parents=[shared]), m_max=8)
     common(vsub.add_parser("center", parents=[shared]), m_max=8, n=5)
@@ -403,16 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", parents=[shared], help="hyperbolic pair extraction")
     p_dec.add_argument(
-        "--rank", type=_int_in(4), required=True, help="module rank m+1"
+        "--rank", type=_int_in(4, 150), required=True, help="module rank m+1"
     )
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_spec = sub.add_parser("specialize", parents=[shared], help="finite-field small-cases report")
-    # the eta images are 2**(m-2)-square: time and memory grow ~4x per step
+    # the eta images are 2**(m-2)-square: time and memory grow ~4x per
+    # step.  The (3,9) enumeration stores about 84 bytes per state, 200 MB
+    # at the cap; no order in EXPECTED_ORDERS lies between it and 1e9.
     p_spec.add_argument("--m", type=_int_in(3, 10), required=True)
     p_spec.add_argument("--n", type=_eval_order, required=True)
     p_spec.add_argument("--enumerate", action="store_true")
-    p_spec.add_argument("--cap", type=_int_in(1), default=2_000_000)
+    p_spec.add_argument("--cap", type=_int_in(1, 2_000_000), default=2_000_000)
     p_spec.set_defaults(func=_cmd_specialize)
 
     p_aug = sub.add_parser("augmentation", parents=[shared], help="cyclotomic splitting report")

@@ -11,9 +11,10 @@ canonical ascending order with the two relations
 Each swap strictly lowers the inversion count and each square strictly
 shortens the word, so rewriting terminates.  The coefficients produced
 by rewriting are powers of 1/t, so the structure constants of a
-monomial product are ring-independent: they are cached globally as
-``{mono: polybits}`` where bit e of ``polybits`` is the coefficient of
-t**-e.  Only a squared v_i contributes 1/t, so e <= m.
+monomial product are ring-independent: they are ``{mono: polybits}``
+where bit e of ``polybits`` is the coefficient of t**-e, folded one
+generator at a time from the globally cached generator products.  Only
+a squared v_i contributes 1/t, so e <= m.
 
 Products never touch scalar objects in their inner loop.  An element's
 coefficients are read once as raw ints over a common base ``lo``, one
@@ -22,9 +23,10 @@ ring, two for c0 + c1*alpha), bit k standing for s**(lo + k).  Term
 pairs multiply with the carry-less ``_clmul``, and each structure
 constant is weighted by its *spread* mask: polybits bit e moves to bit
 2*(m - e), i.e. s**-2e relative to the fixed base s**-2m, one table
-entry per bit so that every weight is a shift.  Spread tables are keyed
-by the one int p * (N + 1) + q for the monomial pair (p, q), N = 2**(m+1)
-being the number of monomials.  The accumulator is a plain list of N
+entry per bit so that every weight is a shift.  A monomial pair's
+constants are stored once per algebra, as its spread table, keyed by
+the one int p * (N + 1) + q for the pair (p, q), N = 2**(m+1) being
+the number of monomials.  The accumulator is a plain list of N
 ints per power of alpha, XOR-updated in the inlined entry loop with no
 function call per term pair; alpha**2 = s*alpha + 1 folds alpha**2
 back, and scalars are built only for the result.  A transpose is the
@@ -63,15 +65,14 @@ from .rings import (
     S,
     T_INV,
     _clmul,
-    ff_rank,
-    make_eval_map,
+    gf2_rank,
     pow_by_squaring,
 )
 
 # -- monomial structure constants (shared across algebras) -----------------
 # Keys are monomials of the largest algebra in use, so there are at most
-# (m+1) * 2**(m+1) generator products, 4**(m+1) monomial pairs and
-# 2**(m+1) transposes.
+# (m+1) * 2**(m+1) generator products, as many generator-by-monomial
+# pairs (``center_report``'s) and 2**(m+1) transposes.
 
 _MTG_CACHE: dict = {}
 _MTM_CACHE: dict = {}
@@ -124,7 +125,8 @@ def _bits(mono: int) -> list:
 
 
 def _mono_times_mono(p: int, q: int) -> dict:
-    """Product of two monomials as a {mono: polybits} dict."""
+    """Product of two monomials as a {mono: polybits} dict, cached for
+    ``center_report``; products keep theirs as spread tables instead."""
     hit = _MTM_CACHE.get((p, q))
     if hit is None:
         hit = _MTM_CACHE[p, q] = _fold_gens(p, _bits(q))
@@ -168,9 +170,9 @@ class CliffordAlgebra:
             self.scalar_one = QE_ONE
         # the number of monomials; also the formal transpose factor's index
         self._dim = 1 << (m + 1)
-        # p * (dim + 1) + q -> _MTM_CACHE[p, q] and p * (dim + 1) + dim ->
-        # _TR_CACHE[p] as ((mono', spread), ...); at most 4**(m+1) + 2**(m+1)
-        # entries.
+        # p * (dim + 1) + q -> the structure constants of p * q and
+        # p * (dim + 1) + dim -> _TR_CACHE[p], as ((mono', spread), ...);
+        # at most 4**(m+1) + 2**(m+1) entries.
         self._polybits_cache: dict = {}
         self.zero = CliffordElement(self, {})
         self.one = CliffordElement(self, {0: self.scalar_one})
@@ -182,7 +184,7 @@ class CliffordAlgebra:
         return QEScalar.from_laurent(c)
 
     def _spread_table(self, p: int, q: int) -> tuple:
-        consts = _mono_transpose(p) if q == self._dim else _mono_times_mono(p, q)
+        consts = _mono_transpose(p) if q == self._dim else _fold_gens(p, _bits(q))
         table = self._polybits_cache[p * (self._dim + 1) + q] = tuple(
             (mono, 1 << 2 * (self.m - e))
             for mono, pb in consts.items() for e in _bits(pb)
@@ -480,9 +482,7 @@ def cl_inverse(c: CliffordElement) -> CliffordElement:
     cbar = c.transpose()
     z = c * cbar
     if not z.is_scalar:
-        z = cbar * c
-        if not z.is_scalar:
-            raise NotUnitError("element norm is not scalar; inverse unavailable")
+        raise NotUnitError("element norm is not scalar; inverse unavailable")
     try:
         nu_inv = z.scalar_part().inverse()
     except Exception as exc:
@@ -564,17 +564,21 @@ class CenterReport:
     radical_is_central: bool
     witness: str | None
     specialized_dim: int
-    map_desc: dict
 
 
-def center_report(m: int, n: int = 5) -> CenterReport:
+def center_report(m: int) -> CenterReport:
     """Symbolic centrality of 1 and r = u + v_1 + ... + v_m, plus the
-    centre dimension of the algebra specialized at the order-n map.
+    dimension of the centre of the algebra specialized at any order n.
 
     The dimension is computed by exact linear algebra: z is central iff
     it commutes with every generator, a linear condition on the 2**(m+1)
-    monomial coefficients; the nullity over GF(2**d) is read off a GF(2)
-    blow-up elimination.
+    monomial coefficients.  Moving x_j across a monomial uses only
+    x_i x_j + x_j x_i = 1, so each commutator [x_j, x] is a sum of
+    monomials with coefficient 1 (the q(x_j) terms cancel): the system
+    lies over GF(2), and its nullity is the same in every GF(2**d) the
+    evaluation maps reach.  Each surviving structure constant is checked
+    to be exactly 1 (MismatchError otherwise); the rows are GF(2) bit
+    masks over the monomial columns, ranked by ``gf2_rank``.
     """
     if not 3 <= m <= 8:
         raise ValueError(f"need 3 <= m <= 8, got {m}")
@@ -588,35 +592,22 @@ def center_report(m: int, n: int = 5) -> CenterReport:
             radical_central = False
             witness = "u" if i == 0 else f"v{i}"
             break
-    emap = make_eval_map(n)
-    field = emap.field
     ncols = 1 << (m + 1)
-    t_inv_bits = emap.t_image.inverse().bits
-
-    def ff_bits(polybits: int) -> int:
-        bits = 0
-        for e in _bits(polybits):
-            bits ^= field.pow_bits(t_inv_bits, e)
-        return bits
-
     rows: dict = {}
     for j in range(m + 1):
-        gbit = 1 << j
         for col in range(ncols):
             comm = _xor_into({}, 1, _mono_times_gen(col, j))
-            _xor_into(comm, 1, _mono_times_mono(gbit, col).items())
+            _xor_into(comm, 1, _mono_times_mono(1 << j, col).items())
             for mono, poly in comm.items():
-                v = ff_bits(poly)
-                if v:
-                    row = rows.setdefault((j, mono), [0] * ncols)
-                    row[col] ^= v
-    rank = ff_rank(field, list(rows.values()))
+                if poly > 1:  # polybits: a power of 1/t other than t**0
+                    raise MismatchError(f"[x{j}, {col:b}] has {poly:b} on {mono:b}")
+                if poly:
+                    rows[j, mono] = rows.get((j, mono), 0) ^ 1 << col
     return CenterReport(
         m=m,
         radical_is_central=radical_central,
         witness=witness,
-        specialized_dim=ncols - rank,
-        map_desc=emap.describe(),
+        specialized_dim=ncols - gf2_rank(rows.values()),
     )
 
 

@@ -188,12 +188,6 @@ class QuadSpace:
     def basis_labels(self):
         return ("u",) + tuple(f"v{i}" for i in range(1, self.m + 1))
 
-    def vector(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.rank:
-            raise ValueError("coefficient count must match the rank")
-        return coeffs
-
     def identity_matrix(self) -> RMatrix:
         return RMatrix.identity(self.rank, self.one, self.zero)
 

@@ -241,11 +241,6 @@ def s_pow(k: int) -> LaurentScalar:
     return LaurentScalar._new(k, 1)
 
 
-def t_pow(k: int) -> LaurentScalar:
-    """The monomial t**k = s**(2k)."""
-    return LaurentScalar._new(2 * k, 1)
-
-
 class QEScalar:
     """c0 + c1*alpha with alpha**2 = s*alpha + 1."""
 

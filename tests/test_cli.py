@@ -261,6 +261,13 @@ class TestArgumentValidation:
             ["decompose", "--rank", "3"],
             ["augmentation", "--n", "29"],
             ["verify", "center", "--m", "3", "--n", "29"],
+            ["verify", "relations", "--kmax", "31"],
+            ["verify", "closed-form", "--kmax", "51"],
+            ["verify", "powers", "--kmax", "1001"],
+            ["verify", "lifting", "--words", "2501"],
+            ["verify", "lifting", "--maxlen", "101"],
+            ["decompose", "--rank", "151"],
+            ["specialize", "--m", "3", "--n", "5", "--cap", "2000001"],
         ],
     )
     def test_exit_2(self, capsys, argv):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from ytwo import clifford
 from ytwo.clifford import (
+    CliffordAlgebra,
     PinRep,
     center_report,
     check_power_identities,
@@ -14,6 +16,7 @@ from ytwo.clifford import (
     spinor_norm,
 )
 from ytwo.errors import (
+    MismatchError,
     MixedAmbientError,
     NotScalarError,
     NotUnitError,
@@ -21,7 +24,16 @@ from ytwo.errors import (
 from ytwo.ortho import OrthoRep
 from ytwo.presentation import evaluate, relator_failures, schedule
 from ytwo.quadspace import QuadSpace, hyperbolic_decompose, q_eval, transvection
-from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, S, T_INV, s_pow
+from ytwo.rings import (
+    L_ONE,
+    L_ZERO,
+    LaurentScalar,
+    S,
+    T_INV,
+    ff_rank,
+    make_eval_map,
+    s_pow,
+)
 
 
 def rand_scalar(rng, span=4, terms=3):
@@ -351,6 +363,46 @@ class TestCenter:
             for i in range(m + 1):
                 g = alg.gen(i)
                 assert r * g == g * r
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_dim_matches_field_rank(self, m, n):
+        # the field path as an oracle: each commutator [x_j, x] evaluated
+        # at the order-n map into dense GF(2**d) rows, ranked by ff_rank
+        emap = make_eval_map(n)
+        alg = get_algebra(m)
+        ncols = 1 << (m + 1)
+        rows = {}
+        for j in range(m + 1):
+            g = alg.gen(j)
+            for col in range(ncols):
+                x = alg.from_terms({col: L_ONE})
+                for mono, c in (g * x + x * g).terms.items():
+                    row = rows.setdefault((j, mono), [0] * ncols)
+                    row[col] ^= emap.apply(c).bits
+        nullity = ncols - ff_rank(emap.field, list(rows.values()))
+        assert center_report(m).specialized_dim == nullity
+
+    def test_coefficient_not_one_raises(self, monkeypatch):
+        real = clifford._mono_times_mono
+
+        def planted(p, q):
+            consts = dict(real(p, q))
+            if (p, q) == (1 << 2, 0b11):  # v2 * u v1 = u v1 v2 + u + v1
+                consts[0b111] = 0b10  # t**-1 in place of 1
+            return consts
+
+        monkeypatch.setattr(clifford, "_mono_times_mono", planted)
+        with pytest.raises(MismatchError):
+            center_report(3)
+
+    def test_products_leave_pair_cache(self, monkeypatch):
+        monkeypatch.setattr(clifford, "_MTM_CACHE", {})
+        alg = CliffordAlgebra(4)
+        x = alg.u() * alg.v(1) + alg.v(2) * alg.v(3)
+        x * x.transpose()
+        assert len(alg._polybits_cache) > 0
+        assert clifford._MTM_CACHE == {}
 
 
 class TestKernel:

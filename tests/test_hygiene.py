@@ -10,9 +10,10 @@ Package ``__init__.py`` files (their imports are re-exports) and
 function or class, or a method, property or annotated field in the body
 of a top-level class (dunder names exempt), counts as referenced when
 its name appears, outside its own definition, as an identifier, an
-attribute, an imported name (so a re-export in ``__init__.py`` counts)
-or a string constant (the bench tracer names what it wraps by string)
-in ``src``, ``tests`` or ``perfbench``.
+attribute, an imported name or a string constant (the bench tracer
+names what it wraps by string) in ``src``, ``tests`` or ``perfbench``.
+The imports of a package ``__init__.py`` do not count: a re-export is
+not a use.
 """
 
 import ast
@@ -119,9 +120,19 @@ EVERYWHERE = sorted(
 )
 
 
+def names_in_init(tree) -> set:
+    """``referenced_names`` of a package ``__init__`` module, its imports
+    (re-exports) left out."""
+    imports = (ast.Import, ast.ImportFrom)
+    return referenced_names(n for n in tree.body if not isinstance(n, imports))
+
+
 @functools.cache
 def names_in_file(path) -> set:
-    return referenced_names([ast.parse(path.read_text())])
+    tree = ast.parse(path.read_text())
+    if path.name == "__init__.py":
+        return names_in_init(tree)
+    return referenced_names([tree])
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
@@ -142,6 +153,13 @@ def test_scan_finds_planted_definition():
     elsewhere = referenced_names(ast.parse(other) for other in others)
     found = unreferenced_definitions(source, elsewhere)
     assert found == [(4, "recursive"), (7, "Dead")]
+
+
+def test_scan_finds_planted_reexport():
+    source = "def exported():\n    pass\n\ndef called():\n    return 1\n"
+    init = "from .mod import called, exported\n\nVERSION = called()\n"
+    found = unreferenced_definitions(source, names_in_init(ast.parse(init)))
+    assert found == [(1, "exported")]
 
 
 def test_scan_finds_planted_member():
