@@ -16,22 +16,24 @@ where bit e of ``polybits`` is the coefficient of t**-e, folded one
 generator at a time from the globally cached generator products.  Only
 a squared v_i contributes 1/t, so e <= m.
 
-Products never touch scalar objects in their inner loop.  An element's
-coefficients are read once as raw ints over a common base ``lo``, one
-list of ``(mono, int)`` pairs per power of alpha (one for the Laurent
-ring, two for c0 + c1*alpha), bit k standing for s**(lo + k).  Term
-pairs multiply with the carry-less ``_clmul``, and each structure
+An element keeps its coefficients as raw ints over a common base
+``lo``, in ``parts``: one ``{mono: int}`` dict per power of alpha (one
+for the Laurent ring, two for c0 + c1*alpha), bit k standing for
+s**(lo + k).  It is canonical: no zero int is stored, and ``lo`` is
+chosen so that the OR of all stored ints is odd (the zero element has
+``lo = 0``).  Scalar objects are built only by the views (``terms``,
+``scalar_part``, ``as_vector``); products work on the ints directly.
+Term pairs multiply with the carry-less ``_clmul``, and each structure
 constant is weighted by its *spread* mask: polybits bit e moves to bit
 2*(m - e), i.e. s**-2e relative to the fixed base s**-2m, one table
-entry per bit so that every weight is a shift.  A monomial pair's
-constants are stored once per algebra, as its spread table, keyed by
-the one int p * (N + 1) + q for the pair (p, q), N = 2**(m+1) being
-the number of monomials.  The accumulator is a plain list of N
-ints per power of alpha, XOR-updated in the inlined entry loop with no
-function call per term pair; alpha**2 = s*alpha + 1 folds alpha**2
-back, and scalars are built only for the result.  A transpose is the
-same loop against a formal right factor q = N, which no monomial can
-equal, whose structure constants are the reversals.
+entry per bit so that every weight is a shift.  A monomial pair's constants are stored once
+per algebra, as its spread table, keyed by the one int
+p * (N + 1) + q for the pair (p, q), N = 2**(m+1) being the number of
+monomials.  The accumulator is a plain list of N ints per power of
+alpha, XOR-updated in the inlined entry loop with no function call per
+term pair; alpha**2 = s*alpha + 1 folds alpha**2 back.  A transpose is
+the same loop against a formal right factor q = N, which no monomial
+can equal, whose structure constants are the reversals.
 
 The pin representation sends
 
@@ -174,8 +176,11 @@ class CliffordAlgebra:
         # p * (dim + 1) + dim -> _TR_CACHE[p], as ((mono', spread), ...);
         # at most 4**(m+1) + 2**(m+1) entries.
         self._polybits_cache: dict = {}
-        self.zero = CliffordElement(self, {})
-        self.one = CliffordElement(self, {0: self.scalar_one})
+        self.zero = self.from_terms({})
+        self.one = self.from_terms({0: self.scalar_one})
+        self._gens = tuple(
+            self.from_terms({1 << i: self.scalar_one}) for i in range(m + 1)
+        )
 
     def lift(self, c: LaurentScalar):
         """Coerce a Laurent scalar into this algebra's scalar ring."""
@@ -191,38 +196,21 @@ class CliffordAlgebra:
         )
         return table
 
-    def _read(self, el) -> tuple:
-        """(lo, parts): parts[i] lists (mono, x) for each monomial with a
-        nonzero alpha**i coefficient x, a raw int whose bit k stands for
-        s**(lo + k)."""
-        items = el.terms.items()
-        if self.ring == "laurent":
-            lo = min((c.off for c in el.terms.values()), default=0)
-            return lo, [[(mono, c.mask << (c.off - lo)) for mono, c in items]]
-        lo = min(
-            (x.off for c in el.terms.values() for x in (c.c0, c.c1) if x.mask),
-            default=0,
-        )
-        return lo, [
-            [(mono, c.c0.mask << (c.c0.off - lo)) for mono, c in items if c.c0.mask],
-            [(mono, c.c1.mask << (c.c1.off - lo)) for mono, c in items if c.c1.mask],
-        ]
-
     def _kernel(self, a, b) -> "CliffordElement":
         """a * b over raw ints; b = None gives the transpose of a."""
         dim = self._dim
-        la, xs = self._read(a)
-        lb, ys = (0, [[(dim, 1)]]) if b is None else self._read(b)
+        xs = a.parts
+        lb, ys = (0, ({dim: 1},)) if b is None else (b.lo, b.parts)
         tables = self._polybits_cache
         stride = dim + 1
         parts = [[0] * dim for _ in range(len(xs) + len(ys) - 1)]
         for i, xi in enumerate(xs):
             for j, yj in enumerate(ys):
                 acc = parts[i + j]
-                for p, x in xi:
+                for p, x in xi.items():
                     row = p * stride
                     x_wide = x & (x - 1)
-                    for q, y in yj:
+                    for q, y in yj.items():
                         # a power of two on either side: * is carry-less
                         c = _clmul(x, y) if x_wide and y & (y - 1) else x * y
                         table = tables.get(row + q)
@@ -230,11 +218,11 @@ class CliffordAlgebra:
                             table = self._spread_table(p, q)
                         for mono, w in table:
                             acc[mono] ^= c * w
-        return self._build(la + lb - 2 * self.m, parts)
+        return self._build(a.lo + lb - 2 * self.m, parts)
 
     def _build(self, lo, parts) -> "CliffordElement":
-        """The element with alpha**i coefficient parts[i][mono] (raw ints
-        over the base lo, as in ``_read``)."""
+        """The element with alpha**i coefficient parts[i][mono], a dense
+        list of raw ints over the base lo."""
         if len(parts) == 3:  # alpha**2 = s*alpha + 1
             top = parts.pop()
             c0, c1 = parts
@@ -242,25 +230,16 @@ class CliffordAlgebra:
                 if x:
                     c1[mono] ^= x << 1
                     c0[mono] ^= x
-        if self.ring == "laurent":
-            terms = {mono: _laurent(lo, x) for mono, x in enumerate(parts[0]) if x}
-        else:
-            terms = {
-                mono: QEScalar(_laurent(lo, x0), _laurent(lo, x1))
-                for mono, (x0, x1) in enumerate(zip(*parts)) if x0 or x1
-            }
-        return CliffordElement(self, terms)
+        return _canonical(self, lo, [enumerate(part) for part in parts])
 
     def scalar(self, c) -> "CliffordElement":
-        if isinstance(c, LaurentScalar):
-            c = self.lift(c)
-        return CliffordElement(self, {0: c} if c else {})
+        return self.from_terms({0: c})
 
     def gen(self, i: int) -> "CliffordElement":
         """Generator i of the vector module: 0 is u, 1..m are the v_i."""
         if not 0 <= i <= self.m:
             raise IndexError(f"generator index {i} out of range 0..{self.m}")
-        return CliffordElement(self, {1 << i: self.scalar_one})
+        return self._gens[i]
 
     def u(self) -> "CliffordElement":
         return self.gen(0)
@@ -277,13 +256,18 @@ class CliffordAlgebra:
         return self.from_terms({1 << i: c for i, c in enumerate(coeffs)})
 
     def from_terms(self, terms: dict) -> "CliffordElement":
-        clean = {}
+        """The element sum(c * mono) of a {mono: scalar} dict."""
+        coeffs = []  # (power of alpha, mono, nonzero Laurent coefficient)
         for mono, c in terms.items():
             if isinstance(c, LaurentScalar):
                 c = self.lift(c)
-            if c:
-                clean[mono] = c
-        return CliffordElement(self, clean)
+            pieces = (c,) if self.ring == "laurent" else (c.c0, c.c1)
+            coeffs += ((i, mono, x) for i, x in enumerate(pieces) if x.mask)
+        lo = min((x.off for *_, x in coeffs), default=0)
+        parts = [[]] if self.ring == "laurent" else [[], []]
+        for i, mono, x in coeffs:
+            parts[i].append((mono, x.mask << (x.off - lo)))
+        return _canonical(self, lo, parts)
 
     def radical_element(self) -> "CliffordElement":
         """u + v_1 + ... + v_m embedded in the algebra."""
@@ -303,6 +287,23 @@ class CliffordAlgebra:
         return f"CliffordAlgebra(m={self.m}, ring={self.ring!r})"
 
 
+def _canonical(algebra, lo, parts) -> "CliffordElement":
+    """The canonical element whose alpha**i coefficient on mono is bit k
+    -> s**(lo + k) of x, for each (mono, x) pair in parts[i]; each mono
+    appears at most once per part and zeros may appear."""
+    parts = [{mono: x for mono, x in part if x} for part in parts]
+    low = 0
+    for part in parts:
+        for x in part.values():
+            low |= x
+    if not low:
+        return CliffordElement(algebra, 0, tuple(parts))
+    shift = (low & -low).bit_length() - 1
+    if shift:
+        parts = [{mono: x >> shift for mono, x in part.items()} for part in parts]
+    return CliffordElement(algebra, lo + shift, tuple(parts))
+
+
 _ALGEBRAS: dict = {}
 
 
@@ -315,13 +316,19 @@ def get_algebra(m: int, ring: str = "laurent") -> CliffordAlgebra:
 
 
 class CliffordElement:
-    """A finite scalar combination of basis monomials, kept canonical."""
+    """A finite scalar combination of basis monomials, kept canonical.
 
-    __slots__ = ("algebra", "terms")
+    ``parts[i]`` maps each monomial with a nonzero alpha**i coefficient
+    to that coefficient as a raw int, bit k standing for s**(lo + k)
+    (see the module docstring); ``terms`` is the {mono: scalar} view,
+    built on each read."""
 
-    def __init__(self, algebra: CliffordAlgebra, terms: dict):
+    __slots__ = ("algebra", "lo", "parts")
+
+    def __init__(self, algebra: CliffordAlgebra, lo: int, parts: tuple):
         self.algebra = algebra
-        self.terms = terms
+        self.lo = lo
+        self.parts = parts
 
     def _check_ambient(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -331,19 +338,15 @@ class CliffordElement:
 
     def __add__(self, other):
         self._check_ambient(other)
-        alg = self.algebra
-        (la, xs), (lb, ys) = alg._read(self), alg._read(other)
-        lo = min(la, lb)
-        sa, sb = la - lo, lb - lo
+        lo = min(self.lo, other.lo)
+        sa, sb = self.lo - lo, other.lo - lo
         parts = []
-        for x, y in zip(xs, ys):
-            acc = [0] * alg._dim
-            for mono, c in x:
-                acc[mono] ^= c << sa
-            for mono, c in y:
-                acc[mono] ^= c << sb
-            parts.append(acc)
-        return alg._build(lo, parts)
+        for x, y in zip(self.parts, other.parts):
+            acc = {mono: c << sa for mono, c in x.items()}
+            for mono, c in y.items():
+                acc[mono] = acc.get(mono, 0) ^ c << sb
+            parts.append(acc.items())
+        return _canonical(self.algebra, lo, parts)
 
     __sub__ = __add__
 
@@ -357,75 +360,92 @@ class CliffordElement:
         return pow_by_squaring(self, k) if k else self.algebra.one
 
     def scale(self, c) -> "CliffordElement":
-        if isinstance(c, LaurentScalar):
-            c = self.algebra.lift(c)
-        if not c:
-            return self.algebra.zero
-        return CliffordElement(
-            self.algebra, {mono: c * v for mono, v in self.terms.items()}
-        )
+        return self * self.algebra.scalar(c)
 
     def transpose(self) -> "CliffordElement":
         return self.algebra._kernel(self, None)
 
     # -- views -------------------------------------------------------------
 
+    def _monos(self) -> set:
+        """The monomials with a nonzero coefficient."""
+        return set().union(*self.parts)
+
+    def _coeff(self, mono: int):
+        """The scalar coefficient of mono."""
+        lo = self.lo
+        if self.algebra.ring == "laurent":
+            return _laurent(lo, self.parts[0].get(mono, 0))
+        c0, c1 = self.parts
+        return QEScalar(_laurent(lo, c0.get(mono, 0)), _laurent(lo, c1.get(mono, 0)))
+
+    @property
+    def terms(self) -> dict:
+        """{mono: scalar} for each nonzero coefficient, built on each read."""
+        return {mono: self._coeff(mono) for mono in sorted(self._monos())}
+
     def __bool__(self):
-        return bool(self.terms)
+        return any(self.parts)
 
     @property
     def is_scalar(self):
-        return not self.terms or set(self.terms) == {0}
+        return self._monos() <= {0}
 
     def scalar_part(self):
-        return self.terms.get(0, self.algebra.scalar_zero)
+        return self._coeff(0)
 
     @property
     def is_identity(self):
-        return set(self.terms) == {0} and self.terms[0].is_one
+        first, *rest = self.parts
+        return self.lo == 0 and first == {0: 1} and not any(rest)
 
     def parity(self):
         """0 or 1 if homogeneous in the Z2-grading, else None."""
-        ps = {mono.bit_count() & 1 for mono in self.terms}
+        ps = {mono.bit_count() & 1 for mono in self._monos()}
         if len(ps) == 1:
             return ps.pop()
         return None if ps else 0
 
     @property
     def is_even(self):
-        return all(mono.bit_count() & 1 == 0 for mono in self.terms)
+        return all(mono.bit_count() & 1 == 0 for mono in self._monos())
 
     def as_vector(self) -> tuple:
         """Coefficients on the generators; raises if other monomials appear."""
         alg = self.algebra
-        out = [alg.scalar_zero] * (alg.m + 1)
-        for mono, c in self.terms.items():
+        monos = self._monos()
+        for mono in monos:
             if mono.bit_count() != 1:
                 raise NotCliffordGroupError(
                     f"element has a non-vector component on monomial {bin(mono)}"
                 )
-            out[mono.bit_length() - 1] = c
+        out = [alg.scalar_zero] * (alg.m + 1)
+        for mono in monos:
+            out[mono.bit_length() - 1] = self._coeff(mono)
         return tuple(out)
 
     def to_json(self):
-        return [[mono, self.terms[mono].to_json()] for mono in sorted(self.terms)]
+        return [[mono, c.to_json()] for mono, c in self.terms.items()]
 
     def __eq__(self, other):
         return (
             isinstance(other, CliffordElement)
             and self.algebra == other.algebra
-            and self.terms == other.terms
+            and self.lo == other.lo
+            and self.parts == other.parts
         )
 
     def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self.terms.items()))))
+        return hash(
+            (self.algebra, self.lo, tuple(frozenset(p.items()) for p in self.parts))
+        )
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        for mono, c in terms.items():
             names = ["u" if i == 0 else f"v{i}" for i in _bits(mono)]
             word = "*".join(names) if names else "1"
             cs = str(c)

@@ -235,11 +235,13 @@ def _bfs_closure(ident: int, schedules, cap: int) -> int:
                 if y not in visited:
                     visited.add(y)
                     nxt.append(y)
-        if len(visited) > cap:
-            raise CapExceededError(
-                f"enumeration passed the cap of {cap} elements",
-                count=len(visited),
-            )
+            # checked per generator, so a level overshoots the cap by at
+            # most one generator's images of the frontier
+            if len(visited) > cap:
+                raise CapExceededError(
+                    f"enumeration passed the cap of {cap} elements",
+                    count=len(visited),
+                )
         frontier = nxt
     return len(visited)
 

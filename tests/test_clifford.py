@@ -18,6 +18,7 @@ from ytwo.clifford import (
 from ytwo.errors import (
     MismatchError,
     MixedAmbientError,
+    NotCliffordGroupError,
     NotScalarError,
     NotUnitError,
 )
@@ -265,6 +266,20 @@ class TestConjugationAction:
                 continue
             done += 1
             assert conjugation_matrix(alg.vector(coeffs)) == r
+
+    @pytest.mark.parametrize("ring", ["laurent", "qe"])
+    def test_non_vector_rejected(self, ring):
+        alg = get_algebra(4, ring)
+        with pytest.raises(NotCliffordGroupError, match="0b11$"):
+            (alg.u() * alg.v(1)).as_vector()
+
+    def test_conjugation_rejects_non_vector_row(self, monkeypatch):
+        # With the inverse replaced by 1, the row of v2 is v2 * u v1, whose
+        # u v1 v2 component (0b111) is not a vector.
+        alg = get_algebra(4)
+        monkeypatch.setattr(clifford, "cl_inverse", lambda c: alg.one)
+        with pytest.raises(NotCliffordGroupError, match="0b111$"):
+            conjugation_matrix(alg.u() * alg.v(1))
 
     def test_zero_divisor_rejected(self):
         alg = get_algebra(3)

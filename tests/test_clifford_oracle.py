@@ -1,11 +1,14 @@
 """Clifford products, sums and transposes against the word-rewriting
 reference in oracles.py, on both scalar rings for m = 3..6, plus every
-monomial product and transpose of fresh algebras at m = 3 and 4."""
+monomial product and transpose of fresh algebras at m = 3 and 4, and
+the canonical raw storage form under operations that must not change
+an element."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ytwo.clifford import CliffordAlgebra, get_algebra
+from ytwo import clifford
+from ytwo.clifford import CliffordAlgebra, CliffordElement, get_algebra
 from ytwo.rings import LaurentScalar, QEScalar
 
 from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
@@ -40,7 +43,17 @@ def to_ref(el):
 
 
 def check_canonical(el):
-    """No stored zero and every Laurent part in canonical (off, mask) form."""
+    """The stored form: one dict per power of alpha, no stored zero int,
+    and lo chosen so that the OR of the stored ints is odd (lo = 0 for
+    the zero element); and every Laurent part of the ``terms`` view in
+    canonical (off, mask) form."""
+    assert len(el.parts) == (1 if el.algebra.ring == "laurent" else 2)
+    low = 0
+    for part in el.parts:
+        assert all(part.values())
+        for x in part.values():
+            low |= x
+    assert low & 1 or (low == 0 and el.lo == 0)
     for c in el.terms.values():
         assert c
         for part in (c.c0, c.c1) if isinstance(c, QEScalar) else (c,):
@@ -153,3 +166,51 @@ def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first):
     # one table per monomial pair and per transposed monomial, the count
     # the benchmark's cache_entries reads
     assert len(alg._polybits_cache) == 4 ** (m + 1) + 2 ** (m + 1)
+
+
+def check_unchanged_by_identities(alg, el):
+    """Operations equal to the identity give back an element with the
+    same stored form (equality compares it) and the same hash."""
+    check_canonical(el)
+    same = (
+        el + alg.zero,
+        el * alg.one,
+        alg.one * el,
+        el.transpose().transpose(),
+        alg.from_terms(el.terms),
+    )
+    for x in same:
+        assert x == el and hash(x) == hash(el)
+
+
+# only negative s-exponents, and (over "qe") a zero c0 beside a nonzero c1
+NEGATIVE = [(0b011, [-7, -3], [-5]), (0b100, [-2], [])]
+ALPHA_ONLY = [(0b001, [], [-1, 3]), (0b110, [], [2])]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=raw_terms)
+@example(x=[])
+@example(x=NEGATIVE)
+@example(x=ALPHA_ONLY)
+@example(x=NEGATIVE + ALPHA_ONLY)
+def test_storage_form_survives_identities(m, ring, x):
+    alg = get_algebra(m, ring)
+    check_unchanged_by_identities(alg, build(alg, x))
+
+
+def test_planted_unshifted_normalizer_is_caught(monkeypatch):
+    # A normalizer that drops zeros but never shifts lo stores a product's
+    # ints over the kernel's base s**(lo_a + lo_b - 2m), so el * 1 keeps
+    # the coefficients of el over a different lo.
+    def unshifted(algebra, lo, parts):
+        parts = tuple({mono: x for mono, x in part if x} for part in parts)
+        return CliffordElement(algebra, lo if any(parts) else 0, parts)
+
+    alg = CliffordAlgebra(4, "laurent")
+    el = build(alg, NEGATIVE)
+    monkeypatch.setattr(clifford, "_canonical", unshifted)
+    with pytest.raises(AssertionError):
+        check_unchanged_by_identities(alg, el)

@@ -194,7 +194,9 @@ class TestBFS:
         rep = specialize(3, 5, "phi")
         with pytest.raises(CapExceededError) as err:
             group_order_bfs(rep.b_matrices, cap=100)
-        assert err.value.count > 100
+        # 226 states close the level that crosses 100; the cap is checked
+        # after each generator, so the enumeration stops inside that level
+        assert 100 < err.value.count < 226
 
     def test_singular_generator_rejected(self):
         from ytwo.quadspace import RMatrix
