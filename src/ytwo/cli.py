@@ -386,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_verify)
 
     # Each bound keeps its command within reach (README gives the times
-    # at each bound).  The next --m step: relations --rep all takes 17 s
+    # at each bound).  The next --m step: relations --rep all takes 1.6 s
     # at m=11, lifting 258-389 MB by seed at m=8 on 20 words, closed-form
-    # 21 s and 317 MB at m=200.
+    # 16 s and 52 MB at m=200.
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
@@ -412,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("specialize", parents=[shared], help="finite-field small-cases report")
     # the eta images are 2**(m-2)-square: time and memory grow ~4x per
-    # step.  The (3,9) enumeration stores about 84 bytes per state, 200 MB
+    # step.  The (3,9) enumeration stores about 88 bytes per state, 200 MB
     # at the cap; no order in EXPECTED_ORDERS lies between it and 1e9.
+    # Wider states meet spectool's byte budget first ((10,41): 553 MB).
     p_spec.add_argument("--m", type=_int_in(3, 10), required=True)
     p_spec.add_argument("--n", type=_eval_order, required=True)
     p_spec.add_argument("--enumerate", action="store_true")

@@ -15,6 +15,9 @@ which is why relator words may use them for their own inverses.
 A representation is anything with an ``image(letter)`` lookup, an
 ``identity`` element and images that multiply with ``*``.  Evaluating a
 word is the monoid homomorphism sending concatenation to products.
+Relator words are made of letter powers, so ``evaluate`` multiplies
+maximal runs x**k, not letters: each run's image is one power by
+squaring, and equal runs in one word share it.
 
 The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:
@@ -28,8 +31,9 @@ The second form is what tau-free representations evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
+from itertools import groupby
+
+from .rings import pow_by_squaring
 
 A = "a"
 A_INV = "A"
@@ -169,10 +173,22 @@ class Representation:
 
 
 def evaluate(word, rep: Representation):
-    """Product of letter images in word order (identity for the empty word)."""
-    if not word:
-        return rep.identity
-    return reduce(mul, map(rep.image, word))
+    """Product of letter images in word order (identity for the empty word).
+
+    Each maximal run x**k costs one ``pow_by_squaring`` of x's image,
+    memoized by ``(x, k)`` for this call, so a commutator's two ``A**k``
+    and two ``a**k`` runs share one power each.  The run images are then
+    multiplied in word order.
+    """
+    powers = {}
+    result = None
+    for letter, run in groupby(word):
+        k = sum(1 for _ in run)
+        power = powers.get((letter, k))
+        if power is None:
+            power = powers[letter, k] = pow_by_squaring(rep.image(letter), k)
+        result = power if result is None else result * power
+    return rep.identity if result is None else result
 
 
 def relator_failures(sched: RelationSchedule, rep: Representation) -> list:

@@ -17,10 +17,13 @@ has one XOR lookup table per 12-bit chunk, shared by blocks with equal
 bit images.  The closure steps a whole level at a time, one pass over
 the level per chunk and generator, then deduplicates into an ordinary
 set of integers, so the result is independent of generator order.
+It stops past a cap on stored states, and before a generator's images
+could pass a fixed byte budget, which wide states meet first.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
@@ -225,12 +228,29 @@ def _apply(blocks: list, states: list) -> list:
     return out
 
 
+# The cap counts states; this bounds their bytes, which grow with the
+# state width (a (10,41) phi state packs 2,420 bits, a (3,9) one 96).
+_BYTE_BUDGET = 512 << 20
+# a stored state beyond its int: a set slot (16 bytes) at up to 4x
+# over-allocation, and a pointer each in the frontier and the next level
+_STATE_OVERHEAD = 4 * 16 + 2 * 8
+
+
 def _bfs_closure(ident: int, schedules, cap: int) -> int:
+    state_bytes = sys.getsizeof(ident) + _STATE_OVERHEAD
     visited = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for blocks in schedules:
+            # checked before the images are built: they are len(frontier)
+            # new ints, and each may be stored
+            if (len(visited) + len(frontier)) * state_bytes > _BYTE_BUDGET:
+                raise CapExceededError(
+                    f"enumeration would pass the budget of {_BYTE_BUDGET} bytes "
+                    f"at {state_bytes} bytes per state",
+                    count=len(visited),
+                )
             for y in _apply(blocks, frontier):
                 if y not in visited:
                     visited.add(y)
@@ -253,7 +273,8 @@ def _group_order(generator_tuples, cap: int) -> int:
     Breadth-first closure from the identity under right multiplication;
     a state is the concatenation of the component packings.  Raises
     ValueError unless component c is invertible, of one size and over one
-    field in every tuple, and CapExceededError past ``cap`` elements.
+    field in every tuple, and CapExceededError past ``cap`` elements or
+    before a generator's images could pass ``_BYTE_BUDGET``.
     """
     generator_tuples = [tuple(t) for t in generator_tuples]
     if not generator_tuples:
@@ -388,6 +409,7 @@ class GroupReport:
     order_eta: int | None = None
     enumeration: str = "skip"  # ran | skip | cap
     cap: int = 2_000_000
+    budget_stop: str | None = None  # the byte-budget error, if it ended a "cap" run
     a_order_phi: int | None = None
     a_order_eta: int | None = None
     radical_rank: int | None = None
@@ -436,12 +458,17 @@ class GroupReport:
                 else:
                     ok = order == expected
                     add(f"group_order_{label}", ok, str(expected), str(order))
-        elif self.enumeration == "cap" and expected is not None and expected <= cap:
+        elif (
+            self.enumeration == "cap"
+            and self.budget_stop is None
+            and expected is not None
+            and expected <= cap
+        ):
             # passing the cap proves the order exceeds the expected one
             add("group_order", False, str(expected), f"> {cap}", f"cap {cap} exceeded")
         else:
             if self.enumeration == "cap":
-                detail = f"cap {cap} exceeded"
+                detail = self.budget_stop or f"cap {cap} exceeded"
             elif expected is not None and expected > cap:
                 detail = (
                     f"expected order {expected} exceeds cap {cap}; "
@@ -523,6 +550,8 @@ def small_cases_check(
                 eta_component_matrices(m, n), cap
             )
             report.enumeration = "ran"
-        except CapExceededError:
+        except CapExceededError as exc:
             report.enumeration = "cap"
+            if exc.count <= cap:  # stopped by the byte budget, not the cap
+                report.budget_stop = str(exc)
     return report

@@ -197,6 +197,18 @@ def ref_xn_plus_1_over_x_plus_1(n):
     return (1 << n) - 1
 
 
+# -- words by the left fold ---------------------------------------------------
+
+
+def ref_evaluate(word, rep):
+    """Image of a word as the plain left fold of its letter images, one
+    product per letter (``rep.identity`` for the empty word)."""
+    acc = rep.identity
+    for letter in word:
+        acc = acc * rep.image(letter)
+    return acc
+
+
 # -- GF(2^d) via residues ----------------------------------------------------
 
 

@@ -2,7 +2,9 @@
 QE scalars, Clifford elements (m = 3..5, both rings) and matrices.
 
 All four ``__pow__`` methods share one square-and-multiply loop, so each
-k in 0..12 is checked against k - 1 oracle products.
+k in 0..12 is checked against k - 1 oracle products.  Matrices go on to
+k = 50, the longest letter run ``evaluate`` raises in ``verify
+closed-form`` (its ``--kmax`` bound).
 """
 
 import pytest
@@ -24,6 +26,7 @@ from oracles import (
 )
 
 KMAX = 12
+MATRIX_KMAX = 50
 
 exps = st.lists(st.integers(-3, 3), max_size=3)
 
@@ -44,10 +47,10 @@ def qe_ref(x):
     return ref_qe(x.c0.exponents(), x.c1.exponents())
 
 
-def check_powers(x, to_ref, ref_x, mul, ref_one=None):
-    """x**k for k = 0..KMAX, or from k = 1 when the ring has no one."""
+def check_powers(x, to_ref, ref_x, mul, ref_one=None, kmax=KMAX):
+    """x**k for k = 0..kmax, or from k = 1 when the ring has no one."""
     want, k = (ref_x, 1) if ref_one is None else (ref_one, 0)
-    while k <= KMAX:
+    while k <= kmax:
         assert to_ref(x ** k) == want, k
         want = mul(want, ref_x)
         k += 1
@@ -126,6 +129,7 @@ def test_matrix(ring, raw):
         lambda a: [[to_ref(x) for x in row] for row in a.rows],
         ref,
         lambda a, b: ref_mat_mul(a, b, ref_ring),
+        kmax=MATRIX_KMAX,
     )
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ytwo.clifford import PinRep, conjugation_matrix
+from ytwo.clifford import CliffordElement, PinRep, conjugation_matrix
 from ytwo.ortho import OrthoRep
 from ytwo.presentation import (
     b_word,
@@ -13,7 +13,8 @@ from ytwo.presentation import (
     schedule,
     st_letter,
 )
-from ytwo.quadspace import QuadSpace, transvection
+from ytwo.quadspace import QuadSpace, RMatrix, transvection
+from ytwo.spinor import SpinorRep
 
 from oracles import factorial, perm_closure
 
@@ -124,6 +125,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(("s9",), phi)
 
+    def test_unsupported_letter_in_run(self):
+        phi = OrthoRep(QuadSpace(3))
+        with pytest.raises(ValueError, match="'s9'"):
+            evaluate(("a", "s9", "s9"), phi)
+
+    def test_run_across_the_seam(self):
+        # the a-run of w1 + w2 is one run of 5, split 2 + 3 across the factors
+        phi = OrthoRep(QuadSpace(4))
+        w1, w2 = ("s1", "A", "a", "a"), ("a", "a", "a", "s2", "s2")
+        assert evaluate(w1 + w2, phi) == evaluate(w1, phi) * evaluate(w2, phi)
+
     def test_twisted_letters_factor(self):
         # S<i> = t * s<i> holds in every representation carrying both
         for rep in (OrthoRep(QuadSpace(4)), PinRep(4)):
@@ -179,6 +191,30 @@ class TestRelatorSuites:
         sched = schedule(m, 5, "y-tilde")
         assert relator_failures(sched, OrthoRep(QuadSpace(m))) == []
         assert relator_failures(sched, PinRep(m)) == []
+
+    @pytest.mark.parametrize(
+        "label, build, flavor, cls, products",
+        [
+            ("eta", SpinorRep, "y", RMatrix, 392),
+            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 417),
+            ("psi", PinRep, "y-tilde", CliffordElement, 417),
+        ],
+    )
+    def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
+        # pinned, so that a return to one product per letter (1000 for
+        # eta, 1025 for phi and psi) fails on any host, however noisy
+        rep = build(8)
+        count = 0
+        real = cls.__mul__
+
+        def counted(a, b):
+            nonlocal count
+            count += 1
+            return real(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        assert relator_failures(schedule(8, 20, flavor), rep) == []
+        assert count == products, label
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_Y_flavor(self, m):

@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+from ytwo import spectool
 from ytwo.cli import run
 from ytwo.errors import CapExceededError, DegenerateFormError
 from ytwo.presentation import st_letter
@@ -197,6 +198,20 @@ class TestBFS:
         # 226 states close the level that crosses 100; the cap is checked
         # after each generator, so the enumeration stops inside that level
         assert 100 < err.value.count < 226
+
+    def test_byte_budget(self, monkeypatch):
+        # a (3,7) phi state packs 48 bits: a 32-byte int, 112 bytes stored
+        monkeypatch.setattr(spectool, "_BYTE_BUDGET", 100_000)
+        rep = specialize(3, 7, "phi")
+        with pytest.raises(CapExceededError, match="budget of 100000 bytes") as err:
+            group_order_bfs(rep.b_matrices)
+        # checked before each generator's images, which could reach 892
+        assert 100 < err.value.count <= 100_000 // 112
+        # below the cap, a budget stop is a skip, not a disproved order
+        report = small_cases_check(3, 7, enumerate_mode="force")
+        assert report.enumeration == "cap"
+        assert report.checks[-1] == ("group_order", None, None, None, str(err.value))
+        assert run(["specialize", "--m", "3", "--n", "7", "--enumerate"]) == 3
 
     def test_singular_generator_rejected(self):
         from ytwo.quadspace import RMatrix
