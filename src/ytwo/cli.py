@@ -381,20 +381,24 @@ def build_parser() -> argparse.ArgumentParser:
             default, lo, hi = kmax
             p.add_argument("--kmax", type=_int_in(lo, hi), default=default)
         if n is not None:
-            help_n = "evaluation order; the centre dimension is the same at every n"
+            help_n = (
+                "evaluation order; the centre dimension is the same at every"
+                " n, so the report does not depend on it (accepted for"
+                " existing scripts)"
+            )
             p.add_argument("--n", type=_eval_order, default=n, help=help_n)
         p.set_defaults(func=_cmd_verify)
 
     # Each bound keeps its command within reach (README gives the times
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
-    # at m=11, lifting 258-389 MB by seed at m=8 on 20 words, closed-form
-    # 16 s and 52 MB at m=200.
+    # at m=11, lifting 1.7-5.2 s and 29-67 MB by seed at m=11 on 20 words
+    # (m=10: 0.8-2.2 s, 23-39 MB), closed-form 16 s and 52 MB at m=200.
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
     )
     p_lift = vsub.add_parser("lifting", parents=[shared])
-    common(p_lift, m_max=7)
+    common(p_lift, m_max=10)
     p_lift.add_argument("--words", type=_int_in(0, 2500), default=200)
     p_lift.add_argument("--maxlen", type=_int_in(0, 100), default=30)
     common(vsub.add_parser("closed-form", parents=[shared]), m_max=100, kmax=(20, 0, 50))

@@ -8,14 +8,6 @@ canonical ascending order with the two relations
     x_j x_i = x_i x_j + 1      (i < j; all distinct pairs pair to 1)
     u u = 1,   v_i v_i = 1/t
 
-Each swap strictly lowers the inversion count and each square strictly
-shortens the word, so rewriting terminates.  The coefficients produced
-by rewriting are powers of 1/t, so the structure constants of a
-monomial product are ring-independent: they are ``{mono: polybits}``
-where bit e of ``polybits`` is the coefficient of t**-e, folded one
-generator at a time from the globally cached generator products.  Only
-a squared v_i contributes 1/t, so e <= m.
-
 An element keeps its coefficients as raw ints over a common base
 ``lo``, in ``parts``: one ``{mono: int}`` dict per power of alpha (one
 for the Laurent ring, two for c0 + c1*alpha), bit k standing for
@@ -23,17 +15,42 @@ s**(lo + k).  It is canonical: no zero int is stored, and ``lo`` is
 chosen so that the OR of all stored ints is odd (the zero element has
 ``lo = 0``).  Scalar objects are built only by the views (``terms``,
 ``scalar_part``, ``as_vector``); products work on the ints directly.
-Term pairs multiply with the carry-less ``_clmul``, and each structure
-constant is weighted by its *spread* mask: polybits bit e moves to bit
-2*(m - e), i.e. s**-2e relative to the fixed base s**-2m, one table
-entry per bit so that every weight is a shift.  A monomial pair's constants are stored once
-per algebra, as its spread table, keyed by the one int
-p * (N + 1) + q for the pair (p, q), N = 2**(m+1) being the number of
-monomials.  The accumulator is a plain list of N ints per power of
-alpha, XOR-updated in the inlined entry loop with no function call per
-term pair; alpha**2 = s*alpha + 1 folds alpha**2 back.  A transpose is
-the same loop against a formal right factor q = N, which no monomial
-can equal, whose structure constants are the reversals.
+
+A product packs one factor's parts into a single int with a W-bit slot
+per monomial: slot M of the alpha**i block sits at bit (i*N + M)*W,
+N = 2**(m+1), and holds the coefficient int shifted up by 2m, i.e. over
+the fixed base s**(lo - 2m).  Multiplying by one generator then acts on
+every slot at once.  Moving x_g through a canonical monomial M gives
+
+    x_g M = q_g**[g in M] (M ^ g) + sum(M ^ k for k in M, k < g)
+    M x_g = q_g**[g in M] (M ^ g) + sum(M ^ k for k in M, k > g)
+
+with q_0 = 1 and q_i = 1/t = s**-2, and no signs.  On the packed int,
+with mask_g the slots whose monomial holds g and hi = X & mask_g, the
+main term is (hi >> (W << g) + 2*[g >= 1]) | ((X ^ hi) << (W << g)), and
+each extra term is (X & mask_k) >> (W << k).  A square only lowers a
+coefficient, at most m times along one monomial, so the 2m bits below
+every coefficient keep it at or above bit 0 and the base stays fixed.
+a * b is the sum over the monomials p of one factor of its coefficient
+times the chain x_p * b (left actions on packed b, g1 < ... < gk the
+generators of p, x_g1 * (x_g2 * ...)) or a * x_p (right actions on
+packed a), whichever factor has fewer terms is chained; chains share
+their suffixes within one product.  Each set bit of a coefficient is
+one shift-XOR of a whole chain, a factor's alpha**i part lands in block
+i of the accumulator, and alpha**2 = s*alpha + 1 folds the third block
+back.  With la and lb the bit lengths of the factors' ORed ints, a
+product coefficient has la + lb - 1 bits above the 2m below it and the
+fold adds one, so W = la + lb + 2m, rounded up to a multiple of 16,
+holds every slot.  The result is unpacked by walking its lowest set bit, so
+the cost follows the nonzero slots.  A transpose multiplies nothing:
+reversing a monomial never squares a generator, so every constant of
+``_mono_transpose`` is t**0 and c^tr XORs each coefficient of c into
+the monomials of its reversed word.
+
+``center_report`` still rewrites monomial products into ``{mono:
+polybits}`` structure constants, bit e of ``polybits`` the coefficient
+of t**-e, folded one generator at a time from the globally cached
+generator products.
 
 The pin representation sends
 
@@ -47,6 +64,8 @@ transvection representation row for row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import (
     MismatchError,
@@ -66,7 +85,6 @@ from .rings import (
     QEScalar,
     S,
     T_INV,
-    _clmul,
     gf2_rank,
     pow_by_squaring,
 )
@@ -83,7 +101,7 @@ _TR_CACHE: dict = {}
 
 def _xor_into(acc: dict, c: int, pairs) -> dict:
     """acc[mono] ^= c * w for each (mono, w) in pairs, for the structure
-    constants and ``center_report``; the product kernel inlines its own.
+    constants, transposes (every w is 1 there) and ``center_report``.
     Either c or every w is a power of two, so c * w is the carry-less
     product.  Zeros stay in acc; readers skip them."""
     get = acc.get
@@ -128,7 +146,7 @@ def _bits(mono: int) -> list:
 
 def _mono_times_mono(p: int, q: int) -> dict:
     """Product of two monomials as a {mono: polybits} dict, cached for
-    ``center_report``; products keep theirs as spread tables instead."""
+    ``center_report``; products store no structure constants."""
     hit = _MTM_CACHE.get((p, q))
     if hit is None:
         hit = _MTM_CACHE[p, q] = _fold_gens(p, _bits(q))
@@ -136,11 +154,30 @@ def _mono_times_mono(p: int, q: int) -> dict:
 
 
 def _mono_transpose(mono: int) -> dict:
-    """The reversed product of a monomial's generators, canonicalized."""
+    """The reversed product of a monomial's generators, canonicalized.
+    Reversal only swaps distinct generators and never squares one, so
+    every polybits is 1 (t**0)."""
     hit = _TR_CACHE.get(mono)
     if hit is None:
         hit = _TR_CACHE[mono] = _fold_gens(0, reversed(_bits(mono)))
     return hit
+
+
+def _slot_width(la: int, lb: int, m: int) -> int:
+    """Bits per packed slot for a product of factors whose ints have bit
+    lengths la and lb: the carry-less product has la + lb - 1 bits, the
+    fixed base puts 2m bits below them and the alpha**2 fold adds one on
+    top.  Rounded up to a multiple of 16, so that products share few
+    widths: each width keeps m + 1 masks as long as a packed element."""
+    return (la + lb + 2 * m + 15) & -16
+
+
+def _or_all(parts) -> int:
+    """The OR of the ints stored in a sequence of {mono: int} dicts."""
+    low = 0
+    for part in parts:
+        low |= reduce(or_, part.values(), 0)
+    return low
 
 
 def _laurent(lo: int, x: int) -> LaurentScalar:
@@ -170,11 +207,22 @@ class CliffordAlgebra:
         else:
             self.scalar_zero = QE_ZERO
             self.scalar_one = QE_ONE
-        # the number of monomials; also the formal transpose factor's index
-        self._dim = 1 << (m + 1)
-        # p * (dim + 1) + q -> the structure constants of p * q and
-        # p * (dim + 1) + dim -> _TR_CACHE[p], as ((mono', spread), ...);
-        # at most 4**(m+1) + 2**(m+1) entries.
+        # Products act by generators on packed ints (module docstring):
+        # slot M of the alpha**i block at bit (i * 2**(m+1) + M) * W, each
+        # coefficient over the fixed base s**(lo - 2m), and W = la + lb +
+        # 2m rounded up to a multiple of 16.  x_g * M and M * x_g are
+        # q_g**[g in M] (M ^ g) plus M ^ k for each k in M on one side of
+        # g: q_g = s**-square_shift[g] (u**2 = 1, v_i**2 = 1/t = s**-2),
+        # and extras[0][g] (left, k < g) or extras[1][g] (right, k > g)
+        # lists the k.
+        self._square_shift = (0,) + (2,) * m
+        self._extras = (
+            tuple(tuple(range(g)) for g in range(m + 1)),
+            tuple(tuple(range(g + 1, m + 1)) for g in range(m + 1)),
+        )
+        # W -> _actions(W), built on first use: one entry per slot width,
+        # and rounding W keeps the entries few.  (perfbench's
+        # cache_entries counts it under this name.)
         self._polybits_cache: dict = {}
         self.zero = self.from_terms({})
         self.one = self.from_terms({0: self.scalar_one})
@@ -188,49 +236,93 @@ class CliffordAlgebra:
             return c
         return QEScalar.from_laurent(c)
 
-    def _spread_table(self, p: int, q: int) -> tuple:
-        consts = _mono_transpose(p) if q == self._dim else _fold_gens(p, _bits(q))
-        table = self._polybits_cache[p * (self._dim + 1) + q] = tuple(
-            (mono, 1 << 2 * (self.m - e))
-            for mono, pb in consts.items() for e in _bits(pb)
+    def _actions(self, width: int) -> tuple:
+        """The generator actions on packed ints with ``width``-bit slots,
+        one table per side (left, right), cached per width.  Entry g is
+        (mask, up, down, extras): ``mask`` covers every slot whose
+        monomial holds g, over one block of 2**(m+1) slots per power of
+        alpha; the slots outside it move up by ``up`` = width << g (M to
+        M | g), those inside down by ``down`` (M to M ^ g, with the
+        square's s**-2 for a v-generator); ``extras`` holds a (mask,
+        shift) pair per anticommutator generator k."""
+        total = (width << (self.m + 1)) * len(self.zero.parts)
+        steps = []
+        for g in range(self.m + 1):
+            shift = width << g
+            mask, span = ((1 << shift) - 1) << shift, shift << 1
+            while span < total:
+                mask |= mask << span
+                span <<= 1
+            steps.append((mask, shift))
+        square = self._square_shift
+        sides = self._polybits_cache[width] = tuple(
+            tuple(
+                (mask, shift, shift + square[g], tuple(steps[k] for k in ks[g]))
+                for g, (mask, shift) in enumerate(steps)
+            )
+            for ks in self._extras
         )
-        return table
+        return sides
 
     def _kernel(self, a, b) -> "CliffordElement":
-        """a * b over raw ints; b = None gives the transpose of a."""
-        dim = self._dim
-        xs = a.parts
-        lb, ys = (0, ({dim: 1},)) if b is None else (b.lo, b.parts)
-        tables = self._polybits_cache
-        stride = dim + 1
-        parts = [[0] * dim for _ in range(len(xs) + len(ys) - 1)]
-        for i, xi in enumerate(xs):
-            for j, yj in enumerate(ys):
-                acc = parts[i + j]
-                for p, x in xi.items():
-                    row = p * stride
-                    x_wide = x & (x - 1)
-                    for q, y in yj.items():
-                        # a power of two on either side: * is carry-less
-                        c = _clmul(x, y) if x_wide and y & (y - 1) else x * y
-                        table = tables.get(row + q)
-                        if table is None:
-                            table = self._spread_table(p, q)
-                        for mono, w in table:
-                            acc[mono] ^= c * w
-        return self._build(a.lo + lb - 2 * self.m, parts)
-
-    def _build(self, lo, parts) -> "CliffordElement":
-        """The element with alpha**i coefficient parts[i][mono], a dense
-        list of raw ints over the base lo."""
-        if len(parts) == 3:  # alpha**2 = s*alpha + 1
-            top = parts.pop()
-            c0, c1 = parts
-            for mono, x in enumerate(top):
-                if x:
-                    c1[mono] ^= x << 1
-                    c0[mono] ^= x
-        return _canonical(self, lo, [enumerate(part) for part in parts])
+        """a * b by packed generator actions (see the module docstring)."""
+        m = self.m
+        xs, ys = a.parts, b.parts
+        left = sum(map(len, xs)) <= sum(map(len, ys))
+        chained, packed = (xs, ys) if left else (ys, xs)
+        width = _slot_width(_or_all(xs).bit_length(), _or_all(ys).bit_length(), m)
+        sides = self._polybits_cache.get(width) or self._actions(width)
+        actions = sides[0 if left else 1]
+        span = width << (m + 1)  # the bits of one power of alpha
+        x = 0
+        base = 2 * m
+        for part in packed:
+            for mono, c in part.items():
+                x |= c << (base + mono * width)
+            base += span
+        # p -> the generator whose action takes p ^ (1 << g) to p: the
+        # lowest for x_g * (...), the highest for (...) * x_g
+        todo: dict = {}
+        for part in chained:
+            for p in part:
+                while p and p not in todo:
+                    g = (p & -p if left else p).bit_length() - 1
+                    todo[p] = g
+                    p ^= 1 << g
+        chains = {0: x}
+        for p in sorted(todo):
+            g = todo[p]
+            x = chains[p ^ 1 << g]
+            mask, up, down, extras = actions[g]
+            hi = x & mask
+            y = hi >> down | (x ^ hi) << up
+            for mask, shift in extras:
+                y ^= (x & mask) >> shift
+            chains[p] = y
+        acc = 0
+        base = 0
+        for part in chained:
+            for p, c in part.items():
+                y = chains[p]
+                while c:
+                    low = c & -c
+                    acc ^= y << (base + low.bit_length() - 1)
+                    c ^= low
+            base += span
+        if len(xs) == 2:  # alpha**2 = s*alpha + 1
+            top = acc >> 2 * span
+            acc ^= (top << 2 * span) ^ top ^ (top << (span + 1))
+        parts = [[] for _ in xs]
+        full, last = (1 << width) - 1, (1 << (m + 1)) - 1
+        slot = 0  # the slot at bit 0 of acc
+        while acc:
+            skip = ((acc & -acc).bit_length() - 1) // width
+            slot += skip
+            acc >>= skip * width
+            parts[slot >> (m + 1)].append((slot & last, acc & full))
+            acc >>= width
+            slot += 1
+        return _canonical(self, a.lo + b.lo - 2 * m, parts)
 
     def scalar(self, c) -> "CliffordElement":
         return self.from_terms({0: c})
@@ -292,10 +384,7 @@ def _canonical(algebra, lo, parts) -> "CliffordElement":
     -> s**(lo + k) of x, for each (mono, x) pair in parts[i]; each mono
     appears at most once per part and zeros may appear."""
     parts = [{mono: x for mono, x in part if x} for part in parts]
-    low = 0
-    for part in parts:
-        for x in part.values():
-            low |= x
+    low = _or_all(parts)
     if not low:
         return CliffordElement(algebra, 0, tuple(parts))
     shift = (low & -low).bit_length() - 1
@@ -363,7 +452,13 @@ class CliffordElement:
         return self * self.algebra.scalar(c)
 
     def transpose(self) -> "CliffordElement":
-        return self.algebra._kernel(self, None)
+        parts = []
+        for part in self.parts:
+            acc: dict = {}
+            for mono, x in part.items():
+                _xor_into(acc, x, _mono_transpose(mono).items())
+            parts.append(acc.items())
+        return _canonical(self.algebra, self.lo, parts)
 
     # -- views -------------------------------------------------------------
 

@@ -203,6 +203,17 @@ class TestSuites:
         assert run(["verify", "center", "--m", "3"]) == 0
         assert run(["verify", "center", "--m", "4"]) == 0
 
+    def test_center_ignores_n(self, capsys):
+        # --n stays accepted, but the centre is computed over GF(2) and
+        # reads it nowhere: only the echoed parameter differs
+        reports = []
+        for n in ("5", "7"):
+            code, data = run_json(capsys, ["verify", "center", "--n", n, "--json"])
+            assert code == 0 and data["params"].pop("n") == n
+            data.pop("elapsed_ms")
+            reports.append(data)
+        assert reports[0] == reports[1]
+
     def test_extended(self, capsys):
         assert run(["verify", "extended", "--m", "3"]) == 0
 
@@ -237,6 +248,14 @@ class TestParser:
             assert parser.parse_args(argv).seed == 42
 
 
+    def test_lifting_m_bound(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify", "lifting", "--m", "10"]).m == 10
+        with pytest.raises(SystemExit) as err:
+            parser.parse_args(["verify", "lifting", "--m", "11"])
+        assert err.value.code == 2
+
+
 class TestArgumentValidation:
     """Out-of-range arguments are usage errors: exit 2 before any work,
     with no traceback and no report."""
@@ -247,7 +266,7 @@ class TestArgumentValidation:
             ["verify", "relations", "--m", "2"],
             ["verify", "relations", "--kmax", "0"],
             ["verify", "relations", "--m", "11"],
-            ["verify", "lifting", "--m", "8"],
+            ["verify", "lifting", "--m", "11"],
             ["verify", "closed-form", "--m", "101"],
             ["verify", "closed-form", "--kmax", "-1"],
             ["specialize", "--m", "3", "--n", "4"],

@@ -412,11 +412,15 @@ class TestCenter:
             center_report(3)
 
     def test_products_leave_pair_cache(self, monkeypatch):
+        # products and transposes leave center_report's pair cache alone;
+        # the algebra keeps one mask set per slot width, not per pair
         monkeypatch.setattr(clifford, "_MTM_CACHE", {})
         alg = CliffordAlgebra(4)
-        x = alg.u() * alg.v(1) + alg.v(2) * alg.v(3)
+        x = alg.u() + alg.v(2)
+        x.transpose()
+        assert alg._polybits_cache == {}
         x * x.transpose()
-        assert len(alg._polybits_cache) > 0
+        assert list(alg._polybits_cache) == [clifford._slot_width(1, 1, 4)]
         assert clifford._MTM_CACHE == {}
 
 

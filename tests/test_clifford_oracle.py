@@ -1,8 +1,8 @@
 """Clifford products, sums and transposes against the word-rewriting
-reference in oracles.py, on both scalar rings for m = 3..6, plus every
-monomial product and transpose of fresh algebras at m = 3 and 4, and
-the canonical raw storage form under operations that must not change
-an element."""
+reference in oracles.py, on both scalar rings for m = 3..6 and 8, plus
+every monomial product and transpose of fresh algebras at m = 3 and 4,
+planted faults in the packed generator actions, and the canonical raw
+storage form under operations that must not change an element."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +19,9 @@ MS = (3, 4, 5, 6)
 exps = st.lists(st.integers(-8, 8), max_size=4)
 # (monomial seed, c0 exponents, c1 exponents); the monomial is reduced mod 2**(m+1)
 raw_terms = st.lists(st.tuples(st.integers(0, 127), exps, exps), max_size=5)
+# every monomial of m = 8, where the packed ints have 512 slots per power
+# of alpha; fewer and shorter elements, since the reference is slow there
+wide_terms = st.lists(st.tuples(st.integers(0, 511), exps, exps), max_size=3)
 
 
 def build(alg, raw):
@@ -102,6 +105,34 @@ def test_transpose_matches_reference(m, ring, x):
     assert to_ref(tr) == ref_cl_transpose(to_ref(a))
 
 
+TOP = [(511, [-8, 8], [3]), (0b100000000, [0], [-1])]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(x=wide_terms, y=wide_terms)
+@example(x=TOP, y=TOP)
+@example(x=[(0b110000001, [], [0])], y=TOP)
+def test_mul_matches_reference_at_m8(ring, x, y):
+    alg = get_algebra(8, ring)
+    a, b = build(alg, x), build(alg, y)
+    prod = a * b
+    check_canonical(prod)
+    assert to_ref(prod) == ref_cl_mul(to_ref(a), to_ref(b))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(x=wide_terms)
+@example(x=TOP)
+def test_transpose_matches_reference_at_m8(ring, x):
+    alg = get_algebra(8, ring)
+    a = build(alg, x)
+    tr = a.transpose()
+    check_canonical(tr)
+    assert to_ref(tr) == ref_cl_transpose(to_ref(a))
+
+
 @pytest.mark.parametrize("ring", RINGS)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(x=raw_terms, y=raw_terms)
@@ -137,10 +168,11 @@ FULL_COEFFS = {
 @pytest.mark.parametrize("transposes_first", (True, False), ids=("tr-first", "mul-first"))
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("m", (3, 4))
-def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first):
-    # A fresh algebra starts with no spread tables, so each table is built
-    # by the check that needs it; filling transposes or products first
-    # catches a transpose table read back for a product pair or the reverse.
+def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first, monkeypatch):
+    # A fresh algebra starts with no slot masks, so the masks are built by
+    # the first product; running transposes or products first catches a
+    # transpose that depends on state a product leaves, or the reverse.
+    monkeypatch.setattr(clifford, "_MTM_CACHE", {})
     alg = CliffordAlgebra(m, ring)
     (l0, l1), (r0, r1) = FULL_COEFFS[ring]
     monos = range(1 << (m + 1))
@@ -163,9 +195,57 @@ def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first):
     checks = (check_transposes, check_products)
     for check in checks if transposes_first else checks[::-1]:
         check()
-    # one table per monomial pair and per transposed monomial, the count
-    # the benchmark's cache_entries reads
-    assert len(alg._polybits_cache) == 4 ** (m + 1) + 2 ** (m + 1)
+    # one mask set per slot width, not one entry per monomial pair: every
+    # pair here has the same coefficient bit lengths, so a single entry
+    la, lb = (clifford._or_all(el.parts).bit_length() for el in (left[0], right[0]))
+    assert list(alg._polybits_cache) == [clifford._slot_width(la, lb, m)]
+    assert clifford._MTM_CACHE == {}
+
+
+# Factor pairs over "qe" at m = 4 that each planted fault below breaks: a
+# dense factor on either side, so that both left actions (on a packed
+# right factor) and right actions (on a packed left factor) run, and
+# alpha * alpha, whose alpha**2 fold reaches the top bit of its slot.
+DENSE = [(mono, [mono % 3 - 1], [mono % 2]) for mono in range(32)]
+MUTANT_CASES = [
+    (DENSE, [(0b10110, [1], [])]),
+    ([(0b01101, [0], [2])], DENSE),
+    ([(0, [], [0])], [(0, [], [0])]),
+]
+
+
+def no_extras(alg, monkeypatch):
+    # x_g * M without the anticommutator terms M ^ k
+    monkeypatch.setattr(alg, "_extras", tuple(((),) * 5 for _ in alg._extras))
+
+
+def no_square_shift(alg, monkeypatch):
+    # v_i * v_i = 1 in place of 1/t = s**-2
+    monkeypatch.setattr(alg, "_square_shift", (0,) * 5)
+
+
+def right_below(alg, monkeypatch):
+    # M * x_g collecting M ^ k for k < g, as the left action does
+    monkeypatch.setattr(alg, "_extras", (alg._extras[0],) * 2)
+
+
+def no_fold_headroom(alg, monkeypatch):
+    # a slot one bit too narrow for the alpha**2 fold
+    monkeypatch.setattr(clifford, "_slot_width", lambda la, lb, m: la + lb + 2 * m - 1)
+
+
+@pytest.mark.parametrize("plant", (no_extras, no_square_shift, right_below, no_fold_headroom))
+def test_planted_action_faults_are_caught(plant, monkeypatch):
+    def check(alg):
+        for x, y in MUTANT_CASES:
+            a, b = build(alg, x), build(alg, y)
+            assert to_ref(a * b) == ref_cl_mul(to_ref(a), to_ref(b))
+
+    check(CliffordAlgebra(4, "qe"))
+    alg = CliffordAlgebra(4, "qe")
+    plant(alg, monkeypatch)
+    with pytest.raises(AssertionError):
+        check(alg)
 
 
 def check_unchanged_by_identities(alg, el):
