@@ -42,15 +42,20 @@ back.  With la and lb the bit lengths of the factors' ORed ints, a
 product coefficient has la + lb - 1 bits above the 2m below it and the
 fold adds one, so W = la + lb + 2m, rounded up to a multiple of 16,
 holds every slot.  The result is unpacked by walking its lowest set bit, so
-the cost follows the nonzero slots.  A transpose multiplies nothing:
-reversing a monomial never squares a generator, so every constant of
-``_mono_transpose`` is t**0 and c^tr XORs each coefficient of c into
-the monomials of its reversed word.
+the cost follows the nonzero slots.
 
-``center_report`` still rewrites monomial products into ``{mono:
-polybits}`` structure constants, bit e of ``polybits`` the coefficient
-of t**-e, folded one generator at a time from the globally cached
-generator products.
+Two closed forms of the same action rule serve the maps that need no
+product.  The transpose of a monomial is
+
+    M^tr = sum(T for T subset of M, |M ^ T| even),
+
+every coefficient 1 (``_mono_transpose`` has the proof), so c^tr XORs
+each coefficient of c into those submasks.  The commutator with a
+generator loses the shared main term,
+
+    x_j M + M x_j = sum(M ^ k for k in M, k != j),
+
+which gives ``center_report`` its GF(2) rows.
 
 The pin representation sends
 
@@ -89,77 +94,46 @@ from .rings import (
     pow_by_squaring,
 )
 
-# -- monomial structure constants (shared across algebras) -----------------
-# Keys are monomials of the largest algebra in use, so there are at most
-# (m+1) * 2**(m+1) generator products, as many generator-by-monomial
-# pairs (``center_report``'s) and 2**(m+1) transposes.
+# Transposes are cached per monomial, shared across algebras: at most
+# 2**(m+1) entries for the largest m in use.  _MTG_CACHE and _MTM_CACHE
+# stay empty; they are kept only because perfbench/tracer.py's
+# cache_entries reads them by name.
 
 _MTG_CACHE: dict = {}
 _MTM_CACHE: dict = {}
 _TR_CACHE: dict = {}
 
 
-def _xor_into(acc: dict, c: int, pairs) -> dict:
-    """acc[mono] ^= c * w for each (mono, w) in pairs, for the structure
-    constants, transposes (every w is 1 there) and ``center_report``.
-    Either c or every w is a power of two, so c * w is the carry-less
-    product.  Zeros stay in acc; readers skip them."""
-    get = acc.get
-    for mono, w in pairs:
-        acc[mono] = get(mono, 0) ^ c * w
-    return acc
-
-
-def _mono_times_gen(mono: int, j: int):
-    """Product (monomial) * (generator j) as ((mono', w), ...) pairs, the
-    coefficient of mono' being t**-e with polybits w = 2**e."""
-    hit = _MTG_CACHE.get((mono, j))
-    if hit is None:
-        k = mono.bit_length() - 1  # the top generator, -1 for the scalar 1
-        if k < j:
-            hit = ((mono | 1 << j, 1),)
-        elif k == j:
-            hit = ((mono ^ 1 << j, 1 if j == 0 else 2),)
-        else:  # x_k x_j = x_j x_k + 1
-            rest = mono ^ 1 << k
-            hit = tuple((m2 | 1 << k, w) for m2, w in _mono_times_gen(rest, j))
-            hit += ((rest, 1),)
-        _MTG_CACHE[mono, j] = hit
-    return hit
-
-
-def _fold_gens(mono: int, gens) -> dict:
-    """{mono': polybits} of mono times the generators in order."""
-    state = {mono: 1}
-    for j in gens:
-        nxt: dict = {}
-        for m2, poly in state.items():
-            _xor_into(nxt, poly, _mono_times_gen(m2, j))
-        state = nxt
-    return {m2: poly for m2, poly in state.items() if poly}
-
-
 def _bits(mono: int) -> list:
-    """Indices of the set bits of a monomial or polybits, ascending."""
+    """Indices of the set bits of a monomial, ascending."""
     return [i for i in range(mono.bit_length()) if mono >> i & 1]
 
 
-def _mono_times_mono(p: int, q: int) -> dict:
-    """Product of two monomials as a {mono: polybits} dict, cached for
-    ``center_report``; products store no structure constants."""
-    hit = _MTM_CACHE.get((p, q))
-    if hit is None:
-        hit = _MTM_CACHE[p, q] = _fold_gens(p, _bits(q))
-    return hit
+def _mono_transpose(mono: int) -> tuple:
+    """The monomials of the reversed product of mono's generators, each
+    with coefficient 1: every T subset of mono with |mono ^ T| even.
 
-
-def _mono_transpose(mono: int) -> dict:
-    """The reversed product of a monomial's generators, canonicalized.
-    Reversal only swaps distinct generators and never squares one, so
-    every polybits is 1 (t**0)."""
+    By induction on the top generator g of M = mono (M = 0 gives 1).
+    Reversal puts x_g first, so M^tr = x_g (M - g)^tr, and by the left
+    action x_g T' = (T' | g) + sum(T' - k for k in T') for T' inside
+    M - g.  The first terms give every T = T' | g with |M ^ T| =
+    |(M - g) ^ T'| even.  A subset S of M - g comes from the T' = S | k,
+    k in M - g - S, and those T' are in (M - g)^tr exactly when
+    |M - g - S| is odd.  So S is reached |M - g - S| times if that count
+    is odd and never otherwise: it survives exactly when |M ^ S| =
+    |M - g - S| + 1 is even.  No generator is squared, so every
+    coefficient is t**0."""
     hit = _TR_CACHE.get(mono)
     if hit is None:
-        hit = _TR_CACHE[mono] = _fold_gens(0, reversed(_bits(mono)))
+        subs = []
+        sub = mono
+        while True:
+            if not (mono ^ sub).bit_count() & 1:
+                subs.append(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mono
+        hit = _TR_CACHE[mono] = tuple(subs)
     return hit
 
 
@@ -456,7 +430,8 @@ class CliffordElement:
         for part in self.parts:
             acc: dict = {}
             for mono, x in part.items():
-                _xor_into(acc, x, _mono_transpose(mono).items())
+                for sub in _mono_transpose(mono):
+                    acc[sub] = acc.get(sub, 0) ^ x
             parts.append(acc.items())
         return _canonical(self.algebra, self.lo, parts)
 
@@ -681,19 +656,36 @@ class CenterReport:
     specialized_dim: int
 
 
+def _center_rows(alg) -> dict:
+    """{(j, mono): row} for the commutators x_j M + M x_j: bit M of the
+    row is the coefficient of mono in the commutator with monomial M."""
+    ncols = 1 << (alg.m + 1)
+    rows: dict = {}
+    for j, (left, right) in enumerate(zip(*alg._extras)):
+        for k in left + right:
+            for col in range(ncols):
+                if col >> k & 1:
+                    key = j, col ^ 1 << k
+                    rows[key] = rows.get(key, 0) ^ 1 << col
+    return rows
+
+
 def center_report(m: int) -> CenterReport:
     """Symbolic centrality of 1 and r = u + v_1 + ... + v_m, plus the
     dimension of the centre of the algebra specialized at any order n.
 
     The dimension is computed by exact linear algebra: z is central iff
     it commutes with every generator, a linear condition on the 2**(m+1)
-    monomial coefficients.  Moving x_j across a monomial uses only
-    x_i x_j + x_j x_i = 1, so each commutator [x_j, x] is a sum of
-    monomials with coefficient 1 (the q(x_j) terms cancel): the system
-    lies over GF(2), and its nullity is the same in every GF(2**d) the
-    evaluation maps reach.  Each surviving structure constant is checked
-    to be exactly 1 (MismatchError otherwise); the rows are GF(2) bit
-    masks over the monomial columns, ranked by ``gf2_rank``.
+    monomial coefficients.  By the generator actions of the module
+    docstring, x_j M and M x_j share the main term q_j**[j in M] (M ^ j),
+    so it cancels and
+
+        x_j M + M x_j = sum(M ^ k for k in M, k != j),
+
+    read off the same ``_extras`` table the products use.  Every
+    coefficient is 1: the system lies over GF(2), and its nullity is the
+    same in every GF(2**d) the evaluation maps reach.  The rows are
+    GF(2) bit masks over the monomial columns, ranked by ``gf2_rank``.
     """
     if not 3 <= m <= 8:
         raise ValueError(f"need 3 <= m <= 8, got {m}")
@@ -707,22 +699,11 @@ def center_report(m: int) -> CenterReport:
             radical_central = False
             witness = "u" if i == 0 else f"v{i}"
             break
-    ncols = 1 << (m + 1)
-    rows: dict = {}
-    for j in range(m + 1):
-        for col in range(ncols):
-            comm = _xor_into({}, 1, _mono_times_gen(col, j))
-            _xor_into(comm, 1, _mono_times_mono(1 << j, col).items())
-            for mono, poly in comm.items():
-                if poly > 1:  # polybits: a power of 1/t other than t**0
-                    raise MismatchError(f"[x{j}, {col:b}] has {poly:b} on {mono:b}")
-                if poly:
-                    rows[j, mono] = rows.get((j, mono), 0) ^ 1 << col
     return CenterReport(
         m=m,
         radical_is_central=radical_central,
         witness=witness,
-        specialized_dim=ncols - gf2_rank(rows.values()),
+        specialized_dim=(1 << (m + 1)) - gf2_rank(_center_rows(alg).values()),
     )
 
 

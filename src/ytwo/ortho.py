@@ -26,7 +26,7 @@ summing to zero, the shape ``triple_form_matrix`` exposes directly.
 from __future__ import annotations
 
 from .presentation import A, A_INV, Representation, TAU, s_letter, st_letter
-from .quadspace import QuadSpace, RMatrix, transvection, vec_add
+from .quadspace import QuadSpace, RMatrix, rmat_lift_qe, transvection, vec_add
 from .rings import ALPHA, ALPHA_INV, L_ONE, QE_ONE, QE_ZERO, QEScalar
 
 
@@ -88,8 +88,6 @@ def conjugate_power_matrix(space: QuadSpace, k: int) -> RMatrix:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if k == 0:
-        from .quadspace import rmat_lift_qe
-
         return rmat_lift_qe(OrthoRep(space).image(s_letter(1)))
     a2k = ALPHA ** (2 * k) + ALPHA_INV ** (2 * k)
     sigma_k = QE_ZERO

@@ -16,7 +16,6 @@ from ytwo.clifford import (
     spinor_norm,
 )
 from ytwo.errors import (
-    MismatchError,
     MixedAmbientError,
     NotCliffordGroupError,
     NotScalarError,
@@ -398,30 +397,21 @@ class TestCenter:
         nullity = ncols - ff_rank(emap.field, list(rows.values()))
         assert center_report(m).specialized_dim == nullity
 
-    def test_coefficient_not_one_raises(self, monkeypatch):
-        real = clifford._mono_times_mono
-
-        def planted(p, q):
-            consts = dict(real(p, q))
-            if (p, q) == (1 << 2, 0b11):  # v2 * u v1 = u v1 v2 + u + v1
-                consts[0b111] = 0b10  # t**-1 in place of 1
-            return consts
-
-        monkeypatch.setattr(clifford, "_mono_times_mono", planted)
-        with pytest.raises(MismatchError):
-            center_report(3)
-
     def test_products_leave_pair_cache(self, monkeypatch):
-        # products and transposes leave center_report's pair cache alone;
-        # the algebra keeps one mask set per slot width, not per pair
-        monkeypatch.setattr(clifford, "_MTM_CACHE", {})
+        # products, transposes and center_report build no structure
+        # constants; the algebra keeps one mask set per slot width, not
+        # per pair, and the transpose cache one tuple per monomial
+        for name in ("_MTG_CACHE", "_MTM_CACHE", "_TR_CACHE"):
+            monkeypatch.setattr(clifford, name, {})
         alg = CliffordAlgebra(4)
         x = alg.u() + alg.v(2)
         x.transpose()
         assert alg._polybits_cache == {}
         x * x.transpose()
         assert list(alg._polybits_cache) == [clifford._slot_width(1, 1, 4)]
-        assert clifford._MTM_CACHE == {}
+        center_report(4)
+        assert clifford._MTG_CACHE == clifford._MTM_CACHE == {}
+        assert clifford._TR_CACHE == {0b1: (0b1,), 0b100: (0b100,)}
 
 
 class TestKernel:

@@ -1,14 +1,15 @@
 """Clifford products, sums and transposes against the word-rewriting
 reference in oracles.py, on both scalar rings for m = 3..6 and 8, plus
 every monomial product and transpose of fresh algebras at m = 3 and 4,
-planted faults in the packed generator actions, and the canonical raw
+planted faults in the packed generator actions, the closed-form
+transposes and centre rows against the products, and the canonical raw
 storage form under operations that must not change an element."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ytwo import clifford
-from ytwo.clifford import CliffordAlgebra, CliffordElement, get_algebra
+from ytwo.clifford import CliffordAlgebra, CliffordElement, center_report, get_algebra
 from ytwo.rings import LaurentScalar, QEScalar
 
 from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
@@ -172,7 +173,8 @@ def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first, monkeyp
     # A fresh algebra starts with no slot masks, so the masks are built by
     # the first product; running transposes or products first catches a
     # transpose that depends on state a product leaves, or the reverse.
-    monkeypatch.setattr(clifford, "_MTM_CACHE", {})
+    for name in ("_MTG_CACHE", "_MTM_CACHE", "_TR_CACHE"):
+        monkeypatch.setattr(clifford, name, {})
     alg = CliffordAlgebra(m, ring)
     (l0, l1), (r0, r1) = FULL_COEFFS[ring]
     monos = range(1 << (m + 1))
@@ -199,7 +201,13 @@ def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first, monkeyp
     # pair here has the same coefficient bit lengths, so a single entry
     la, lb = (clifford._or_all(el.parts).bit_length() for el in (left[0], right[0]))
     assert list(alg._polybits_cache) == [clifford._slot_width(la, lb, m)]
-    assert clifford._MTM_CACHE == {}
+    # no structure constants, even after center_report; one tuple of
+    # submasks per transposed monomial
+    center_report(m)
+    assert clifford._MTG_CACHE == clifford._MTM_CACHE == {}
+    assert sorted(clifford._TR_CACHE) == list(monos)
+    for mono, subs in clifford._TR_CACHE.items():
+        assert type(subs) is tuple and all(sub | mono == mono for sub in subs)
 
 
 # Factor pairs over "qe" at m = 4 that each planted fault below breaks: a
@@ -246,6 +254,69 @@ def test_planted_action_faults_are_caught(plant, monkeypatch):
     plant(alg, monkeypatch)
     with pytest.raises(AssertionError):
         check(alg)
+
+
+def check_transposes_against_kernel(m):
+    """Each _mono_transpose(M) is the stored form of the kernel's product
+    of M's generators in reverse order: lo = 0, every int 1."""
+    alg = CliffordAlgebra(m)
+    for mono in range(1 << (m + 1)):
+        rev = alg.one
+        for i in clifford._bits(mono):
+            rev = alg.gen(i) * rev
+        subs = sorted(clifford._mono_transpose(mono))
+        assert rev.lo == 0
+        assert sorted(rev.parts[0].items()) == [(sub, 1) for sub in subs]
+
+
+def check_center_rows_against_kernel(m):
+    """center_report's rows are the kernel's commutators g * e + e * g,
+    column e for each monomial, taken on a fresh algebra."""
+    alg = CliffordAlgebra(m)
+    want = {}
+    for j in range(m + 1):
+        g = alg.gen(j)
+        for col in range(1 << (m + 1)):
+            e = build(alg, [(col, [0], [])])
+            comm = g * e + e * g
+            assert comm.lo == 0
+            for mono, x in comm.parts[0].items():
+                assert x == 1
+                want[j, mono] = want.get((j, mono), 0) ^ 1 << col
+    assert clifford._center_rows(get_algebra(m)) == want
+
+
+@pytest.mark.parametrize("m", MS)
+def test_transposes_match_kernel(m):
+    check_transposes_against_kernel(m)
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_center_rows_match_kernel(m):
+    check_center_rows_against_kernel(m)
+
+
+def odd_transpose(alg, monkeypatch):
+    # the submasks T with |M ^ T| odd in place of even
+    def planted(mono):
+        subs = (t for t in range(mono + 1) if t | mono == mono)
+        return tuple(t for t in subs if (mono ^ t).bit_count() & 1)
+
+    monkeypatch.setattr(clifford, "_mono_transpose", planted)
+
+
+@pytest.mark.parametrize(
+    "plant, check",
+    (
+        (odd_transpose, check_transposes_against_kernel),
+        (right_below, check_center_rows_against_kernel),
+    ),
+)
+def test_planted_closed_form_faults_are_caught(plant, check, monkeypatch):
+    check(3)
+    plant(get_algebra(3), monkeypatch)  # the algebra center_report uses
+    with pytest.raises(AssertionError):
+        check(3)
 
 
 def check_unchanged_by_identities(alg, el):

@@ -1,17 +1,18 @@
 """Source hygiene: no module imports a name it never uses, and no
-top-level function or class, and no class member, in ``src/ytwo`` is
-dead.
+top-level function, class or assigned name, and no class member, in
+``src/ytwo`` is dead.
 
 Stdlib ``ast`` scans.  For imports, every module in ``src/ytwo`` and
 ``tests``: a name counts as used when it appears as an identifier
 anywhere in the module, including as the root of an attribute chain.
 Package ``__init__.py`` files (their imports are re-exports) and
 ``from __future__`` imports are exempt.  For definitions, a top-level
-function or class, or a method, property or annotated field in the body
-of a top-level class (dunder names exempt), counts as referenced when
-its name appears, outside its own definition, as an identifier, an
-attribute, an imported name or a string constant (the bench tracer
-names what it wraps by string) in ``src``, ``tests`` or ``perfbench``.
+function, class or assigned name, or a method, property or annotated
+field in the body of a top-level class (dunder names exempt), counts as
+referenced when its name appears, outside its own definition (for a
+name, the whole assignment), as an identifier, an attribute, an
+imported name or a string constant (the bench tracer names what it
+wraps by string) in ``src``, ``tests`` or ``perfbench``.
 The imports of a package ``__init__.py`` do not count: a re-export is
 not a use.
 """
@@ -69,14 +70,24 @@ def referenced_names(trees, skip=None) -> set:
     return names
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """``(node, name)`` for each top-level function and class of
-    ``tree`` and each method, property and annotated field in the body
-    of a top-level class, dunder names left out."""
+    """``(node, name)`` for each top-level function, class and assigned
+    name of ``tree`` and each method, property and annotated field in
+    the body of a top-level class, dunder names left out."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*funcs, ast.ClassDef)):
             yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and not is_dunder(leaf.id):
+                        yield node, leaf.id
         if not isinstance(node, ast.ClassDef):
             continue
         for member in node.body:
@@ -88,7 +99,7 @@ def definitions(tree):
                 name = member.target.id
             else:
                 continue
-            if not (name.startswith("__") and name.endswith("__")):
+            if not is_dunder(name):
                 yield member, name
 
 
@@ -176,3 +187,19 @@ def test_scan_finds_planted_member():
     elsewhere = referenced_names([ast.parse("print(Box().used())\n")])
     found = unreferenced_definitions(source, elsewhere)
     assert found == [(3, "label"), (11, "recursive"), (15, "dead")]
+
+
+def test_scan_finds_planted_constant():
+    source = (
+        "__all__ = ['LIMIT']\n"
+        "LIMIT = 3\n"
+        "DEAD = 4\n"
+        "WIDTH: int = LIMIT * 2\n"
+        "LOW, HIGH = 0, WIDTH\n"
+        "SELF = SELF_BASE = 1\n"
+        "NAMED = 5\n\n"
+        "def used():\n    return HIGH + SELF_BASE\n"
+    )
+    elsewhere = referenced_names([ast.parse("print(used(), 'NAMED')\n")])
+    found = unreferenced_definitions(source, elsewhere)
+    assert found == [(3, "DEAD"), (5, "LOW"), (6, "SELF")]
