@@ -17,7 +17,7 @@ The package is organized bottom-up:
 * :mod:`ytwo.spinor` -- the block-recursive matrix representation and
   its realization on a rank 2**(m-2) submodule of the Clifford algebra.
 * :mod:`ytwo.spectool` -- finite-field specialization, bit-packed
-  breadth-first group enumeration, and the small-cases report.
+  coset-closure group enumeration, and the small-cases report.
 * :mod:`ytwo.cli` -- the ``ytwo`` command line front end.
 """
 

@@ -5,20 +5,25 @@ its generator matrices; the relators are re-checked over the field and
 (for the transvection representation) preservation of the specialized
 form is verified on the basis.
 
-Enumeration is breadth-first closure under right multiplication from
-the identity.  A matrix over GF(2**d) is packed row-major into a single
-integer (each entry contributing its d coefficient bits, little-endian)
--- the canonical encoding used for deduplication.  Because a fixed
-right factor is GF(2)-linear in the packed row bits, each generator is
+Enumeration is Dimino's coset closure under right multiplication
+(Butler, *Fundamental Algorithms for Permutation Groups*, 1991).  A
+matrix over GF(2**d) is packed row-major into a single integer (each
+entry contributing its d coefficient bits, little-endian) -- the
+canonical encoding used for deduplication.  Because a fixed right
+factor is GF(2)-linear in the packed row bits, each generator is
 compiled into a block schedule: a state of any number of components is
 the concatenation of their packings, its whole rows (across component
 boundaries) are grouped into blocks of at most 128 bits, and each block
 has one XOR lookup table per 12-bit chunk, shared by blocks with equal
-bit images.  The closure steps a whole level at a time, one pass over
-the level per chunk and generator, then deduplicates into an ordinary
-set of integers, so the result is independent of generator order.
-It stops past a cap on stored states, and before a generator's images
-could pass a fixed byte budget, which wide states meet first.
+bit images.  The generators are taken one at a time.  While g_i is
+taken, the elements found are one list of right cosets of
+H = <g_1, ..., g_(i-1)>, and each new coset is built whole, one pass
+per chunk over the |H| states of a stored coset.  Only a coset
+representative's product with each generator is tested for
+membership, so there is about one product per element, not one per
+element and generator.  It stops before a coset would take the stored
+states past a cap, or their bytes past a fixed budget, which wide
+states meet first.
 """
 
 from __future__ import annotations
@@ -232,49 +237,70 @@ def _apply(blocks: list, states: list) -> list:
 # state width (a (10,41) phi state packs 2,420 bits, a (3,9) one 96).
 _BYTE_BUDGET = 512 << 20
 # a stored state beyond its int: a set slot (16 bytes) at up to 4x
-# over-allocation, and a pointer each in the frontier and the next level
+# over-allocation, its pointer in ``elements``, and one more pointer
+# that bounds the transient coset slice and its images (a coset is no
+# larger than the elements already stored)
 _STATE_OVERHEAD = 4 * 16 + 2 * 8
 
 
-def _bfs_closure(ident: int, schedules, cap: int) -> int:
+def _coset_closure(ident: int, schedules, cap: int) -> int:
+    """Dimino's closure.  While a generator is taken, ``elements`` is a
+    disjoint union of right cosets of H, the group of the generators
+    taken before it, each stored as a run of |H| states that starts with
+    its representative (H first, from the identity).  A coset is either
+    stored whole or disjoint from ``elements``, so a representative's
+    product with a generator is the only membership test, and when it is
+    new its whole coset is added untested.  The walk ends when every
+    coset is closed under every generator taken, so ``elements`` is the
+    group."""
     state_bytes = sys.getsizeof(ident) + _STATE_OVERHEAD
-    visited = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for blocks in schedules:
-            # checked before the images are built: they are len(frontier)
-            # new ints, and each may be stored
-            if (len(visited) + len(frontier)) * state_bytes > _BYTE_BUDGET:
-                raise CapExceededError(
-                    f"enumeration would pass the budget of {_BYTE_BUDGET} bytes "
-                    f"at {state_bytes} bytes per state",
-                    count=len(visited),
-                )
-            for y in _apply(blocks, frontier):
-                if y not in visited:
-                    visited.add(y)
-                    nxt.append(y)
-            # checked per generator, so a level overshoots the cap by at
-            # most one generator's images of the frontier
-            if len(visited) > cap:
-                raise CapExceededError(
-                    f"enumeration passed the cap of {cap} elements",
-                    count=len(visited),
-                )
-        frontier = nxt
-    return len(visited)
+    elements = [ident]
+    seen = {ident}
+
+    def add_coset(blocks, start, size):
+        # both limits are checked before the images are built, the cap
+        # first; the coset is new, so the count is a lower bound on the order
+        count = len(elements) + size
+        if count > cap:
+            raise CapExceededError(
+                f"enumeration passed the cap of {cap} elements", count=count
+            )
+        if count * state_bytes > _BYTE_BUDGET:
+            raise CapExceededError(
+                f"enumeration would pass the budget of {_BYTE_BUDGET} bytes "
+                f"at {state_bytes} bytes per state",
+                count=len(elements),
+            )
+        coset = _apply(blocks, elements[start : start + size])
+        elements.extend(coset)
+        seen.update(coset)
+
+    taken = []
+    for g in schedules:
+        if _apply(g, [ident])[0] in seen:
+            continue  # g is already in H
+        size = len(elements)  # elements[:size] is H
+        taken.append(g)
+        add_coset(g, 0, size)
+        pos = size  # the representatives of the cosets past H
+        while pos < len(elements):
+            rep = [elements[pos]]
+            for s in taken:
+                if _apply(s, rep)[0] not in seen:
+                    add_coset(s, pos, size)
+            pos += size
+    return len(elements)
 
 
 def _group_order(generator_tuples, cap: int) -> int:
     """Order of the group generated by tuples of invertible field matrices
     (one matrix per component, multiplied componentwise).
 
-    Breadth-first closure from the identity under right multiplication;
-    a state is the concatenation of the component packings.  Raises
-    ValueError unless component c is invertible, of one size and over one
-    field in every tuple, and CapExceededError past ``cap`` elements or
-    before a generator's images could pass ``_BYTE_BUDGET``.
+    Dimino's coset closure under right multiplication; a state is the
+    concatenation of the component packings.  Raises ValueError unless
+    component c is invertible, of one size and over one field in every
+    tuple, and CapExceededError before a coset could take the stored
+    states past ``cap`` or their bytes past ``_BYTE_BUDGET``.
     """
     generator_tuples = [tuple(t) for t in generator_tuples]
     if not generator_tuples:
@@ -300,7 +326,7 @@ def _group_order(generator_tuples, cap: int) -> int:
         ident |= pack_matrix(RMatrix.identity(n, field.one, field.zero)) << offset
         offset += n * n * field.degree
     schedules = [_compile_generator(tup) for tup in generator_tuples]
-    return _bfs_closure(ident, schedules, cap)
+    return _coset_closure(ident, schedules, cap)
 
 
 def group_order_bfs(generators, cap: int = 2_000_000) -> int:

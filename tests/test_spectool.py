@@ -195,9 +195,10 @@ class TestBFS:
         rep = specialize(3, 5, "phi")
         with pytest.raises(CapExceededError) as err:
             group_order_bfs(rep.b_matrices, cap=100)
-        # 226 states close the level that crosses 100; the cap is checked
-        # after each generator, so the enumeration stops inside that level
-        assert 100 < err.value.count < 226
+        # <b1, b2> has order 80, and its first new coset would reach 160 >
+        # 100; the cap is checked before the coset is built, and the coset
+        # is new, so 160 is a lower bound on the order
+        assert err.value.count == 160
 
     def test_byte_budget(self, monkeypatch):
         # a (3,7) phi state packs 48 bits: a 32-byte int, 112 bytes stored
@@ -205,8 +206,9 @@ class TestBFS:
         rep = specialize(3, 7, "phi")
         with pytest.raises(CapExceededError, match="budget of 100000 bytes") as err:
             group_order_bfs(rep.b_matrices)
-        # checked before each generator's images, which could reach 892
-        assert 100 < err.value.count <= 100_000 // 112
+        # checked before each coset is built: <b1, b2> has order 448, and
+        # its first new coset would reach 896 > 100_000 // 112 = 892 states
+        assert err.value.count == 448
         # below the cap, a budget stop is a skip, not a disproved order
         report = small_cases_check(3, 7, enumerate_mode="force")
         assert report.enumeration == "cap"
