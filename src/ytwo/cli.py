@@ -101,13 +101,18 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _attempt(fn):
+    """(fn(), None), or (None, message) if fn raised a domain error."""
+    try:
+        return fn(), None
+    except (YtwoError, ArithmeticError, ValueError) as exc:
+        return None, str(exc)
+
+
 def _guarded(report, name, fn, expected=None):
     """Run a check body that raises on failure."""
-    try:
-        fn()
-        report.add(name, True, expected=expected)
-    except (YtwoError, ArithmeticError, ValueError) as exc:
-        report.add(name, False, expected=expected, actual=None, detail=str(exc))
+    _, error = _attempt(fn)
+    report.add(name, error is None, expected=expected, detail=error)
 
 
 # -- suites -----------------------------------------------------------------
@@ -139,28 +144,34 @@ def _suite_lifting(args, report):
     psi = PinRep(args.m)
     letters = phi.letters()
     for letter in letters:
-        ok = conjugation_matrix(psi.image(letter)) == phi.image(letter)
-        report.add(f"lifting/m={args.m}/generator_{letter}", ok)
-        norm = spinor_norm(psi.image(letter))
+        image = psi.image(letter)
+        ok, error = _attempt(lambda: conjugation_matrix(image) == phi.image(letter))
+        report.add(f"lifting/m={args.m}/generator_{letter}", ok, detail=error)
+        norm, error = _attempt(lambda: spinor_norm(image))
         report.add(
             f"pin_norm/m={args.m}/generator_{letter}",
-            norm.is_one,
+            error is None and norm.is_one,
             expected="1",
-            actual=str(norm),
+            actual=None if error else str(norm),
+            detail=error,
         )
     rng = random.Random(args.seed)
-    bad = None
+    detail = None
     for i in range(args.words):
         word = tuple(
             rng.choice(letters) for _ in range(rng.randint(0, args.maxlen))
         )
-        if conjugation_matrix(evaluate(word, psi)) != evaluate(word, phi):
-            bad = word
+        ok, error = _attempt(
+            lambda: conjugation_matrix(evaluate(word, psi)) == evaluate(word, phi)
+        )
+        if not ok:
+            detail = f"first failing word {''.join(word)}"
+            detail += f": {error}" if error else ""
             break
     report.add(
         f"lifting/m={args.m}/random_words(count={args.words},maxlen={args.maxlen})",
-        bad is None,
-        detail=None if bad is None else f"first failing word {''.join(bad)}",
+        detail is None,
+        detail=detail,
     )
 
 
@@ -391,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each bound keeps its command within reach (README gives the times
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
-    # at m=11, lifting 1.7-5.2 s and 29-67 MB by seed at m=11 on 20 words
-    # (m=10: 0.8-2.2 s, 23-39 MB), closed-form 16 s and 52 MB at m=200.
+    # at m=11; lifting on its default 200 words 30 s and 26 MB at m=11,
+    # against 8-9 s and 20 MB at m=10 (20 words: 1.7-4.2 s at m=11,
+    # 0.5-1.0 s at m=10); closed-form 16 s and 52 MB at m=200.
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"

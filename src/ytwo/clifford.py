@@ -16,10 +16,11 @@ chosen so that the OR of all stored ints is odd (the zero element has
 ``lo = 0``).  Scalar objects are built only by the views (``terms``,
 ``scalar_part``, ``as_vector``); products work on the ints directly.
 
-A product packs one factor's parts into a single int with a W-bit slot
-per monomial: slot M of the alpha**i block sits at bit (i*N + M)*W,
-N = 2**(m+1), and holds the coefficient int shifted up by 2m, i.e. over
-the fixed base s**(lo - 2m).  Multiplying by one generator then acts on
+A product of n factors packs the factor with the most terms into a
+single int with a W-bit slot per monomial: slot M of the alpha**i block
+sits at bit (i*N + M)*W, N = 2**(m+1), and holds the coefficient int
+shifted up by a headroom H, i.e. over the fixed base
+s**(lo_1 + ... + lo_n - H).  Multiplying by one generator then acts on
 every slot at once.  Moving x_g through a canonical monomial M gives
 
     x_g M = q_g**[g in M] (M ^ g) + sum(M ^ k for k in M, k < g)
@@ -28,21 +29,62 @@ every slot at once.  Moving x_g through a canonical monomial M gives
 with q_0 = 1 and q_i = 1/t = s**-2, and no signs.  On the packed int,
 with mask_g the slots whose monomial holds g and hi = X & mask_g, the
 main term is (hi >> (W << g) + 2*[g >= 1]) | ((X ^ hi) << (W << g)), and
-each extra term is (X & mask_k) >> (W << k).  A square only lowers a
-coefficient, at most m times along one monomial, so the 2m bits below
-every coefficient keep it at or above bit 0 and the base stays fixed.
-a * b is the sum over the monomials p of one factor of its coefficient
-times the chain x_p * b (left actions on packed b, g1 < ... < gk the
-generators of p, x_g1 * (x_g2 * ...)) or a * x_p (right actions on
-packed a), whichever factor has fewer terms is chained; chains share
-their suffixes within one product.  Each set bit of a coefficient is
-one shift-XOR of a whole chain, a factor's alpha**i part lands in block
-i of the accumulator, and alpha**2 = s*alpha + 1 folds the third block
-back.  With la and lb the bit lengths of the factors' ORed ints, a
-product coefficient has la + lb - 1 bits above the 2m below it and the
-fold adds one, so W = la + lb + 2m, rounded up to a multiple of 16,
-holds every slot.  The result is unpacked by walking its lowest set bit, so
-the cost follows the nonzero slots.
+each extra term is (X & mask_k) >> (W << k).
+
+Every other factor is chained onto the packed int X: the factors to
+its left by left actions, nearest first, those to its right
+by right actions.  A chained factor sends X to the sum over its
+monomials p of the coefficient of p times the chain x_p * X (x_g1 *
+(x_g2 * ...), g1 < ... < gk the generators of p) or X * x_p.  Chains
+that share their first actions share those steps: the monomials are
+walked depth first through the trie of their chains (``_chain``), so
+only the current path is alive, at most m + 2 ints whatever the number
+of terms.  Each set bit of a coefficient is one shift-XOR of a whole
+chain, a factor's alpha**i part lands i blocks up, and alpha**2 = s*alpha
++ 1 folds the third block back after each chained factor.  The result
+is unpacked once, by walking its lowest set bit, so the cost follows the
+nonzero slots, and made canonical once.
+
+The width.  Let l_1..l_n be the bit lengths of the factors' ORed ints
+and V the sum over the factors of the most v-generators in one of their
+monomials; take H = 2 * max(m, V // 2) and W = l_1 + ... + l_n + H,
+rounded up to a multiple of 16.  Every slot then holds its coefficient:
+
+* Bottom.  Follow one term of the expansion: a current monomial M and
+  the generators still to apply.  Let P count the v-generators in M plus
+  those still to apply; it starts at most V.  Applying x_g spends g.
+  The main term keeps P when g is not in M, since M gains g, and lowers
+  it by 2 when g is in M, the only case that lowers the coefficient (by
+  the 2 bits of s**-2, for a v-generator).  An extra term drops k from M
+  and keeps no g, so it lowers P without touching the coefficient.  So a
+  term meets at most V // 2 squares and falls at most 2 * (V // 2) <= H
+  bits below where it was packed: never below bit 0 of its slot.
+* Top.  Actions never raise a coefficient.  The packed coefficients lie
+  below bit H + l_j.  A chained factor of bit length l multiplies by a
+  polynomial of degree below l, raising the top bit by at most l - 1,
+  and its fold adds s * alpha**2, one bit more: at most l per chained
+  factor, so every bit stays below H + l_1 + ... + l_n <= W.  (On the
+  Laurent ring nothing folds and a bit per chained factor is spare.)
+
+Two factors hold at most 2m v-generators, so a binary product has H =
+2m and W = l_a + l_b + 2m whatever its monomials: its width depends on
+the bit lengths alone, and binary products share few widths (the masks
+are built once per width).
+
+Conjugation.  ``conjugation_matrix`` needs c^-1 x_i c for every
+generator x_i.  It packs c once, applies each left action x_i to it and
+stacks the results as rows of one int, row k at bit k*R, with R = N*W
+per power of alpha (three blocks on the QE ring, the third holding the
+alpha**2 part until its fold).  c^-1 is then chained once across all
+the rows: each action and shift-XOR moves every row at once, since the
+masks repeat with period N*W, and one mask folds every row.  A stack
+holds at most ``_STACK_BITS`` bits of rows: all m + 1 rows for small m,
+fewer per stack (down to one) where a row is large.  Each row is the
+three-factor product c^-1 * x_i * c, so the width above holds it, with
+x_i a factor of one bit and one v-generator.  W is a multiple of 16, so
+every slot starts on a byte: the vector slots are read straight off the
+result's bytes, and a nonzero non-vector slot raises
+``NotCliffordGroupError`` for the first row it is in.
 
 Two closed forms of the same action rule serve the maps that need no
 product.  The transpose of a monomial is
@@ -103,6 +145,12 @@ _MTG_CACHE: dict = {}
 _MTM_CACHE: dict = {}
 _TR_CACHE: dict = {}
 
+# conjugation_matrix stacks at most this many bits of rows per int: all
+# m + 1 rows at m = 4, one row at m = 12.  At m = 10..12, stacking every
+# row ran up to twice as slow as one row at a time, as the chains no
+# longer stay in the processor's cache (measured on a 2-core x86 VM).
+_STACK_BITS = 1 << 18
+
 
 def _bits(mono: int) -> list:
     """Indices of the set bits of a monomial, ascending."""
@@ -137,13 +185,40 @@ def _mono_transpose(mono: int) -> tuple:
     return hit
 
 
-def _slot_width(la: int, lb: int, m: int) -> int:
-    """Bits per packed slot for a product of factors whose ints have bit
-    lengths la and lb: the carry-less product has la + lb - 1 bits, the
-    fixed base puts 2m bits below them and the alpha**2 fold adds one on
-    top.  Rounded up to a multiple of 16, so that products share few
-    widths: each width keeps m + 1 masks as long as a packed element."""
-    return (la + lb + 2 * m + 15) & -16
+def _slot_width(la: int, lb: int, squares: int) -> int:
+    """Bits per packed slot for a product whose packed factor's ints have
+    bit length la, whose chained factors' bit lengths sum to lb, and in
+    which one term meets at most ``squares`` squares v_i v_i = s**-2 (the
+    bound is proved in the module docstring).  Rounded up to a multiple
+    of 16, so that products share few widths and every slot starts on a
+    byte."""
+    return (la + lb + 2 * squares + 15) & -16
+
+
+def _vcount(parts) -> int:
+    """The most v-generators in one monomial of an element's parts."""
+    return max((p >> 1).bit_count() for part in parts for p in part) if any(parts) else 0
+
+
+def _repeat(pattern: int, period: int, total: int) -> int:
+    """``pattern`` copied at every multiple of ``period`` below ``total``
+    bits (pattern below 2**period)."""
+    out, span = pattern, period
+    while span < total:
+        out |= out << span
+        span <<= 1
+    return out & (1 << total) - 1 if span > total else out
+
+
+def _pack(parts, width: int, base: int, span: int) -> int:
+    """An element's parts as one int: the coefficient of M in the alpha**i
+    part at bit base + i*span + M*width."""
+    x = 0
+    for part in parts:
+        for mono, c in part.items():
+            x |= c << (base + mono * width)
+        base += span
+    return x
 
 
 def _or_all(parts) -> int:
@@ -181,14 +256,11 @@ class CliffordAlgebra:
         else:
             self.scalar_zero = QE_ZERO
             self.scalar_one = QE_ONE
-        # Products act by generators on packed ints (module docstring):
-        # slot M of the alpha**i block at bit (i * 2**(m+1) + M) * W, each
-        # coefficient over the fixed base s**(lo - 2m), and W = la + lb +
-        # 2m rounded up to a multiple of 16.  x_g * M and M * x_g are
-        # q_g**[g in M] (M ^ g) plus M ^ k for each k in M on one side of
-        # g: q_g = s**-square_shift[g] (u**2 = 1, v_i**2 = 1/t = s**-2),
-        # and extras[0][g] (left, k < g) or extras[1][g] (right, k > g)
-        # lists the k.
+        # Products act by generators on packed ints (module docstring).
+        # x_g * M and M * x_g are q_g**[g in M] (M ^ g) plus M ^ k for
+        # each k in M on one side of g: q_g = s**-square_shift[g] (u**2 =
+        # 1, v_i**2 = 1/t = s**-2), and extras[0][g] (left, k < g) or
+        # extras[1][g] (right, k > g) lists the k.
         self._square_shift = (0,) + (2,) * m
         self._extras = (
             tuple(tuple(range(g)) for g in range(m + 1)),
@@ -196,8 +268,12 @@ class CliffordAlgebra:
         )
         # W -> _actions(W), built on first use: one entry per slot width,
         # and rounding W keeps the entries few.  (perfbench's
-        # cache_entries counts it under this name.)
+        # cache_entries counts it under this name.)  _reversed[M] is M
+        # with its m + 1 bits in reverse order (see _chain).
         self._polybits_cache: dict = {}
+        self._reversed = tuple(
+            int(format(mono, f"0{m + 1}b")[::-1], 2) for mono in range(1 << (m + 1))
+        )
         self.zero = self.from_terms({})
         self.one = self.from_terms({0: self.scalar_one})
         self._gens = tuple(
@@ -210,93 +286,197 @@ class CliffordAlgebra:
             return c
         return QEScalar.from_laurent(c)
 
-    def _actions(self, width: int) -> tuple:
-        """The generator actions on packed ints with ``width``-bit slots,
-        one table per side (left, right), cached per width.  Entry g is
-        (mask, up, down, extras): ``mask`` covers every slot whose
-        monomial holds g, over one block of 2**(m+1) slots per power of
-        alpha; the slots outside it move up by ``up`` = width << g (M to
-        M | g), those inside down by ``down`` (M to M ^ g, with the
-        square's s**-2 for a v-generator); ``extras`` holds a (mask,
-        shift) pair per anticommutator generator k."""
-        total = (width << (self.m + 1)) * len(self.zero.parts)
+    def _actions(self, width: int, rows: int = 1) -> tuple:
+        """The packed-int tables for ``width``-bit slots over ``rows``
+        stacked rows, cached per width: (rows, left, right, fold,
+        nonvector).  ``left`` and ``right`` hold the
+        generator actions (``right`` indexed by m - g, as ``_chain`` walks
+        it), the entry of g being (mask, up, down, extras): ``mask``
+        covers every slot whose monomial holds g; the slots outside it move
+        up by ``up`` = width << g (M to M | g), those inside down by
+        ``down`` (M to M ^ g, with the square's s**-2 for a v-generator);
+        ``extras`` holds a (mask, shift) pair per anticommutator generator
+        k.  ``fold`` covers the alpha**2 block of every row (0 on the
+        Laurent ring) and ``nonvector`` every slot of a non-vector
+        monomial.  The masks repeat with period 2**(m+1) * width.  Products
+        need one row; ``_conjugation_rows`` needs as many as it stacks and
+        rebuilds the entry of its width once, so algebras that never
+        conjugate keep masks no longer than one packed element."""
+        m = self.m
+        span = width << (m + 1)
+        blocks = len(self.zero.parts)
+        stride = span * (2 * blocks - 1)
+        total = stride * (rows - 1) + span * blocks  # no mask reads a last alpha**2 block
         steps = []
-        for g in range(self.m + 1):
+        for g in range(m + 1):
             shift = width << g
-            mask, span = ((1 << shift) - 1) << shift, shift << 1
-            while span < total:
-                mask |= mask << span
-                span <<= 1
-            steps.append((mask, shift))
+            steps.append((_repeat(((1 << shift) - 1) << shift, shift << 1, total), shift))
         square = self._square_shift
-        sides = self._polybits_cache[width] = tuple(
+        left, right = (
             tuple(
                 (mask, shift, shift + square[g], tuple(steps[k] for k in ks[g]))
                 for g, (mask, shift) in enumerate(steps)
             )
             for ks in self._extras
         )
-        return sides
+        right = right[::-1]
+        full = (1 << width) - 1
+        vector = sum(full << (width << g) for g in range(m + 1))
+        block = (1 << span) - 1
+        nonvector = _repeat(_repeat(block ^ vector, span, blocks * span), stride, total)
+        fold = _repeat(block << 2 * span, stride, stride * rows) if blocks == 2 else 0
+        tables = self._polybits_cache[width] = (rows, left, right, fold, nonvector)
+        return tables
 
-    def _kernel(self, a, b) -> "CliffordElement":
-        """a * b by packed generator actions (see the module docstring)."""
-        m = self.m
-        xs, ys = a.parts, b.parts
-        left = sum(map(len, xs)) <= sum(map(len, ys))
-        chained, packed = (xs, ys) if left else (ys, xs)
-        width = _slot_width(_or_all(xs).bit_length(), _or_all(ys).bit_length(), m)
-        sides = self._polybits_cache.get(width) or self._actions(width)
-        actions = sides[0 if left else 1]
-        span = width << (m + 1)  # the bits of one power of alpha
-        x = 0
-        base = 2 * m
-        for part in packed:
-            for mono, c in part.items():
-                x |= c << (base + mono * width)
-            base += span
-        # p -> the generator whose action takes p ^ (1 << g) to p: the
-        # lowest for x_g * (...), the highest for (...) * x_g
-        todo: dict = {}
-        for part in chained:
-            for p in part:
-                while p and p not in todo:
-                    g = (p & -p if left else p).bit_length() - 1
-                    todo[p] = g
-                    p ^= 1 << g
-        chains = {0: x}
-        for p in sorted(todo):
-            g = todo[p]
-            x = chains[p ^ 1 << g]
-            mask, up, down, extras = actions[g]
-            hi = x & mask
-            y = hi >> down | (x ^ hi) << up
-            for mask, shift in extras:
-                y ^= (x & mask) >> shift
-            chains[p] = y
+    def _chain(self, x: int, parts, actions, span: int, fold: int, left: bool) -> int:
+        """sum(c * x_p * X) (left) or sum(c * X * x_p) over the terms
+        c * p of ``parts``, X the packed int x, with the alpha**2 block
+        folded back.
+
+        A chain applies p's generators highest first on the left and
+        lowest first on the right; reversing the bits of every monomial
+        (``_reversed``, with ``actions`` indexed to match) turns the right
+        case into the left one.  Walking the keys in increasing order is
+        then a depth-first walk of the trie of chains, the parent of a
+        key being the key without its lowest bit: ``path`` holds the
+        (key, chain) pairs from the root x to the current key, at most
+        m + 2 ints, and a chain shares its parent's actions."""
+        rev = None if left else self._reversed
+        monos = parts[0].keys() | parts[1].keys() if len(parts) == 2 else parts[0]
+        keys = sorted(monos if left else [rev[p] for p in monos])
         acc = 0
-        base = 0
-        for part in chained:
-            for p, c in part.items():
-                y = chains[p]
+        path = [(0, x)]
+        for key in keys:
+            q, y = path[-1]
+            while key & -(q & -q) != q:  # q is not a prefix of key
+                path.pop()
+                q, y = path[-1]
+            rest = key ^ q
+            while rest:
+                g = rest.bit_length() - 1
+                rest ^= 1 << g
+                mask, up, down, extras = actions[g]
+                hi = y & mask
+                z = hi >> down | (y ^ hi) << up
+                for mask, shift in extras:
+                    z ^= (y & mask) >> shift
+                y = z
+                q |= 1 << g
+                path.append((q, y))
+            p = key if left else rev[key]
+            base = 0
+            for part in parts:
+                c = part.get(p, 0)
                 while c:
                     low = c & -c
                     acc ^= y << (base + low.bit_length() - 1)
                     c ^= low
-            base += span
-        if len(xs) == 2:  # alpha**2 = s*alpha + 1
-            top = acc >> 2 * span
-            acc ^= (top << 2 * span) ^ top ^ (top << (span + 1))
-        parts = [[] for _ in xs]
+                base += span
+        if fold:  # alpha**2 = s*alpha + 1
+            top = acc & fold
+            if top:
+                acc ^= top ^ top >> 2 * span ^ top >> (span - 1)
+        return acc
+
+    def _product(self, factors) -> "CliffordElement":
+        """The product of a sequence of elements (see the module
+        docstring): the factor with the most terms is packed once, every
+        other factor is chained onto it, and the result is unpacked and
+        made canonical once."""
+        if len(factors) == 1:
+            return factors[0]
+        m = self.m
+        lo = bits = 0
+        most = -1
+        for i, f in enumerate(factors):
+            size = sum(map(len, f.parts))
+            b = _or_all(f.parts).bit_length()
+            lo += f.lo
+            bits += b
+            if size >= most:  # pack the last factor with the most terms
+                j, most, packed_bits = i, size, b
+        squares = m  # two factors hold at most 2m v-generators
+        if len(factors) > 2:
+            squares = max(m, sum(_vcount(f.parts) for f in factors) // 2)
+        width = _slot_width(packed_bits, bits - packed_bits, squares)
+        _, left, right, fold, _ = self._polybits_cache.get(width) or self._actions(width)
+        span = width << (m + 1)  # the bits of one power of alpha
+        x = _pack(factors[j].parts, width, 2 * squares, span)
+        for f in reversed(factors[:j]):
+            x = self._chain(x, f.parts, left, span, fold, True)
+        for f in factors[j + 1 :]:
+            x = self._chain(x, f.parts, right, span, fold, False)
+        parts = [[] for _ in self.zero.parts]
         full, last = (1 << width) - 1, (1 << (m + 1)) - 1
-        slot = 0  # the slot at bit 0 of acc
-        while acc:
-            skip = ((acc & -acc).bit_length() - 1) // width
+        slot = 0  # the slot at bit 0 of x
+        while x:
+            skip = ((x & -x).bit_length() - 1) // width
             slot += skip
-            acc >>= skip * width
-            parts[slot >> (m + 1)].append((slot & last, acc & full))
-            acc >>= width
+            x >>= skip * width
+            parts[slot >> (m + 1)].append((slot & last, x & full))
+            x >>= width
             slot += 1
-        return _canonical(self, a.lo + b.lo - 2 * m, parts)
+        return _canonical(self, lo - 2 * squares, parts)
+
+    def _conjugation_rows(self, c_inv, c) -> list:
+        """The vector coefficients of c_inv * x_i * c for each generator
+        x_i, as rows of scalars, from stacked passes (see the module
+        docstring); raises NotCliffordGroupError, as ``as_vector`` does,
+        for the first row with a non-vector monomial."""
+        m = self.m
+        squares = max(m, (_vcount(c_inv.parts) + 1 + _vcount(c.parts)) // 2)
+        bits_c, bits_inv = (_or_all(f.parts).bit_length() for f in (c, c_inv))
+        width = _slot_width(bits_c, bits_inv + 1, squares)
+        span = width << (m + 1)
+        blocks = len(c.parts)
+        stride = span * (2 * blocks - 1)  # room for the alpha**2 block
+        group = min(m + 1, max(1, _STACK_BITS // stride))  # rows per stack
+        tables = self._polybits_cache.get(width)
+        if tables is None or tables[0] < group:
+            tables = self._actions(width, group)
+        _, left, _, fold, nonvector = tables
+        x = _pack(c.parts, width, 2 * squares, span)
+        lo = c_inv.lo + c.lo - 2 * squares
+        size = width // 8
+        rows = []
+        for first in range(0, m + 1, group):
+            stack = 0
+            for k, (mask, up, down, extras) in enumerate(left[first : first + group]):
+                hi = x & mask  # row k: x_i * c, i = first + k
+                y = hi >> down | (x ^ hi) << up
+                for mask, shift in extras:
+                    y ^= (x & mask) >> shift
+                stack |= y << k * stride
+            acc = self._chain(stack, c_inv.parts, left, span, fold, True)
+            bad = acc & nonvector
+            if bad:
+                row = bad >> ((bad & -bad).bit_length() - 1) // stride * stride
+                slots = []
+                for b in range(blocks):
+                    block = row >> b * span & (1 << span) - 1
+                    if block:
+                        slots.append(((block & -block).bit_length() - 1) // width)
+                raise NotCliffordGroupError(
+                    f"element has a non-vector component on monomial {bin(min(slots))}"
+                )
+            data = acc.to_bytes(stride * group // 8, "little")
+            for k in range(min(group, m + 1 - first)):
+                row = []
+                for g in range(m + 1):
+                    at = (k * stride + (width << g)) // 8
+                    xs = [
+                        int.from_bytes(data[i : i + size], "little")
+                        for i in range(at, at + blocks * span // 8, span // 8)
+                    ]
+                    row.append(self._scalar(lo, xs))
+                rows.append(tuple(row))
+        return rows
+
+    def _scalar(self, lo: int, xs):
+        """The scalar whose alpha**i part has bit k -> s**(lo + k) of xs[i]."""
+        if self.ring == "laurent":
+            return _laurent(lo, xs[0])
+        return QEScalar(_laurent(lo, xs[0]), _laurent(lo, xs[1]))
 
     def scalar(self, c) -> "CliffordElement":
         return self.from_terms({0: c})
@@ -415,7 +595,7 @@ class CliffordElement:
 
     def __mul__(self, other):
         self._check_ambient(other)
-        return self.algebra._kernel(self, other)
+        return self.algebra._product((self, other))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -443,11 +623,7 @@ class CliffordElement:
 
     def _coeff(self, mono: int):
         """The scalar coefficient of mono."""
-        lo = self.lo
-        if self.algebra.ring == "laurent":
-            return _laurent(lo, self.parts[0].get(mono, 0))
-        c0, c1 = self.parts
-        return QEScalar(_laurent(lo, c0.get(mono, 0)), _laurent(lo, c1.get(mono, 0)))
+        return self.algebra._scalar(self.lo, [part.get(mono, 0) for part in self.parts])
 
     @property
     def terms(self) -> dict:
@@ -557,6 +733,11 @@ class PinRep(Representation):
             images[s_letter(i)] = u * pair
         super().__init__(images, alg.one)
 
+    def product(self, factors):
+        """The product of a non-empty sequence of images by one
+        packed-int kernel call."""
+        return self.algebra._product(factors)
+
 
 def spinor_norm(c: CliffordElement):
     """The scalar c * c^tr; raises NotScalarError if it is not scalar."""
@@ -584,14 +765,9 @@ def cl_inverse(c: CliffordElement) -> CliffordElement:
 
 
 def conjugation_matrix(c: CliffordElement) -> RMatrix:
-    """Matrix of v -> c^-1 v c on the vector module (rows are images)."""
-    alg = c.algebra
-    c_inv = cl_inverse(c)
-    rows = []
-    for i in range(alg.m + 1):
-        y = c_inv * alg.gen(i) * c
-        rows.append(y.as_vector())
-    return RMatrix(rows)
+    """Matrix of v -> c^-1 v c on the vector module (rows are images),
+    all m + 1 rows from one stacked pass over c (module docstring)."""
+    return RMatrix(c.algebra._conjugation_rows(cl_inverse(c), c))
 
 
 # -- power identities --------------------------------------------------------

@@ -17,7 +17,10 @@ A representation is anything with an ``image(letter)`` lookup, an
 word is the monoid homomorphism sending concatenation to products.
 Relator words are made of letter powers, so ``evaluate`` multiplies
 maximal runs x**k, not letters: each run's image is one power by
-squaring, and equal runs in one word share it.
+squaring, and equal runs in one word share it.  The run powers are then
+multiplied by the representation's ``product``, a left fold of ``*``
+unless the representation has a faster n-factor product (the pin
+representation multiplies them in one packed-int kernel call).
 
 The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:
@@ -31,7 +34,9 @@ The second form is what tau-free representations evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import mul
 
 from .rings import pow_by_squaring
 
@@ -171,6 +176,10 @@ class Representation:
     def letters(self):
         return sorted(self._images)
 
+    def product(self, factors):
+        """The product of a non-empty sequence of images, in order."""
+        return reduce(mul, factors)
+
 
 def evaluate(word, rep: Representation):
     """Product of letter images in word order (identity for the empty word).
@@ -178,17 +187,20 @@ def evaluate(word, rep: Representation):
     Each maximal run x**k costs one ``pow_by_squaring`` of x's image,
     memoized by ``(x, k)`` for this call, so a commutator's two ``A**k``
     and two ``a**k`` runs share one power each.  The run images are then
-    multiplied in word order.
+    multiplied in word order by one ``rep.product`` call: a left fold of
+    ``*`` for the matrix representations, and for ``PinRep`` one n-factor
+    Clifford product, which packs the run image with the most terms once,
+    chains every other run onto it and unpacks once per word.
     """
     powers = {}
-    result = None
+    factors = []
     for letter, run in groupby(word):
         k = sum(1 for _ in run)
         power = powers.get((letter, k))
         if power is None:
             power = powers[letter, k] = pow_by_squaring(rep.image(letter), k)
-        result = power if result is None else result * power
-    return rep.identity if result is None else result
+        factors.append(power)
+    return rep.product(factors) if factors else rep.identity
 
 
 def relator_failures(sched: RelationSchedule, rep: Representation) -> list:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ytwo import cli, spectool
+from ytwo import cli, clifford, spectool
 from ytwo.cli import build_parser, run
 from ytwo.errors import NotCliffordGroupError, NotScalarError, NotUnitError
 
@@ -182,6 +182,22 @@ class TestGuardedDomainErrors:
             ("power_identities/k=0", "fail", "broken at k=0"),
             ("power_identities/k=1", "fail", "broken at k=1"),
         ]
+
+    def test_lifting_error_becomes_fail_check(self, capsys, monkeypatch):
+        # With the inverse replaced by 1, conjugation rows are x_i * c, and
+        # for most letters some row is not a vector (as in
+        # test_conjugation_rejects_non_vector_row).
+        monkeypatch.setattr(clifford, "cl_inverse", lambda c: c.algebra.one)
+        argv = ["verify", "lifting", "--m", "4", "--words", "5", "--json"]
+        code, data = run_json(capsys, argv)
+        assert code == 1
+        failed = {c["name"]: c["detail"] for c in data["checks"] if c["status"] == "fail"}
+        assert "lifting/m=4/generator_a" in failed
+        assert all(name.startswith("lifting/m=4/") for name in failed)
+        assert "non-vector component" in failed["lifting/m=4/generator_a"]
+        words = failed["lifting/m=4/random_words(count=5,maxlen=30)"]
+        assert words.startswith("first failing word ")
+        assert "non-vector component" in words
 
 
 class TestSuites:

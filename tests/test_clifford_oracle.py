@@ -2,15 +2,29 @@
 reference in oracles.py, on both scalar rings for m = 3..6 and 8, plus
 every monomial product and transpose of fresh algebras at m = 3 and 4,
 planted faults in the packed generator actions, the closed-form
-transposes and centre rows against the products, and the canonical raw
-storage form under operations that must not change an element."""
+transposes and centre rows against the products, the canonical raw
+storage form under operations that must not change an element, and
+the n-factor product and the stacked conjugation rows against left
+folds of the reference product."""
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ytwo import clifford
-from ytwo.clifford import CliffordAlgebra, CliffordElement, center_report, get_algebra
-from ytwo.rings import LaurentScalar, QEScalar
+from ytwo.clifford import (
+    CliffordAlgebra,
+    CliffordElement,
+    PinRep,
+    center_report,
+    cl_inverse,
+    conjugation_matrix,
+    get_algebra,
+)
+from ytwo.errors import NotCliffordGroupError
+from ytwo.presentation import evaluate, schedule
+from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, QEScalar
 
 from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
 
@@ -35,14 +49,17 @@ def build(alg, raw):
     return alg.from_terms(terms)
 
 
+def scalar_to_ref(c):
+    if isinstance(c, QEScalar):
+        return ref_qe(c.c0.exponents(), c.c1.exponents())
+    return ref_qe(c.exponents())
+
+
 def to_ref(el):
     out = {}
     for mono, c in el.terms.items():
         word = tuple(i for i in range(el.algebra.m + 1) if mono >> i & 1)
-        if isinstance(c, QEScalar):
-            out[word] = ref_qe(c.c0.exponents(), c.c1.exponents())
-        else:
-            out[word] = ref_qe(c.exponents())
+        out[word] = scalar_to_ref(c)
     return out
 
 
@@ -365,3 +382,114 @@ def test_planted_unshifted_normalizer_is_caught(monkeypatch):
     monkeypatch.setattr(clifford, "_canonical", unshifted)
     with pytest.raises(AssertionError):
         check_unchanged_by_identities(alg, el)
+
+
+# -- n-factor products and stacked conjugation rows -------------------------
+
+
+def ref_fold(els):
+    """The left fold of the reference product over the elements."""
+    out = to_ref(els[0])
+    for el in els[1:]:
+        out = ref_cl_mul(out, to_ref(el))
+    return out
+
+
+small_exps = st.lists(st.integers(-6, 6), max_size=3)
+small_terms = st.lists(st.tuples(st.integers(0, 127), small_exps, small_exps), max_size=3)
+factor_lists = st.lists(small_terms, min_size=1, max_size=6)
+
+# v1**14 = s**-14: every v-generator of every factor meets its square,
+# so the product reaches the full headroom that the width reserves
+# (7 squares, more than m for every m here)
+V1_POWER = [[(0b10, [0], [])]] * 14
+# over "qe", the middle step alpha * (...) leaves an alpha**2 block that
+# must be folded before the next factor is chained
+ALPHA_MIDDLE = [[(0b011, [-1], [0, 2])], [(0, [], [0])], [(0b101, [2], [-3])]]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(xs=factor_lists)
+@example(xs=[[(3, [-5, 2], [1])]])
+@example(xs=[RADICAL, [], NEGATIVE])
+@example(xs=[NEGATIVE, ALPHA_ONLY, NEGATIVE, NEGATIVE + ALPHA_ONLY])
+@example(xs=ALPHA_MIDDLE)
+@example(xs=[[(0, [], [0])]] * 5)
+@example(xs=V1_POWER)
+def test_product_matches_fold(m, ring, xs):
+    alg = get_algebra(m, ring)
+    els = [build(alg, x) for x in xs]
+    prod = alg._product(els)
+    check_canonical(prod)
+    assert to_ref(prod) == ref_fold(els)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m, name", [(3, "bb_2_3_k10"), (4, "bb_4_3_k-11")])
+def test_long_schedule_words_match_fold(m, ring, name):
+    # Y relators (b_i**k b_j**k)**2 with k >= 10 put dozens of run powers
+    # into one product, most of them chained, so the width holds many
+    # factors' headroom; half a relator is not the identity
+    psi = PinRep(m, ring)
+    word = dict(schedule(m, 11, "Y"))[name]
+    for w in (word, word[: len(word) // 2]):
+        prod = evaluate(w, psi)
+        check_canonical(prod)
+        assert to_ref(prod) == ref_fold([psi.image(letter) for letter in w])
+    assert evaluate(word, psi).is_identity
+
+
+def random_word(psi, rng, maxlen):
+    letters = psi.letters()
+    return tuple(rng.choice(letters) for _ in range(rng.randint(0, maxlen)))
+
+
+ALPHA = QEScalar(L_ZERO, L_ONE)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.booleans())
+@example(seed=0, scale=True)
+def test_conjugation_rows_match_reference(m, ring, seed, scale):
+    # row i of conjugation_matrix(c) against c^-1 * x_i * c by the
+    # reference product; over "qe" the scale by the unit alpha puts alpha
+    # parts on both c and c^-1, so the stacked rows fold alpha**2
+    psi = PinRep(m, ring)
+    c = evaluate(random_word(psi, random.Random(seed), 12), psi)
+    if scale and ring == "qe":
+        c = c.scale(ALPHA)
+    inverse, ref_c = to_ref(cl_inverse(c)), to_ref(c)
+    for i, row in enumerate(conjugation_matrix(c).rows):
+        want = ref_cl_mul(ref_cl_mul(inverse, {(i,): ref_qe([0])}), ref_c)
+        assert {(g,): scalar_to_ref(x) for g, x in enumerate(row) if x} == want
+
+
+@pytest.mark.parametrize("m", MS)
+def test_qe_conjugation_is_lifted_laurent(m):
+    # the same words over both rings, and over "qe" also scaled by alpha,
+    # which conjugation cannot see
+    lau, qe = PinRep(m), PinRep(m, "qe")
+    rng = random.Random(m)
+    for _ in range(50):
+        word = random_word(lau, rng, 30)
+        want = conjugation_matrix(evaluate(word, lau)).map_entries(QEScalar.from_laurent)
+        c = evaluate(word, qe)
+        assert conjugation_matrix(c) == want
+        assert conjugation_matrix(c.scale(ALPHA)) == want
+
+
+@pytest.mark.parametrize("m", MS)
+def test_conjugation_rejects_middle_rows(m, monkeypatch):
+    # With the inverse replaced by 1 and c = 1 + u v_m, row i is x_i + x_i
+    # u v_m: a vector for u (u + v_m) and for v_m (s**-2 u), and holding
+    # u v_i v_m for every 1 <= i < m, so only middle rows fail and the
+    # first of them (row 1) names its monomial.
+    alg = get_algebra(m)
+    monkeypatch.setattr(clifford, "cl_inverse", lambda c: alg.one)
+    c = alg.one + alg.u() * alg.v(m)
+    with pytest.raises(NotCliffordGroupError, match=f"{bin(1 | 2 | 1 << m)}$"):
+        conjugation_matrix(c)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ytwo.clifford import CliffordElement, PinRep, conjugation_matrix
+from ytwo.clifford import CliffordAlgebra, CliffordElement, PinRep, conjugation_matrix
 from ytwo.ortho import OrthoRep
 from ytwo.presentation import (
     b_word,
@@ -202,17 +202,23 @@ class TestRelatorSuites:
     )
     def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
         # pinned, so that a return to one product per letter (1000 for
-        # eta, 1025 for phi and psi) fails on any host, however noisy
+        # eta, 1025 for phi and psi) fails on any host, however noisy.
+        # Clifford products are counted at the kernel entry, where one
+        # call multiplies n factors: n - 1 products.
         rep = build(8)
         count = 0
-        real = cls.__mul__
+        if cls is CliffordElement:
+            owner, name, products_of = CliffordAlgebra, "_product", lambda fs: len(fs) - 1
+        else:
+            owner, name, products_of = cls, "__mul__", lambda b: 1
+        real = getattr(owner, name)
 
         def counted(a, b):
             nonlocal count
-            count += 1
+            count += products_of(b)
             return real(a, b)
 
-        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(owner, name, counted)
         assert relator_failures(schedule(8, 20, flavor), rep) == []
         assert count == products, label
 
