@@ -402,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each bound keeps its command within reach (README gives the times
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
-    # at m=11; lifting on its default 200 words 30 s and 26 MB at m=11,
-    # against 8-9 s and 20 MB at m=10 (20 words: 1.7-4.2 s at m=11,
-    # 0.5-1.0 s at m=10); closed-form 16 s and 52 MB at m=200.
+    # at m=11; lifting on its default 200 words 37 s and 26 MB at m=11,
+    # against 8-10 s and 20 MB at m=10 (20 words: 2.4-6.1 s at m=11,
+    # 0.8-1.2 s at m=10); closed-form 16 s and 52 MB at m=200.
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"

@@ -420,9 +420,9 @@ class CliffordAlgebra:
 
     def _conjugation_rows(self, c_inv, c) -> list:
         """The vector coefficients of c_inv * x_i * c for each generator
-        x_i, as rows of scalars, from stacked passes (see the module
-        docstring); raises NotCliffordGroupError, as ``as_vector`` does,
-        for the first row with a non-vector monomial."""
+        x_i, as rows {g: nonzero scalar}, from stacked passes (see the
+        module docstring); raises NotCliffordGroupError, as ``as_vector``
+        does, for the first row with a non-vector monomial."""
         m = self.m
         squares = max(m, (_vcount(c_inv.parts) + 1 + _vcount(c.parts)) // 2)
         bits_c, bits_inv = (_or_all(f.parts).bit_length() for f in (c, c_inv))
@@ -461,15 +461,16 @@ class CliffordAlgebra:
                 )
             data = acc.to_bytes(stride * group // 8, "little")
             for k in range(min(group, m + 1 - first)):
-                row = []
+                row = {}
                 for g in range(m + 1):
                     at = (k * stride + (width << g)) // 8
                     xs = [
                         int.from_bytes(data[i : i + size], "little")
                         for i in range(at, at + blocks * span // 8, span // 8)
                     ]
-                    row.append(self._scalar(lo, xs))
-                rows.append(tuple(row))
+                    if any(xs):
+                        row[g] = self._scalar(lo, xs)
+                rows.append(row)
         return rows
 
     def _scalar(self, lo: int, xs):
@@ -603,6 +604,11 @@ class CliffordElement:
         return pow_by_squaring(self, k) if k else self.algebra.one
 
     def scale(self, c) -> "CliffordElement":
+        """c * self.  A monomial s**k (a Laurent unit) only moves ``lo``;
+        any other scalar takes a product."""
+        low = c.c0 if isinstance(c, QEScalar) and not c.c1.mask else c
+        if isinstance(low, LaurentScalar) and low.mask == 1 and self:
+            return CliffordElement(self.algebra, self.lo + low.off, self.parts)
         return self * self.algebra.scalar(c)
 
     def transpose(self) -> "CliffordElement":
@@ -767,7 +773,8 @@ def cl_inverse(c: CliffordElement) -> CliffordElement:
 def conjugation_matrix(c: CliffordElement) -> RMatrix:
     """Matrix of v -> c^-1 v c on the vector module (rows are images),
     all m + 1 rows from one stacked pass over c (module docstring)."""
-    return RMatrix(c.algebra._conjugation_rows(cl_inverse(c), c))
+    alg = c.algebra
+    return RMatrix._sparse(tuple(alg._conjugation_rows(cl_inverse(c), c)), alg.scalar_zero)
 
 
 # -- power identities --------------------------------------------------------

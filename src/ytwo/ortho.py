@@ -10,7 +10,9 @@ Generator images (row convention, composition left to right):
 
 Every image preserves the quadratic and bilinear forms, and all matrix
 entries in the image are polynomials in t even though the form values
-involve 1/t.
+involve 1/t.  A word's run images are multiplied by one packed
+column-int product (``quadspace.laurent_product``); each letter image's
+ops for it are built on its first use and kept by the representation.
 
 ``conjugate_power_matrix`` builds the closed-form matrix for the k-fold
 a-conjugate of s1 out of the geometric sums
@@ -26,7 +28,15 @@ summing to zero, the shape ``triple_form_matrix`` exposes directly.
 from __future__ import annotations
 
 from .presentation import A, A_INV, Representation, TAU, s_letter, st_letter
-from .quadspace import QuadSpace, RMatrix, rmat_lift_qe, transvection, vec_add
+from .quadspace import (
+    QuadSpace,
+    RMatrix,
+    laurent_ops,
+    laurent_product,
+    rmat_lift_qe,
+    transvection,
+    vec_add,
+)
 from .rings import ALPHA, ALPHA_INV, L_ONE, QE_ONE, QE_ZERO, QEScalar
 
 
@@ -47,6 +57,27 @@ class OrthoRep(Representation):
             images[st_letter(i)] = st
             images[s_letter(i)] = r_u * st
         super().__init__(images, space.identity_matrix())
+        # id(image) -> laurent_ops(image), built on the image's first use
+        # in a product and kept (the images live as long as the rep, so
+        # their ids stay theirs).  Not in advance: at m = 100 the ops of
+        # all 2m + 1 images take about 4 MB, and a closed-form word uses
+        # three images.
+        self._ops = dict.fromkeys(id(img) for img in images.values())
+
+    def product(self, factors):
+        """The product of a non-empty sequence of images by one packed
+        column-int product (``laurent_product``).  A letter image's ops
+        are built once per rep, a run power's once per call."""
+        known, built = self._ops, {}
+        chain = []
+        for f in factors[1:]:
+            key = id(f)
+            ops = known.get(key) or built.get(key)
+            if ops is None:
+                ops = laurent_ops(f)
+                (known if key in known else built)[key] = ops
+            chain.append(ops)
+        return laurent_product(factors[0], chain)
 
 
 def triple_form_matrix(space: QuadSpace, f0, f1, f2) -> RMatrix:

@@ -19,8 +19,9 @@ Relator words are made of letter powers, so ``evaluate`` multiplies
 maximal runs x**k, not letters: each run's image is one power by
 squaring, and equal runs in one word share it.  The run powers are then
 multiplied by the representation's ``product``, a left fold of ``*``
-unless the representation has a faster n-factor product (the pin
-representation multiplies them in one packed-int kernel call).
+unless the representation has a faster n-factor product: the pin and
+the transvection representations multiply them in one packed-int
+kernel call each.
 
 The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:
@@ -177,7 +178,9 @@ class Representation:
         return sorted(self._images)
 
     def product(self, factors):
-        """The product of a non-empty sequence of images, in order."""
+        """The product of a non-empty sequence of images, in order: a
+        left fold of ``*`` here, one packed kernel call in ``OrthoRep``
+        and ``PinRep``."""
         return reduce(mul, factors)
 
 
@@ -187,10 +190,13 @@ def evaluate(word, rep: Representation):
     Each maximal run x**k costs one ``pow_by_squaring`` of x's image,
     memoized by ``(x, k)`` for this call, so a commutator's two ``A**k``
     and two ``a**k`` runs share one power each.  The run images are then
-    multiplied in word order by one ``rep.product`` call: a left fold of
-    ``*`` for the matrix representations, and for ``PinRep`` one n-factor
-    Clifford product, which packs the run image with the most terms once,
-    chains every other run onto it and unpacks once per word.
+    multiplied in word order by one ``rep.product`` call.  For ``OrthoRep``
+    that is one packed column-int product (``quadspace.laurent_product``),
+    which packs the first run image and applies every other run as shifts
+    of whole columns; for ``PinRep`` one n-factor Clifford product, which
+    packs the run image with the most terms once and chains every other
+    run onto it.  Both unpack once per word.  Other representations, such
+    as the block-recursive ``SpinorRep``, fold with ``*``.
     """
     powers = {}
     factors = []

@@ -21,6 +21,22 @@ construction.
 Scalars only need +, *, truth (nonzero), is_one and inverse(), so the
 same code runs over the Laurent ring, its quadratic extension, or a
 finite field after specialization.
+
+Products of several Laurent matrices (the transvection images of a
+word) have a packed kernel, ``laurent_product``.  The running product
+is a list of n column ints: entry (i, j) is a ``width``-bit slot at bit
+i*width of column j, bit b of the slot standing for s**(lo + b), lo the
+sum of the factors' lowest exponents.  A factor F with lowest exponent
+lo_F acts through its ``laurent_ops``: one op (k, j, e) per set bit e of
+F[k][j] over s**lo_F, grouped by k.  Since column j of P * F is the sum
+of column k of P times F[k][j], applying F is ``new[j] ^= cols[k] << e``
+for each op, skipped as a whole for a zero column k.  Over its own
+lowest exponent every entry of F is a polynomial of degree below its
+span (the most bits any of its entries needs), so an entry of the
+product has degree below the sum of the spans: with ``width`` that sum,
+no shift leaves its slot.  The result is unpacked once, by walking the
+lowest set bit of each column.
+``RMatrix.__mul__`` stays the one generic product, over every ring.
 """
 
 from __future__ import annotations
@@ -156,6 +172,79 @@ def _combine(coeffs, entries):
             else:
                 acc[j] = a * b
     return {j: x for j, x in acc.items() if x}
+
+
+def _lo_span(entries) -> tuple:
+    """(lo, span) of a Laurent matrix's row dicts: the lowest exponent of
+    its entries and the most bits an entry needs over s**lo ((0, 0) for
+    the zero matrix)."""
+    lo = min((x.off for row in entries for x in row.values()), default=0)
+    span = max(
+        (x.off - lo + x.mask.bit_length() for row in entries for x in row.values()),
+        default=0,
+    )
+    return lo, span
+
+
+def laurent_ops(mat: RMatrix) -> tuple:
+    """How the Laurent matrix ``mat`` acts in ``laurent_product``:
+    (lo, span, ops) with (lo, span) as in ``_lo_span`` and ops one
+    (k, targets) pair per nonzero row k, targets holding a (j, e) pair
+    per set bit e of entry (k, j) over s**lo."""
+    lo, span = _lo_span(mat.entries)
+    ops = []
+    for k, row in enumerate(mat.entries):
+        targets = []
+        for j, x in row.items():
+            d, mask = x.off - lo, x.mask
+            while mask:
+                low = mask & -mask
+                targets.append((j, d + low.bit_length() - 1))
+                mask ^= low
+        if targets:
+            ops.append((k, tuple(targets)))
+    return lo, span, tuple(ops)
+
+
+def laurent_product(first: RMatrix, chain) -> RMatrix:
+    """first * F_1 * ... * F_r for Laurent matrices, each F_i given by its
+    ``laurent_ops`` in ``chain``, in one packed column-int product (module
+    docstring): ``first`` is packed straight from its entries, each F_i
+    acts by its ops, and the result is unpacked once."""
+    if not chain:
+        return first
+    entries = first.entries
+    n = len(entries)
+    base, width = _lo_span(entries)
+    lo = base
+    for f_lo, f_span, _ in chain:
+        lo += f_lo
+        width += f_span
+    cols = [0] * n
+    for i, row in enumerate(entries):
+        at = i * width - base
+        for j, x in row.items():
+            cols[j] |= x.mask << (at + x.off)
+    for _, _, ops in chain:
+        new = [0] * n
+        for k, targets in ops:
+            c = cols[k]
+            if c:
+                for j, e in targets:
+                    new[j] ^= c << e
+        cols = new
+    full = (1 << width) - 1
+    out = tuple({} for _ in range(n))
+    for j, c in enumerate(cols):
+        i = 0
+        while c:
+            skip = ((c & -c).bit_length() - 1) // width
+            i += skip
+            c >>= skip * width
+            out[i][j] = LaurentScalar(lo, c & full)
+            c >>= width
+            i += 1
+    return RMatrix._sparse(out, first.zero)
 
 
 class QuadSpace:

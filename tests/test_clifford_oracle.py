@@ -3,9 +3,10 @@ reference in oracles.py, on both scalar rings for m = 3..6 and 8, plus
 every monomial product and transpose of fresh algebras at m = 3 and 4,
 planted faults in the packed generator actions, the closed-form
 transposes and centre rows against the products, the canonical raw
-storage form under operations that must not change an element, and
-the n-factor product and the stacked conjugation rows against left
-folds of the reference product."""
+storage form under operations that must not change an element, the
+n-factor product and the stacked conjugation rows against left folds
+of the reference product, and scaling by a monomial and ``cl_inverse``
+against the product path."""
 
 import random
 
@@ -466,6 +467,46 @@ def test_conjugation_rows_match_reference(m, ring, seed, scale):
     for i, row in enumerate(conjugation_matrix(c).rows):
         want = ref_cl_mul(ref_cl_mul(inverse, {(i,): ref_qe([0])}), ref_c)
         assert {(g,): scalar_to_ref(x) for g, x in enumerate(row) if x} == want
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-9, 9))
+@example(seed=0, k=-3)
+def test_monomial_scale_matches_product(m, ring, seed, k):
+    # s**k, as a Laurent scalar and lifted, only moves lo; cl_inverse,
+    # which scales by the inverse norm, against the product path
+    psi = PinRep(m, ring)
+    alg = psi.algebra
+    c = evaluate(random_word(psi, random.Random(seed), 12), psi)
+    mono = LaurentScalar(k, 1)
+    for x in (mono, alg.lift(mono)):
+        got = c.scale(x)
+        check_canonical(got)
+        assert got == c * alg.scalar(x)
+        assert alg.zero.scale(x) == alg.zero
+    cbar = c.transpose()
+    inverse = cl_inverse(c)
+    assert inverse == cbar * alg.scalar((c * cbar).scalar_part().inverse())
+    assert to_ref(c * inverse) == to_ref(alg.one)
+
+
+def test_cl_inverse_makes_three_products(monkeypatch):
+    # c * c^tr and the two checks of the candidate; the scale by the
+    # inverse norm, a monomial, is a shift
+    c = evaluate(("a", "s1", "A", "t", "S2"), PinRep(4))
+    calls = 0
+    real = CliffordAlgebra._product
+
+    def counted(alg, factors):
+        nonlocal calls
+        calls += 1
+        return real(alg, factors)
+
+    monkeypatch.setattr(CliffordAlgebra, "_product", counted)
+    cl_inverse(c)
+    assert calls == 3
 
 
 @pytest.mark.parametrize("m", MS)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ytwo.clifford import CliffordAlgebra, CliffordElement, PinRep, conjugation_matrix
+from ytwo import ortho
 from ytwo.ortho import OrthoRep
 from ytwo.presentation import (
     b_word,
@@ -203,22 +204,28 @@ class TestRelatorSuites:
     def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
         # pinned, so that a return to one product per letter (1000 for
         # eta, 1025 for phi and psi) fails on any host, however noisy.
-        # Clifford products are counted at the kernel entry, where one
-        # call multiplies n factors: n - 1 products.
+        # The packed kernels are counted at their entry, where one call
+        # multiplies n factors: n - 1 products.  phi's run powers are
+        # RMatrix products.
         rep = build(8)
         count = 0
         if cls is CliffordElement:
-            owner, name, products_of = CliffordAlgebra, "_product", lambda fs: len(fs) - 1
+            counters = [(CliffordAlgebra, "_product", lambda fs: len(fs) - 1)]
         else:
-            owner, name, products_of = cls, "__mul__", lambda b: 1
-        real = getattr(owner, name)
+            counters = [(cls, "__mul__", lambda b: 1)]
+            if label == "phi":
+                counters.append((ortho, "laurent_product", len))
 
-        def counted(a, b):
-            nonlocal count
-            count += products_of(b)
-            return real(a, b)
+        def counting(real, products_of):
+            def counted(a, b):
+                nonlocal count
+                count += products_of(b)
+                return real(a, b)
 
-        monkeypatch.setattr(owner, name, counted)
+            return counted
+
+        for owner, name, products_of in counters:
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name), products_of))
         assert relator_failures(schedule(8, 20, flavor), rep) == []
         assert count == products, label
 

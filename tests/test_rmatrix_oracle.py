@@ -1,6 +1,8 @@
 """RMatrix products, row_apply and is_identity against the schoolbook
-product in oracles.py, over Laurent, QE and GF(8) entries, and matrix
-equality across rings and across the order a row's entries were found in.
+product in oracles.py, over Laurent, QE and GF(8) entries, matrix
+equality across rings and across the order a row's entries were found
+in, and the packed n-factor Laurent product against the schoolbook
+product and the left fold of ``*``.
 
 A raw entry is a pair (e0, e1) of s-exponent lists.  Over the Laurent
 ring it is e0; over QE it is e0 + e1*alpha; over GF(8) it is the residue
@@ -8,10 +10,15 @@ with bit e % 3 set for each e in e0 (XOR), so one raw matrix serves all
 three rings and the explicit examples below hold in each.
 """
 
+import random
+from functools import reduce
+from operator import mul
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ytwo.quadspace import RMatrix
+from ytwo.ortho import OrthoRep
+from ytwo.quadspace import QuadSpace, RMatrix, laurent_ops, laurent_product
 from ytwo.rings import L_ONE, L_ZERO, QE_ZERO, FiniteField, LaurentScalar, QEScalar
 
 from oracles import REF_LP_RING, REF_QE_RING, RefField, ref_lp, ref_mat_mul, ref_qe
@@ -231,3 +238,65 @@ def test_empty_matrix_rejected(rows):
 def test_empty_identity_rejected():
     with pytest.raises(ValueError):
         RMatrix.identity(0, L_ONE, L_ZERO)
+
+
+# -- the packed n-factor Laurent product --------------------------------------
+
+factor_lists = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+# lowest exponents -7 and -3: the result's base is their sum
+NEGATIVE = [[((-7, 2), ()), ((-4,), ())], [ONE, ((-5, -7), ())]]
+NEGATIVE_B = [[((-3,), ()), Z], [((-1, 4), ()), ((0, -2), ())]]
+# columns 0 and 2 are zero; ORDER_B then maps column 1 into column 2
+ZERO_COLS = [[Z, ONE, Z], [Z, S, Z], [Z, ONE, Z]]
+# (1 + s**15)**2 = 1 + s**30: the width must hold the sum of the spans
+WIDE = [[((0, 15), ()), ONE], [Z, ((0, 15), ())]]
+# 1 + 1 = 0 on every entry: the product is the zero matrix
+ALL_ONES = [[ONE, ONE], [ONE, ONE]]
+
+
+def packed(mats):
+    return laurent_product(mats[0], [laurent_ops(f) for f in mats[1:]])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(raws=factor_lists)
+@example(raws=[NEGATIVE])
+@example(raws=[NEGATIVE, NEGATIVE_B, NEGATIVE])
+@example(raws=[ZERO_ROWS, CANCEL_B, CANCEL_A])
+@example(raws=[ZERO_COLS, ORDER_B, ZERO_COLS])
+@example(raws=[CANCEL_A, CANCEL_B, ZERO_ROWS, ZERO_COLS])
+@example(raws=[ALL_ONES, ALL_ONES])
+@example(raws=[ALL_ONES, NEGATIVE, ALL_ONES, NEGATIVE_B])
+@example(raws=[WIDE, WIDE])
+@example(raws=[WIDE, NEGATIVE, WIDE, NEGATIVE_B])
+def test_laurent_product_matches_reference(raws):
+    rr = ref_ring("laurent")
+    mats = [build("laurent", raw) for raw in raws]
+    want = ref_build("laurent", raws[0])
+    for raw in raws[1:]:
+        want = ref_mat_mul(want, ref_build("laurent", raw), rr)
+    got = packed(mats)
+    check_product("laurent", got, want)
+    assert got == reduce(mul, mats)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+def test_laurent_product_of_long_words(seed):
+    # words of up to 100 letters at m = 10, one factor per letter, as
+    # ``verify lifting --m 10 --maxlen 100`` draws them; the last is 100
+    # letters long
+    phi = OrthoRep(QuadSpace(10))
+    rng = random.Random(seed)
+    letters = phi.letters()
+    for length in (rng.randint(1, 100), 100):
+        mats = [phi.image(rng.choice(letters)) for _ in range(length)]
+        assert packed(mats) == reduce(mul, mats)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ytwo.clifford import cl_inverse, get_algebra
 from ytwo.errors import YtwoError
-from ytwo.quadspace import RMatrix
+from ytwo.quadspace import RMatrix, laurent_ops, laurent_product
 from ytwo.rings import ALPHA, L_ONE, L_ZERO, QE_ONE, QE_ZERO
 
 from test_clifford_oracle import build as build_element, raw_terms
@@ -66,6 +66,8 @@ def test_operations_leave_operands_unchanged(ring, raw, mats, terms, m):
         lambda: p.map_entries(frobenius),
         lambda: pq.map_entries(frobenius),
     ]
+    if ring == "laurent":
+        ops.append(lambda: laurent_product(p, [laurent_ops(q), laurent_ops(pq)]))
     constants = [L_ZERO, L_ONE, QE_ZERO, QE_ONE, ALPHA, FIELD.zero, FIELD.one]
     if ring != "ff":
         alg = get_algebra(m, ring)
