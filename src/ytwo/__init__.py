@@ -69,6 +69,7 @@ from .clifford import (
     cl_inverse,
     conjugation_matrix,
     get_algebra,
+    intertwines,
     kernel_element,
     power_sequences,
     spinor_norm,

@@ -23,6 +23,7 @@ from .clifford import (
     center_report,
     check_power_identities,
     conjugation_matrix,
+    intertwines,
     kernel_element,
     spinor_norm,
 )
@@ -139,6 +140,13 @@ def _suite_relations(args, report):
             )
 
 
+def _lifts(c, mat) -> bool:
+    """pi(c) == mat: c has spinor norm 1, which makes c^-1 = c^tr, and
+    x_i c = c * (row i of mat) for each generator x_i (the module
+    docstring of ``ytwo.clifford`` has the proof)."""
+    return spinor_norm(c).is_one and intertwines(c, mat)
+
+
 def _suite_lifting(args, report):
     phi = OrthoRep(QuadSpace(args.m))
     psi = PinRep(args.m)
@@ -161,9 +169,7 @@ def _suite_lifting(args, report):
         word = tuple(
             rng.choice(letters) for _ in range(rng.randint(0, args.maxlen))
         )
-        ok, error = _attempt(
-            lambda: conjugation_matrix(evaluate(word, psi)) == evaluate(word, phi)
-        )
+        ok, error = _attempt(lambda: _lifts(evaluate(word, psi), evaluate(word, phi)))
         if not ok:
             detail = f"first failing word {''.join(word)}"
             detail += f": {error}" if error else ""
@@ -402,15 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each bound keeps its command within reach (README gives the times
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
-    # at m=11; lifting on its default 200 words 37 s and 26 MB at m=11,
-    # against 8-10 s and 20 MB at m=10 (20 words: 2.4-6.1 s at m=11,
-    # 0.8-1.2 s at m=10); closed-form 16 s and 52 MB at m=200.
+    # at m=11; lifting on its default 200 words 19-23 s and 72-94 MB at
+    # m=13, against 5.3-7.3 s and 34-40 MB at m=12 and 0.8-1.1 s at m=10
+    # (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14); closed-form 7 s
+    # and 36 MB at m=200.
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
     )
     p_lift = vsub.add_parser("lifting", parents=[shared])
-    common(p_lift, m_max=10)
+    common(p_lift, m_max=12)
     p_lift.add_argument("--words", type=_int_in(0, 2500), default=200)
     p_lift.add_argument("--maxlen", type=_int_in(0, 100), default=30)
     common(vsub.add_parser("closed-form", parents=[shared]), m_max=100, kmax=(20, 0, 50))

@@ -71,20 +71,20 @@ Two factors hold at most 2m v-generators, so a binary product has H =
 the bit lengths alone, and binary products share few widths (the masks
 are built once per width).
 
-Conjugation.  ``conjugation_matrix`` needs c^-1 x_i c for every
-generator x_i.  It packs c once, applies each left action x_i to it and
-stacks the results as rows of one int, row k at bit k*R, with R = N*W
-per power of alpha (three blocks on the QE ring, the third holding the
-alpha**2 part until its fold).  c^-1 is then chained once across all
-the rows: each action and shift-XOR moves every row at once, since the
-masks repeat with period N*W, and one mask folds every row.  A stack
-holds at most ``_STACK_BITS`` bits of rows: all m + 1 rows for small m,
-fewer per stack (down to one) where a row is large.  Each row is the
-three-factor product c^-1 * x_i * c, so the width above holds it, with
-x_i a factor of one bit and one v-generator.  W is a multiple of 16, so
-every slot starts on a byte: the vector slots are read straight off the
-result's bytes, and a nonzero non-vector slot raises
-``NotCliffordGroupError`` for the first row it is in.
+Intertwining.  ``intertwines(c, M)`` asks whether x_i c = c * sum_j
+M_ij x_j for every generator x_i.  It packs c once and takes the m + 1
+right actions c x_j once; row i is then a shift-XOR of those, one per
+set bit of each entry M_ij (its alpha part one block up, folded as
+above), compared with the one left action x_i c.  It is the product
+c * (row i) with the row chained on the right, so the binary width
+above holds it (the row's entries, shifted to one base, as the chained
+factor).  When c has spinor norm c c^tr = 1, the identity says that c
+conjugates the vector module by M: left multiplication by c is then an
+onto endomorphism of the algebra (it has the right inverse c^tr), a
+finitely generated module over the scalars, and an onto endomorphism
+of such a module is one-to-one (Vasconcelos 1969).  So c^tr c = 1 as
+well, c^-1 = c^tr, and c^-1 x_i c = row i.  No inverse and no
+conjugation matrix is needed.
 
 Two closed forms of the same action rule serve the maps that need no
 product.  The transpose of a monomial is
@@ -145,13 +145,6 @@ _MTG_CACHE: dict = {}
 _MTM_CACHE: dict = {}
 _TR_CACHE: dict = {}
 
-# conjugation_matrix stacks at most this many bits of rows per int: all
-# m + 1 rows at m = 4, one row at m = 12.  At m = 10..12, stacking every
-# row ran up to twice as slow as one row at a time, as the chains no
-# longer stay in the processor's cache (measured on a 2-core x86 VM).
-_STACK_BITS = 1 << 18
-
-
 def _bits(mono: int) -> list:
     """Indices of the set bits of a monomial, ascending."""
     return [i for i in range(mono.bit_length()) if mono >> i & 1]
@@ -190,8 +183,7 @@ def _slot_width(la: int, lb: int, squares: int) -> int:
     bit length la, whose chained factors' bit lengths sum to lb, and in
     which one term meets at most ``squares`` squares v_i v_i = s**-2 (the
     bound is proved in the module docstring).  Rounded up to a multiple
-    of 16, so that products share few widths and every slot starts on a
-    byte."""
+    of 16, so that products share few widths."""
     return (la + lb + 2 * squares + 15) & -16
 
 
@@ -227,6 +219,24 @@ def _or_all(parts) -> int:
     for part in parts:
         low |= reduce(or_, part.values(), 0)
     return low
+
+
+def _act(y: int, action) -> int:
+    """A packed int y times one generator, by its entry of a table from
+    ``CliffordAlgebra._actions``."""
+    mask, up, down, extras = action
+    hi = y & mask
+    z = hi >> down | (y ^ hi) << up
+    for mask, shift in extras:
+        z ^= (y & mask) >> shift
+    return z
+
+
+def _fold(x: int, fold: int, span: int) -> int:
+    """x with its alpha**2 block (the bits of ``fold``) folded back by
+    alpha**2 = s*alpha + 1, ``span`` the bits of one power of alpha."""
+    top = x & fold
+    return x ^ top ^ top >> 2 * span ^ top >> (span - 1) if top else x
 
 
 def _laurent(lo: int, x: int) -> LaurentScalar:
@@ -286,27 +296,21 @@ class CliffordAlgebra:
             return c
         return QEScalar.from_laurent(c)
 
-    def _actions(self, width: int, rows: int = 1) -> tuple:
-        """The packed-int tables for ``width``-bit slots over ``rows``
-        stacked rows, cached per width: (rows, left, right, fold,
-        nonvector).  ``left`` and ``right`` hold the
-        generator actions (``right`` indexed by m - g, as ``_chain`` walks
-        it), the entry of g being (mask, up, down, extras): ``mask``
-        covers every slot whose monomial holds g; the slots outside it move
-        up by ``up`` = width << g (M to M | g), those inside down by
-        ``down`` (M to M ^ g, with the square's s**-2 for a v-generator);
-        ``extras`` holds a (mask, shift) pair per anticommutator generator
-        k.  ``fold`` covers the alpha**2 block of every row (0 on the
-        Laurent ring) and ``nonvector`` every slot of a non-vector
-        monomial.  The masks repeat with period 2**(m+1) * width.  Products
-        need one row; ``_conjugation_rows`` needs as many as it stacks and
-        rebuilds the entry of its width once, so algebras that never
-        conjugate keep masks no longer than one packed element."""
+    def _actions(self, width: int) -> tuple:
+        """The packed-int tables for ``width``-bit slots, cached per width:
+        (left, right, fold).  ``left`` and ``right`` hold the generator
+        actions (``right`` indexed by m - g, as ``_chain`` walks it), the
+        entry of g being (mask, up, down, extras): ``mask`` covers every
+        slot whose monomial holds g; the slots outside it move up by ``up``
+        = width << g (M to M | g), those inside down by ``down`` (M to M ^
+        g, with the square's s**-2 for a v-generator); ``extras`` holds a
+        (mask, shift) pair per anticommutator generator k.  ``fold`` covers
+        the alpha**2 block (0 on the Laurent ring).  The masks repeat with
+        period 2**(m+1) * width."""
         m = self.m
         span = width << (m + 1)
         blocks = len(self.zero.parts)
-        stride = span * (2 * blocks - 1)
-        total = stride * (rows - 1) + span * blocks  # no mask reads a last alpha**2 block
+        total = span * blocks  # no mask reads the alpha**2 block
         steps = []
         for g in range(m + 1):
             shift = width << g
@@ -319,13 +323,8 @@ class CliffordAlgebra:
             )
             for ks in self._extras
         )
-        right = right[::-1]
-        full = (1 << width) - 1
-        vector = sum(full << (width << g) for g in range(m + 1))
-        block = (1 << span) - 1
-        nonvector = _repeat(_repeat(block ^ vector, span, blocks * span), stride, total)
-        fold = _repeat(block << 2 * span, stride, stride * rows) if blocks == 2 else 0
-        tables = self._polybits_cache[width] = (rows, left, right, fold, nonvector)
+        fold = ((1 << span) - 1) << 2 * span if blocks == 2 else 0
+        tables = self._polybits_cache[width] = (left, right[::-1], fold)
         return tables
 
     def _chain(self, x: int, parts, actions, span: int, fold: int, left: bool) -> int:
@@ -355,12 +354,7 @@ class CliffordAlgebra:
             while rest:
                 g = rest.bit_length() - 1
                 rest ^= 1 << g
-                mask, up, down, extras = actions[g]
-                hi = y & mask
-                z = hi >> down | (y ^ hi) << up
-                for mask, shift in extras:
-                    z ^= (y & mask) >> shift
-                y = z
+                y = _act(y, actions[g])
                 q |= 1 << g
                 path.append((q, y))
             p = key if left else rev[key]
@@ -372,11 +366,7 @@ class CliffordAlgebra:
                     acc ^= y << (base + low.bit_length() - 1)
                     c ^= low
                 base += span
-        if fold:  # alpha**2 = s*alpha + 1
-            top = acc & fold
-            if top:
-                acc ^= top ^ top >> 2 * span ^ top >> (span - 1)
-        return acc
+        return _fold(acc, fold, span)
 
     def _product(self, factors) -> "CliffordElement":
         """The product of a sequence of elements (see the module
@@ -399,7 +389,7 @@ class CliffordAlgebra:
         if len(factors) > 2:
             squares = max(m, sum(_vcount(f.parts) for f in factors) // 2)
         width = _slot_width(packed_bits, bits - packed_bits, squares)
-        _, left, right, fold, _ = self._polybits_cache.get(width) or self._actions(width)
+        left, right, fold = self._polybits_cache.get(width) or self._actions(width)
         span = width << (m + 1)  # the bits of one power of alpha
         x = _pack(factors[j].parts, width, 2 * squares, span)
         for f in reversed(factors[:j]):
@@ -417,61 +407,6 @@ class CliffordAlgebra:
             x >>= width
             slot += 1
         return _canonical(self, lo - 2 * squares, parts)
-
-    def _conjugation_rows(self, c_inv, c) -> list:
-        """The vector coefficients of c_inv * x_i * c for each generator
-        x_i, as rows {g: nonzero scalar}, from stacked passes (see the
-        module docstring); raises NotCliffordGroupError, as ``as_vector``
-        does, for the first row with a non-vector monomial."""
-        m = self.m
-        squares = max(m, (_vcount(c_inv.parts) + 1 + _vcount(c.parts)) // 2)
-        bits_c, bits_inv = (_or_all(f.parts).bit_length() for f in (c, c_inv))
-        width = _slot_width(bits_c, bits_inv + 1, squares)
-        span = width << (m + 1)
-        blocks = len(c.parts)
-        stride = span * (2 * blocks - 1)  # room for the alpha**2 block
-        group = min(m + 1, max(1, _STACK_BITS // stride))  # rows per stack
-        tables = self._polybits_cache.get(width)
-        if tables is None or tables[0] < group:
-            tables = self._actions(width, group)
-        _, left, _, fold, nonvector = tables
-        x = _pack(c.parts, width, 2 * squares, span)
-        lo = c_inv.lo + c.lo - 2 * squares
-        size = width // 8
-        rows = []
-        for first in range(0, m + 1, group):
-            stack = 0
-            for k, (mask, up, down, extras) in enumerate(left[first : first + group]):
-                hi = x & mask  # row k: x_i * c, i = first + k
-                y = hi >> down | (x ^ hi) << up
-                for mask, shift in extras:
-                    y ^= (x & mask) >> shift
-                stack |= y << k * stride
-            acc = self._chain(stack, c_inv.parts, left, span, fold, True)
-            bad = acc & nonvector
-            if bad:
-                row = bad >> ((bad & -bad).bit_length() - 1) // stride * stride
-                slots = []
-                for b in range(blocks):
-                    block = row >> b * span & (1 << span) - 1
-                    if block:
-                        slots.append(((block & -block).bit_length() - 1) // width)
-                raise NotCliffordGroupError(
-                    f"element has a non-vector component on monomial {bin(min(slots))}"
-                )
-            data = acc.to_bytes(stride * group // 8, "little")
-            for k in range(min(group, m + 1 - first)):
-                row = {}
-                for g in range(m + 1):
-                    at = (k * stride + (width << g)) // 8
-                    xs = [
-                        int.from_bytes(data[i : i + size], "little")
-                        for i in range(at, at + blocks * span // 8, span // 8)
-                    ]
-                    if any(xs):
-                        row[g] = self._scalar(lo, xs)
-                rows.append(row)
-        return rows
 
     def _scalar(self, lo: int, xs):
         """The scalar whose alpha**i part has bit k -> s**(lo + k) of xs[i]."""
@@ -771,10 +706,52 @@ def cl_inverse(c: CliffordElement) -> CliffordElement:
 
 
 def conjugation_matrix(c: CliffordElement) -> RMatrix:
-    """Matrix of v -> c^-1 v c on the vector module (rows are images),
-    all m + 1 rows from one stacked pass over c (module docstring)."""
+    """Matrix of v -> c^-1 v c on the vector module (rows are images):
+    row i is c^-1 x_i c, one three-factor product each."""
     alg = c.algebra
-    return RMatrix._sparse(tuple(alg._conjugation_rows(cl_inverse(c), c)), alg.scalar_zero)
+    c_inv = cl_inverse(c)
+    return RMatrix(alg._product((c_inv, x, c)).as_vector() for x in alg._gens)
+
+
+def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
+    """True iff x_i * c == c * sum_j mat[i][j] x_j for every generator
+    x_i: with spinor norm 1, iff conjugation by c is ``mat`` (module
+    docstring).  The right actions c * x_j are taken once and shared by
+    the rows; each row is compared with one left action x_i * c."""
+    alg = c.algebra
+    m = alg.m
+    if mat.size != m + 1:
+        return False
+    rows = [
+        [
+            (j, b, piece)
+            for j, x in row.items()
+            for b, piece in enumerate((x.c0, x.c1) if isinstance(x, QEScalar) else (x,))
+            if piece.mask
+        ]
+        for row in mat.entries
+    ]
+    # the entries and x_i * c shifted up to one base s**low
+    pieces = [piece for row in rows for *_, piece in row]
+    low = min([0] + [p.off for p in pieces])
+    top = max([1] + [p.off + p.mask.bit_length() for p in pieces])
+    width = _slot_width(_or_all(c.parts).bit_length(), top - low, m)
+    left, right, fold = alg._polybits_cache.get(width) or alg._actions(width)
+    span = width << (m + 1)
+    x = _pack(c.parts, width, 2 * m, span)
+    acts = [_act(x, right[m - j]) for j in range(m + 1)]  # c * x_j
+    for i, row in enumerate(rows):
+        acc = 0
+        for j, b, piece in row:
+            y = acts[j] << b * span + piece.off - low
+            mask = piece.mask
+            while mask:
+                one = mask & -mask
+                acc ^= y << one.bit_length() - 1
+                mask ^= one
+        if _fold(acc, fold, span) != _act(x, left[i]) << -low:
+            return False
+    return True
 
 
 # -- power identities --------------------------------------------------------
@@ -903,6 +880,6 @@ def kernel_element(m: int, lam: LaurentScalar) -> CliffordElement:
     norm = spinor_norm(z)
     if not norm.is_one:
         raise MismatchError(f"kernel candidate has spinor norm {norm}")
-    if not conjugation_matrix(z).is_identity:
+    if not intertwines(z, RMatrix.identity(m + 1, L_ONE, L_ZERO)):
         raise MismatchError("kernel candidate does not centralize the module")
     return z

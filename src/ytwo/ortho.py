@@ -17,12 +17,14 @@ ops for it are built on its first use and kept by the representation.
 ``conjugate_power_matrix`` builds the closed-form matrix for the k-fold
 a-conjugate of s1 out of the geometric sums
 
-    Sigma_k = sum_{i=-k..k} alpha**(2i),   Sigma_{-1} = 0,
+    Sigma_k = sum_{i=-k..k} alpha**(2i),
 
-computed in the quadratic extension (where alpha**2 + alpha**-2 = t)
-and then lowered back to the Laurent subring.  The conjugates all share
-the shape "x -> x + f_x * (u + v1 + v2) on u, v1, v2" with coefficients
-summing to zero, the shape ``triple_form_matrix`` exposes directly.
+and Sigma_{k-1} = Sigma_k + alpha**2k + alpha**-2k (at k = 0 that gives
+Sigma_{-1} = Sigma_0 = 1, not the empty sum), computed in the quadratic
+extension (where alpha**2 + alpha**-2 = t) and then lowered back to the
+Laurent subring.  The conjugates all share the shape "x -> x + f_x *
+(u + v1 + v2) on u, v1, v2" with coefficients summing to zero, the
+shape ``triple_form_matrix`` exposes directly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .quadspace import (
     RMatrix,
     laurent_ops,
     laurent_product,
-    rmat_lift_qe,
     transvection,
     vec_add,
 )
@@ -111,15 +112,12 @@ def _one_like(x):
 
 
 def conjugate_power_matrix(space: QuadSpace, k: int) -> RMatrix:
-    """Closed form for the k-fold a-conjugate of the s1 image, over QE.
-
-    k = 0 returns the s1 image itself (lifted).  For k >= 1 the triple
-    of coefficients is (alpha**2k + alpha**-2k, Sigma_{k-1}, Sigma_k).
-    """
+    """Closed form for the k-fold a-conjugate of the s1 image, over QE:
+    the triple of coefficients is (alpha**2k + alpha**-2k, Sigma_{k-1},
+    Sigma_k), with Sigma_{k-1} taken as Sigma_k + alpha**2k + alpha**-2k.
+    At k = 0 that is (0, 1, 1), the s1 image itself."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return rmat_lift_qe(OrthoRep(space).image(s_letter(1)))
     a2k = ALPHA ** (2 * k) + ALPHA_INV ** (2 * k)
     sigma_k = QE_ZERO
     for i in range(-k, k + 1):

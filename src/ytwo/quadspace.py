@@ -464,11 +464,6 @@ def gram_rank_gf2(m: int) -> int:
     return gf2_rank(full ^ (1 << i) for i in range(n))
 
 
-def rmat_lift_qe(mat: RMatrix) -> RMatrix:
-    """Lift a Laurent matrix into the quadratic extension."""
-    return mat.map_entries(rings.QEScalar.from_laurent)
-
-
 def rmat_lower_laurent(mat: RMatrix) -> RMatrix:
     """Lower a QE matrix into the Laurent subring (raises if impossible)."""
     return mat.map_entries(lambda x: x.laurent_part())

@@ -265,6 +265,27 @@ def ref_ff_rank(field, rows):
     return rank
 
 
+def ref_ff_det(field, rows):
+    """Determinant over GF(2**d) of a square list of rows of residues, by
+    Gaussian elimination in ``field`` (a RefField): the product of the
+    pivots, no sign in characteristic two."""
+    rows = [list(r) for r in rows]
+    q = 1 << field.d
+    det = 1
+    for col in range(len(rows)):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        det = field.mul(det, rows[col][col])
+        inv = field.pow(rows[col][col], q - 2)
+        for i in range(col + 1, len(rows)):
+            c = field.mul(rows[i][col], inv)
+            if c:
+                rows[i] = [x ^ field.mul(c, y) for x, y in zip(rows[i], rows[col])]
+    return det
+
+
 # -- classical group order formulas ------------------------------------------
 
 

@@ -184,10 +184,15 @@ class TestGuardedDomainErrors:
         ]
 
     def test_lifting_error_becomes_fail_check(self, capsys, monkeypatch):
-        # With the inverse replaced by 1, conjugation rows are x_i * c, and
-        # for most letters some row is not a vector (as in
-        # test_conjugation_rejects_non_vector_row).
+        # With the inverse replaced by 1, the generators' conjugation rows
+        # are x_i * c, and for most letters some row is not a vector (as
+        # in test_conjugation_rejects_middle_rows).  Words are checked by
+        # intertwining, which needs no inverse; it raises here instead.
+        def broken(c, mat):
+            raise NotScalarError("planted error on the word path")
+
         monkeypatch.setattr(clifford, "cl_inverse", lambda c: c.algebra.one)
+        monkeypatch.setattr(cli, "intertwines", broken)
         argv = ["verify", "lifting", "--m", "4", "--words", "5", "--json"]
         code, data = run_json(capsys, argv)
         assert code == 1
@@ -197,7 +202,7 @@ class TestGuardedDomainErrors:
         assert "non-vector component" in failed["lifting/m=4/generator_a"]
         words = failed["lifting/m=4/random_words(count=5,maxlen=30)"]
         assert words.startswith("first failing word ")
-        assert "non-vector component" in words
+        assert words.endswith(": planted error on the word path")
 
 
 class TestSuites:
@@ -208,6 +213,12 @@ class TestSuites:
         )
         out = capsys.readouterr().out
         assert "phi/m=3" in out and "psi/m=3" in out and "eta/m=3" in out
+
+    def test_lifting(self, capsys):
+        # generators by their conjugation matrices, words by spinor norm
+        # and intertwining
+        for m in ("3", "6"):
+            assert run(["verify", "lifting", "--m", m, "--words", "30"]) == 0
 
     def test_closed_form(self, capsys):
         assert run(["verify", "closed-form", "--m", "3", "--kmax", "4"]) == 0
@@ -266,9 +277,9 @@ class TestParser:
 
     def test_lifting_m_bound(self):
         parser = build_parser()
-        assert parser.parse_args(["verify", "lifting", "--m", "10"]).m == 10
+        assert parser.parse_args(["verify", "lifting", "--m", "12"]).m == 12
         with pytest.raises(SystemExit) as err:
-            parser.parse_args(["verify", "lifting", "--m", "11"])
+            parser.parse_args(["verify", "lifting", "--m", "13"])
         assert err.value.code == 2
 
 
@@ -282,7 +293,7 @@ class TestArgumentValidation:
             ["verify", "relations", "--m", "2"],
             ["verify", "relations", "--kmax", "0"],
             ["verify", "relations", "--m", "11"],
-            ["verify", "lifting", "--m", "11"],
+            ["verify", "lifting", "--m", "13"],
             ["verify", "closed-form", "--m", "101"],
             ["verify", "closed-form", "--kmax", "-1"],
             ["specialize", "--m", "3", "--n", "4"],

@@ -4,16 +4,17 @@ every monomial product and transpose of fresh algebras at m = 3 and 4,
 planted faults in the packed generator actions, the closed-form
 transposes and centre rows against the products, the canonical raw
 storage form under operations that must not change an element, the
-n-factor product and the stacked conjugation rows against left folds
-of the reference product, and scaling by a monomial and ``cl_inverse``
-against the product path."""
+n-factor product and the conjugation rows against left folds of the
+reference product, scaling by a monomial and ``cl_inverse`` against the
+product path, and the intertwining check against the conjugation
+matrix, with planted faults."""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ytwo import clifford
+from ytwo import cli, clifford
 from ytwo.clifford import (
     CliffordAlgebra,
     CliffordElement,
@@ -22,10 +23,12 @@ from ytwo.clifford import (
     cl_inverse,
     conjugation_matrix,
     get_algebra,
+    intertwines,
 )
 from ytwo.errors import NotCliffordGroupError
 from ytwo.presentation import evaluate, schedule
-from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, QEScalar
+from ytwo.quadspace import RMatrix
+from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, QEScalar, S
 
 from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
 
@@ -385,7 +388,7 @@ def test_planted_unshifted_normalizer_is_caught(monkeypatch):
         check_unchanged_by_identities(alg, el)
 
 
-# -- n-factor products and stacked conjugation rows -------------------------
+# -- n-factor products and conjugation rows ---------------------------------
 
 
 def ref_fold(els):
@@ -458,7 +461,7 @@ ALPHA = QEScalar(L_ZERO, L_ONE)
 def test_conjugation_rows_match_reference(m, ring, seed, scale):
     # row i of conjugation_matrix(c) against c^-1 * x_i * c by the
     # reference product; over "qe" the scale by the unit alpha puts alpha
-    # parts on both c and c^-1, so the stacked rows fold alpha**2
+    # parts on both c and c^-1, so the row products fold alpha**2
     psi = PinRep(m, ring)
     c = evaluate(random_word(psi, random.Random(seed), 12), psi)
     if scale and ring == "qe":
@@ -534,3 +537,138 @@ def test_conjugation_rejects_middle_rows(m, monkeypatch):
     c = alg.one + alg.u() * alg.v(m)
     with pytest.raises(NotCliffordGroupError, match=f"{bin(1 | 2 | 1 << m)}$"):
         conjugation_matrix(c)
+
+
+# -- the intertwining identity x_i * c == c * (row i) -------------------------
+
+
+def perturbed(mat, i, j, delta):
+    """mat with delta added to entry (i, j)."""
+    entries = [dict(row) for row in mat.entries]
+    x = entries[i].get(j, mat.zero) + delta
+    if x:
+        entries[i][j] = x
+    else:
+        entries[i].pop(j, None)
+    return RMatrix._sparse(tuple(entries), mat.zero)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS + (8,))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.booleans())
+@example(seed=0, scale=True)
+def test_intertwines_matches_conjugation_matrix(m, ring, seed, scale):
+    # intertwines(c, mat) against conjugation_matrix(c) == mat, for the
+    # conjugation matrix and for one entry of it moved by a monomial;
+    # over "qe" the scale by alpha gives c an alpha part, so the rows
+    # fold alpha**2, and the perturbation may be an alpha part too
+    psi = PinRep(m, ring)
+    rng = random.Random(seed)
+    c = evaluate(random_word(psi, rng, 12), psi)
+    if scale and ring == "qe":
+        c = c.scale(ALPHA)
+    mat = conjugation_matrix(c)
+    assert intertwines(c, mat)
+    delta = LaurentScalar(rng.randint(-3, 8), 1)
+    if ring == "qe":
+        delta = QEScalar(L_ZERO, delta) if rng.random() < 0.5 else QEScalar(delta)
+    wrong = perturbed(mat, rng.randrange(m + 1), rng.randrange(m + 1), delta)
+    assert not intertwines(c, wrong) and conjugation_matrix(c) != wrong
+
+
+def lifting_cases():
+    """(c, conjugation_matrix(c)) for random pin words at m = 4 over both
+    rings, over "qe" also scaled by alpha."""
+    cases = []
+    for ring in RINGS:
+        psi = PinRep(4, ring)
+        rng = random.Random(4)
+        for _ in range(10):
+            c = evaluate(random_word(psi, rng, 12), psi)
+            mat = conjugation_matrix(c)
+            cases += [(c, mat), (c.scale(ALPHA), mat)] if ring == "qe" else [(c, mat)]
+    return cases
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_intertwines_rejects_every_perturbed_entry(ring):
+    # each entry of a lifted matrix moved by s**k, k below, inside and
+    # above the entries' exponents, or (over "qe") by alpha * s**k
+    for c, mat in lifting_cases()[::3]:
+        if c.algebra.ring != ring:
+            continue
+        for i in range(5):
+            for j in range(5):
+                for k in (-1, 0, 3, 9):
+                    delta = LaurentScalar(k, 1)
+                    qe = (QEScalar(delta), QEScalar(L_ZERO, delta))
+                    for d in qe if ring == "qe" else (delta,):
+                        assert not intertwines(c, perturbed(mat, i, j, d))
+
+
+def fresh_action_tables(monkeypatch):
+    """Give every algebra in use an empty mask cache for this test."""
+    for alg in clifford._ALGEBRAS.values():
+        monkeypatch.setattr(alg, "_polybits_cache", {})
+
+
+def right_as_left(monkeypatch):
+    # c * x_j taken as the left action x_j * c
+    real = CliffordAlgebra._actions
+
+    def planted(alg, width):
+        left, _, fold = real(alg, width)
+        tables = alg._polybits_cache[width] = (left, left[::-1], fold)
+        return tables
+
+    fresh_action_tables(monkeypatch)
+    monkeypatch.setattr(CliffordAlgebra, "_actions", planted)
+
+
+def narrow_slots(monkeypatch):
+    # A width one bit short of the least that holds the identity.  That
+    # least is one below _slot_width's unrounded bound: the alpha**2
+    # fold's extra bit is never needed here, as a bit it pushes out of a
+    # slot lands below every term of the next one and so can only make
+    # the two sides differ, which they then do.
+    fresh_action_tables(monkeypatch)
+    monkeypatch.setattr(clifford, "_slot_width", lambda la, lb, m: la + lb + 2 * m - 2)
+
+
+@pytest.mark.parametrize("plant", (right_as_left, narrow_slots))
+def test_planted_intertwining_faults_are_caught(plant, monkeypatch):
+    cases = lifting_cases()
+
+    def check():
+        for c, mat in cases:
+            assert intertwines(c, mat)
+            assert not intertwines(c, perturbed(mat, 1, 0, c.algebra.scalar_one))
+
+    check()
+    fresh_action_tables(monkeypatch)
+    monkeypatch.setattr(clifford, "_slot_width", lambda la, lb, m: la + lb + 2 * m - 1)
+    check()  # the unused fold bit: one bit below the bound is still exact
+    monkeypatch.undo()
+    plant(monkeypatch)
+    with pytest.raises(AssertionError):
+        check()
+
+
+def test_lifting_check_rejects_zero_and_non_units(monkeypatch):
+    # The identity alone holds for 0 with every matrix and for the
+    # non-unit scalar 1 + s with the identity matrix; the norm rejects
+    # both, and 1 + u, whose norm (1 + u)**2 is 0.
+    alg = get_algebra(4)
+    ident = RMatrix.identity(5, L_ONE, L_ZERO)
+    elements = (alg.zero, alg.scalar(L_ONE + S), alg.one + alg.u())
+    assert intertwines(elements[0], ident) and intertwines(elements[1], ident)
+
+    def check():
+        for c in elements:
+            assert not cli._lifts(c, ident)
+
+    check()
+    monkeypatch.setattr(cli, "spinor_norm", lambda c: L_ONE)  # no norm check
+    with pytest.raises(AssertionError):
+        check()

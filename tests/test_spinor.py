@@ -24,6 +24,8 @@ from ytwo.spinor import (
     spinor_basis,
 )
 
+from oracles import RefField, ref_ff_det
+
 
 class TestSeedVector:
     def test_components(self):
@@ -109,6 +111,21 @@ class TestActionMatrices:
         for m in (3, 4, 5):
             eta = SpinorRep(m)
             assert (eta.image("a") * eta.image("A")).is_identity
+
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_generators_land_in_sl(self, m, n):
+        # every generator image, specialized at alpha -> zeta of order n,
+        # has determinant 1 over GF(2**d)
+        emap = make_eval_map(n)
+        field = RefField(emap.field.modulus)
+        zeta = emap.alpha_image.bits
+        assert ref_ff_det(field, [[zeta, 0], [1, 1]]) == zeta != 1
+        eta = SpinorRep(m)
+        for letter in eta.letters():
+            img = eta.image(letter)
+            rows = [[emap.apply(x).bits for x in row] for row in img.rows]
+            assert ref_ff_det(field, rows) == 1, letter
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_relators(self, m):
