@@ -312,8 +312,7 @@ def _cmd_decompose(args) -> RunReport:
 
 def _cmd_specialize(args) -> RunReport:
     report = RunReport(command="specialize", params=_param_dict(args))
-    mode = "force" if args.enumerate else "auto"
-    g = small_cases_check(args.m, args.n, cap=args.cap, enumerate_mode=mode)
+    g = small_cases_check(args.m, args.n, cap=args.cap, force=args.enumerate)
     report.checks += g.checks
     report.cap_hit = args.enumerate and g.enumeration == "cap"
     return report
@@ -410,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
     # at m=11; lifting on its default 200 words 19-23 s and 72-94 MB at
     # m=13, against 5.3-7.3 s and 34-40 MB at m=12 and 0.8-1.1 s at m=10
-    # (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14); closed-form 7 s
-    # and 36 MB at m=200.
+    # (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14); closed-form 1.1 s
+    # and 35 MB at m=200.
     common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
     vsub.choices["relations"].add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"

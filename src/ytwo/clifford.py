@@ -672,7 +672,7 @@ class PinRep(Representation):
             pair = alg.v(i) + alg.v(i + 1)
             images[st_letter(i)] = pair
             images[s_letter(i)] = u * pair
-        super().__init__(images, alg.one)
+        super().__init__(m, images, alg.one)
 
     def product(self, factors):
         """The product of a non-empty sequence of images by one

@@ -57,7 +57,7 @@ class OrthoRep(Representation):
             st = transvection(space, axis)
             images[st_letter(i)] = st
             images[s_letter(i)] = r_u * st
-        super().__init__(images, space.identity_matrix())
+        super().__init__(m, images, space.identity_matrix())
         # id(image) -> laurent_ops(image), built on the image's first use
         # in a product and kept (the images live as long as the rep, so
         # their ids stay theirs).  Not in advance: at m = 100 the ops of

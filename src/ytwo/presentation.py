@@ -7,10 +7,14 @@ Words are tuples of letter strings over the alphabet
     "t"    the inverting involution tau
     "s<i>" the transposition generators s_i of the symmetric subgroup
     "S<i>" the twisted transpositions, S<i> = t * s<i>
+    "b<i>" the b-generators b_1..b_m of Sidki's presentation
+    "B<i>" their inverses
 
 so a word serializes to the concatenation of its letters.  The s-, S-
 and t-letters stand for involutions in every representation used here,
-which is why relator words may use them for their own inverses.
+which is why relator words may use them for their own inverses; a and
+the b-letters are not involutions, so ``invert_word`` swaps them with
+A and the B-letters.
 
 A representation is anything with an ``image(letter)`` lookup, an
 ``identity`` element and images that multiply with ``*``.  Evaluating a
@@ -27,9 +31,14 @@ The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:
 b_{i+1} = s<i> b_i^{-1} s<i>, which closes to
 
-    b_i = s<i-1> ... s<1> a^{(-1)^(i-1)} s<1> ... s<i-1>.
+    b_i = s<i-1> ... s<1> a^{(-1)^(i-1)} s<1> ... s<i-1>,
 
-The second form is what tau-free representations evaluate.
+the word ``b_word`` spells and every representation evaluates, so the
+b-letters need no t- or S-letter image.  A representation's
+``image("b<i>")`` is that word's image, evaluated on first use and kept
+by the representation; ``letters()`` stays the base alphabet.  Sidki's
+relators (b_i^k b_j^k)^2 of the "Y" schedule are words of four runs
+over b-letters.
 """
 
 from __future__ import annotations
@@ -55,30 +64,19 @@ def st_letter(i: int) -> str:
 
 
 def invert_word(word) -> tuple:
-    """Formal inverse, valid because non-a letters map to involutions."""
-    flip = {A: A_INV, A_INV: A}
-    return tuple(flip.get(x, x) for x in reversed(word))
+    """Formal inverse: a and the b-letters swap with A and the B-letters,
+    every other letter maps to an involution and stays."""
+    return tuple(x.swapcase() if x[0] in "aAbB" else x for x in reversed(word))
 
 
-def b_word(i: int, m: int, style: str = "st") -> tuple:
-    """Word for the i-th b-generator, 1 <= i <= m.
-
-    ``style="st"`` uses the defining twisted-transposition conjugations;
-    ``style="y"`` is the tau-free rewriting (for representations of the
-    subgroup generated by a and the s_i alone).
-    """
+def b_word(i: int, m: int) -> tuple:
+    """The tau-free word s<i-1> .. s<1> a^{(-1)^(i-1)} s<1> .. s<i-1> of
+    the i-th b-generator, 1 <= i <= m."""
     if not 1 <= i <= m:
         raise IndexError(f"b-generator index {i} out of range 1..{m}")
-    if style == "st":
-        word = (A,)
-        for j in range(1, i):
-            word = (st_letter(j),) + word + (st_letter(j),)
-        return word
-    if style == "y":
-        core = (A,) if i % 2 == 1 else (A_INV,)
-        pre = tuple(s_letter(j) for j in range(i - 1, 0, -1))
-        return pre + core + tuple(reversed(pre))
-    raise ValueError(f"unknown b-word style {style!r}")
+    core = (A,) if i % 2 == 1 else (A_INV,)
+    pre = tuple(s_letter(j) for j in range(i - 1, 0, -1))
+    return pre + core + tuple(reversed(pre))
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def schedule(m: int, kmax: int, flavor: str) -> RelationSchedule:
       2 <= i <= m-1 (each such s_i inverts a).
     * ``"y-tilde"``: the above plus t**2, [t, s_i], and t a t a.
     * ``"Y"``: (b_i^k b_j^k)**2 for all ordered pairs i != j and
-      1 <= |k| <= kmax.
+      1 <= |k| <= kmax, over b-letters (B-letters for negative k).
     """
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
@@ -141,38 +139,48 @@ def schedule(m: int, kmax: int, flavor: str) -> RelationSchedule:
             rels.append(("tau_inverts_a", (TAU, A, TAU, A)))
         return RelationSchedule(m, kmax, flavor, tuple(rels))
     if flavor == "Y":
-        b_words = {i: b_word(i, m) for i in range(1, m + 1)}
-        b_invs = {i: invert_word(w) for i, w in b_words.items()}
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 if i == j:
                     continue
                 for k in range(1, kmax + 1):
-                    for sign, tag in ((1, k), (-1, -k)):
-                        bi = b_words[i] if sign > 0 else b_invs[i]
-                        bj = b_words[j] if sign > 0 else b_invs[j]
-                        word = (bi * k + bj * k) * 2
+                    for tag, b in ((k, "b"), (-k, "B")):
+                        word = ((f"{b}{i}",) * k + (f"{b}{j}",) * k) * 2
                         rels.append((f"bb_{i}_{j}_k{tag}", word))
         return RelationSchedule(m, kmax, flavor, tuple(rels))
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
 class Representation:
-    """Letter-image lookup shared by all concrete representations."""
+    """Letter-image lookup shared by all concrete representations, for
+    b-generators b1..bm.  The base images are given; a b-letter's image
+    is evaluated on first use and kept."""
 
     name = "rep"
 
-    def __init__(self, images: dict, identity):
+    def __init__(self, m: int, images: dict, identity):
+        self.m = m
         self._images = dict(images)
         self.identity = identity
+        self._b_images = dict.fromkeys(f"{b}{i}" for b in "bB" for i in range(1, m + 1))
 
     def image(self, letter: str):
         try:
             return self._images[letter]
         except KeyError:
+            pass
+        try:
+            img = self._b_images[letter]
+        except KeyError:
             raise ValueError(
                 f"{self.name} has no image for letter {letter!r}"
             ) from None
+        if img is None:
+            word = b_word(int(letter[1:]), self.m)
+            if letter[0] == "B":
+                word = invert_word(word)
+            img = self._b_images[letter] = evaluate(word, self)
+        return img
 
     def letters(self):
         return sorted(self._images)

@@ -326,18 +326,24 @@ def vec_scale(c, x):
 
 
 def transvection(space: QuadSpace, w) -> RMatrix:
-    """Matrix of x -> x + ((x, w)/q(w)) w; requires q(w) to be a unit."""
+    """Matrix of x -> x + ((x, w)/q(w)) w; requires q(w) to be a unit.
+
+    Row i is e_i + ((W + w_i)/q(w)) w, W the sum of w's entries, since
+    (e_i, w) = W - w_i; it is built from w's nonzero entries."""
     qw = q_eval(space, w)
     try:
         qw_inv = qw.inverse()
     except Exception as exc:
         raise NonUnitNormError(f"q(w) = {qw} is not invertible") from exc
+    support = {j: x for j, x in enumerate(w) if x}
+    total = sum(support.values(), space.zero)
     rows = []
     for i in range(space.rank):
-        e = space.basis_vector(i)
-        c = bilin(space, e, w) * qw_inv
-        rows.append(vec_add(e, vec_scale(c, w)))
-    return RMatrix(rows)
+        c = (total + w[i]) * qw_inv
+        row = {j: c * x for j, x in support.items()}
+        row[i] = row.get(i, space.zero) + space.one
+        rows.append({j: x for j, x in row.items() if x})
+    return RMatrix._sparse(tuple(rows), space.zero)
 
 
 @dataclass

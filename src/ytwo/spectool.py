@@ -37,8 +37,6 @@ from .presentation import (
     A,
     Representation,
     TAU,
-    b_word,
-    evaluate,
     relator_failures,
     schedule,
     st_letter,
@@ -57,21 +55,24 @@ from .spinor import SpinorRep
 
 
 class SpecializedRep(Representation):
-    """A representation with generator matrices over a finite field."""
+    """A representation's letter images mapped entrywise into a finite
+    field by an evaluation map."""
 
     name = "specialized"
 
-    def __init__(self, kind: str, m: int, emap: EvalMap, images: dict, b_style: str):
-        self.kind = kind
-        self.m = m
+    def __init__(self, source: Representation, emap: EvalMap):
         self.map = emap
         self.field = emap.field
-        size = next(iter(images.values())).size
-        ident = RMatrix.identity(size, self.field.one, self.field.zero)
-        super().__init__(images, ident)
-        self.b_matrices = tuple(
-            evaluate(b_word(i, m, style=b_style), self) for i in range(1, m + 1)
-        )
+        images = {
+            letter: source.image(letter).map_entries(emap.apply)
+            for letter in source.letters()
+        }
+        super().__init__(source.m, images, source.identity.map_entries(emap.apply))
+
+    @property
+    def b_matrices(self) -> tuple:
+        """The images of the b-letters b1..bm."""
+        return tuple(self.image(f"b{i}") for i in range(1, self.m + 1))
 
 
 _RELATOR_K = 10
@@ -83,28 +84,18 @@ def specialize(m: int, n: int, kind: str = "phi") -> SpecializedRep:
     up to ``_RELATOR_K`` over the field."""
     emap = make_eval_map(n)
     if kind == "phi":
-        source = OrthoRep(QuadSpace(m))
-        flavor, b_style = "y-tilde", "st"
+        source, flavor = OrthoRep(QuadSpace(m)), "y-tilde"
     elif kind == "eta":
-        source = SpinorRep(m)
-        flavor, b_style = "y", "y"
+        source, flavor = SpinorRep(m), "y"
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
-    rep = _specialized_rep(kind, m, emap, source, b_style)
+    rep = SpecializedRep(source, emap)
     bad = relator_failures(schedule(m, _RELATOR_K, flavor), rep)
     if bad:
         raise ArithmeticError(f"specialized relators failed: {bad}")
     if kind == "phi":
         _check_form_preserved(rep)
     return rep
-
-
-def _specialized_rep(kind, m, emap, source, b_style) -> SpecializedRep:
-    images = {
-        letter: source.image(letter).map_entries(emap.apply)
-        for letter in source.letters()
-    }
-    return SpecializedRep(kind, m, emap, images, b_style)
 
 
 def _check_form_preserved(rep: SpecializedRep):
@@ -365,7 +356,7 @@ def eta_component_matrices(m: int, n: int) -> list:
     the block-recursive representation (one matrix per component)."""
     source = SpinorRep(m)
     components = [
-        _specialized_rep("eta", m, emap, source, "y").b_matrices
+        SpecializedRep(source, emap).b_matrices
         for emap in augmentation_components(n)
     ]
     return [tuple(comp[i] for comp in components) for i in range(m)]
@@ -523,17 +514,17 @@ def small_cases_check(
     m: int,
     n: int,
     cap: int = 2_000_000,
-    enumerate_mode: str = "auto",
+    force: bool = False,
 ) -> GroupReport:
     """Specialize both representations at (m, n) and record the
     structural invariants (and, under the cap, exact enumerated orders)
     that ``GroupReport.checks`` compares against the small-cases
     expectations.
 
-    ``enumerate_mode``: "auto" runs the closure only when the expected
-    order is known and within the cap; "force" always attempts it (a cap
-    hit is recorded as enumeration="cap", not raised, and any order
-    fields already completed stay populated); "never" skips it.
+    The closure runs only when the expected order is known and within
+    the cap, or always under ``force`` (a cap hit is recorded as
+    enumeration="cap", not raised, and any order fields already
+    completed stay populated).
 
     A specialization that fails (a relator or the form check) ends the
     row: its error becomes the failed ``relators_specialized`` check.
@@ -564,12 +555,7 @@ def small_cases_check(
         report.dickson_values[f"b{i}"] = dickson(mat, allow_degenerate=True)
     report.dickson_caveat = m % 2 == 0
 
-    want_enum = enumerate_mode == "force" or (
-        enumerate_mode == "auto"
-        and report.expected_order is not None
-        and report.expected_order <= cap
-    )
-    if want_enum:
+    if force or (report.expected_order is not None and report.expected_order <= cap):
         try:
             report.order_phi = group_order_bfs(phi.b_matrices, cap)
             report.order_eta = group_order_bfs_tuples(

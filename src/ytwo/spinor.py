@@ -79,13 +79,12 @@ class SpinorRep(Representation):
     def __init__(self, m: int):
         if m < 3:
             raise ValueError(f"need m >= 3, got {m}")
-        self.m = m
         self.dim = 1 << (m - 2)
         a, a_inv, s_imgs = _build_level(m)
         images = {A: a, A_INV: a_inv}
         for i in range(1, m):
             images[s_letter(i)] = s_imgs[i]
-        super().__init__(images, RMatrix.identity(self.dim, QE_ONE, QE_ZERO))
+        super().__init__(m, images, RMatrix.identity(self.dim, QE_ONE, QE_ZERO))
 
 
 def _build_level(m: int):

@@ -197,6 +197,31 @@ def ref_xn_plus_1_over_x_plus_1(n):
     return (1 << n) - 1
 
 
+# -- transvections, dense ----------------------------------------------------
+
+
+def ref_transvection(space, w):
+    """Dense rows of x -> x + ((x, w)/q(w)) w, one basis vector x at a
+    time: q(w) from the q-values and the all-ones pairing of distinct
+    basis vectors, (e_i, w) as the sum of w's entries off position i."""
+    n, zero, one = space.rank, space.zero, space.one
+    qw = zero
+    for i in range(n):
+        qw = qw + w[i] * w[i] * space.q_values[i]
+        for j in range(i + 1, n):
+            qw = qw + w[i] * w[j]
+    qw_inv = qw.inverse()
+    rows = []
+    for i in range(n):
+        pair = zero
+        for j in range(n):
+            if j != i:
+                pair = pair + w[j]
+        c = pair * qw_inv
+        rows.append(tuple((one if j == i else zero) + c * w[j] for j in range(n)))
+    return tuple(rows)
+
+
 # -- words by the left fold ---------------------------------------------------
 
 
@@ -207,6 +232,42 @@ def ref_evaluate(word, rep):
     for letter in word:
         acc = acc * rep.image(letter)
     return acc
+
+
+def _ref_inverse_word(word):
+    """Reversed, with a <-> A; every other letter here is an involution."""
+    return tuple({"a": "A", "A": "a"}.get(x, x) for x in reversed(word))
+
+
+def ref_b_word(i):
+    """The paper's b-generator: b_1 = a, b_{i+1} = S<i> b_i S<i>."""
+    word = ("a",)
+    for j in range(1, i):
+        word = (f"S{j}",) + word + (f"S{j}",)
+    return word
+
+
+def ref_tau_free_b_word(i):
+    """The same recursion with t cancelled (t inverts every b_i):
+    b_{i+1} = s<i> b_i^{-1} s<i>, for reps without t- or S-letters."""
+    word = ("a",)
+    for j in range(1, i):
+        word = (f"s{j}",) + _ref_inverse_word(word) + (f"s{j}",)
+    return word
+
+
+def ref_expand_b_letters(word):
+    """Spell out each b-letter b<i> as ``ref_b_word(i)`` and each B<i> as
+    its inverse; other letters stay."""
+    out = ()
+    for letter in word:
+        if letter[0] == "b":
+            out += ref_b_word(int(letter[1:]))
+        elif letter[0] == "B":
+            out += _ref_inverse_word(ref_b_word(int(letter[1:])))
+        else:
+            out += (letter,)
+    return out
 
 
 # -- GF(2^d) via residues ----------------------------------------------------

@@ -201,6 +201,6 @@ def test_a10_augmentation_splitting():
         degrees = cyclotomic_split(n)
         assert degrees == ref_factor_degrees(ref_xn_plus_1_over_x_plus_1(n))
         assert sum(degrees) == n - 1
-    rep = small_cases_check(3, 7, enumerate_mode="never")
+    rep = small_cases_check(3, 7, cap=1000)  # below the order: no closure
     assert rep.aug_degrees == (3, 3)
     report("A10 augmentation splitting vs factorization oracle; (3,7) -> {3,3}")

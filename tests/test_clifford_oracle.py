@@ -30,7 +30,13 @@ from ytwo.presentation import evaluate, schedule
 from ytwo.quadspace import RMatrix
 from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, QEScalar, S
 
-from oracles import ref_cl_add, ref_cl_mul, ref_cl_transpose, ref_qe
+from oracles import (
+    ref_cl_add,
+    ref_cl_mul,
+    ref_cl_transpose,
+    ref_expand_b_letters,
+    ref_qe,
+)
 
 RINGS = ("laurent", "qe")
 MS = (3, 4, 5, 6)
@@ -433,11 +439,12 @@ def test_product_matches_fold(m, ring, xs):
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("m, name", [(3, "bb_2_3_k10"), (4, "bb_4_3_k-11")])
 def test_long_schedule_words_match_fold(m, ring, name):
-    # Y relators (b_i**k b_j**k)**2 with k >= 10 put dozens of run powers
-    # into one product, most of them chained, so the width holds many
-    # factors' headroom; half a relator is not the identity
+    # Y relators (b_i**k b_j**k)**2 with k >= 10, their b-letters spelled
+    # out as S-conjugations of a, put dozens of run powers into one
+    # product, most of them chained, so the width holds many factors'
+    # headroom; half a relator is not the identity
     psi = PinRep(m, ring)
-    word = dict(schedule(m, 11, "Y"))[name]
+    word = ref_expand_b_letters(dict(schedule(m, 11, "Y"))[name])
     for w in (word, word[: len(word) // 2]):
         prod = evaluate(w, psi)
         check_canonical(prod)

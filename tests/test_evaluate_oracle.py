@@ -2,7 +2,9 @@
 ``ref_evaluate`` in oracles.py (one product per letter): every relator
 word of the three schedule flavors at ``kmax`` 20, random words with
 planted runs of up to 25 letters, and the closed-form words
-``A**k s1 a**k`` up to the ``--kmax`` bound of ``verify closed-form``."""
+``A**k s1 a**k`` up to the ``--kmax`` bound of ``verify closed-form``.
+The "Y" words are over b-letters, whose images are checked on their own
+against the oracle's b-words."""
 
 import functools
 
@@ -17,7 +19,7 @@ from ytwo.quadspace import QuadSpace
 from ytwo.spectool import specialize
 from ytwo.spinor import SpinorRep
 
-from oracles import ref_evaluate
+from oracles import ref_b_word, ref_evaluate, ref_tau_free_b_word
 
 BUILDERS = {
     "phi": lambda m: OrthoRep(QuadSpace(m)),
@@ -42,13 +44,29 @@ SCHEDULES = [
     for label in ("phi", "psi")
     for m in (4, 5)
     for flavor in ("y", "y-tilde", "Y")
-] + [("eta", m, "y") for m in (4, 5, 6)]
+] + [("eta", m, "y") for m in (4, 5, 6)] + [("eta", 4, "Y")]
 
 
 @pytest.mark.parametrize("label, m, flavor", SCHEDULES)
 def test_schedule_words(label, m, flavor):
     words = [word for _, word in schedule(m, 20, flavor)]
     assert mismatches(label, m, words) == []
+
+
+@pytest.mark.parametrize(
+    "label, m",
+    [(label, m) for label in ("phi", "psi") for m in range(3, 9)]
+    + [("eta", m) for m in (3, 4, 5, 6)],
+)
+def test_b_images(label, m):
+    # b<i> and B<i> against the fold of the oracle's word for b_i: the
+    # paper's S-conjugation where the rep has S-letters, else tau-free
+    r = rep(label, m)
+    b_word_of = ref_tau_free_b_word if label == "eta" else ref_b_word
+    for i in range(1, m + 1):
+        word = b_word_of(i)
+        assert r.image(f"b{i}") == ref_evaluate(word, r)
+        assert (r.image(f"B{i}") * ref_evaluate(word, r)).is_identity
 
 
 # (letter index, run length); consecutive runs of one letter merge

@@ -15,6 +15,7 @@ from ytwo.presentation import (
     st_letter,
 )
 from ytwo.quadspace import QuadSpace, RMatrix, transvection
+from ytwo.spectool import specialize
 from ytwo.spinor import SpinorRep
 
 from oracles import factorial, perm_closure
@@ -25,31 +26,16 @@ class TestBWords:
         assert b_word(1, 3) == ("a",)
 
     def test_one_conjugation(self):
-        assert b_word(2, 3) == ("S1", "a", "S1")
+        assert b_word(2, 3) == ("s1", "A", "s1")
 
     def test_two_conjugations(self):
-        assert b_word(3, 5) == ("S2", "S1", "a", "S1", "S2")
+        assert b_word(3, 5) == ("s2", "s1", "a", "s1", "s2")
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             b_word(5, 4)
         with pytest.raises(IndexError):
             b_word(0, 4)
-
-    def test_y_style(self):
-        assert b_word(1, 4, style="y") == ("a",)
-        assert b_word(2, 4, style="y") == ("s1", "A", "s1")
-        assert b_word(3, 4, style="y") == ("s2", "s1", "a", "s1", "s2")
-
-    def test_styles_agree_under_phi_and_psi(self):
-        for m in (3, 4, 5):
-            phi = OrthoRep(QuadSpace(m))
-            psi = PinRep(m)
-            for i in range(1, m + 1):
-                st = b_word(i, m)
-                y = b_word(i, m, style="y")
-                assert evaluate(st, phi) == evaluate(y, phi)
-                assert evaluate(st, psi) == evaluate(y, psi)
 
     def test_phi_b2_is_transvection_product(self):
         sp = QuadSpace(4)
@@ -102,6 +88,15 @@ class TestSchedule:
         assert invert_word(("a", "s1", "A")) == ("a", "s1", "A")
         assert invert_word(("t", "a")) == ("A", "t")
 
+    def test_invert_b_letters(self):
+        # b-letters are not involutions; s<i> and S<i> are two different ones
+        assert invert_word(("b1", "S2", "B3", "s1")) == ("s1", "b3", "S2", "B1")
+
+    def test_Y_words_are_four_runs(self):
+        sched = dict(schedule(4, 3, "Y"))
+        assert sched["bb_1_2_k3"] == (("b1",) * 3 + ("b2",) * 3) * 2
+        assert sched["bb_4_3_k-1"] == ("B4", "B3", "B4", "B3")
+
 
 class TestEvaluate:
     def test_empty_word(self):
@@ -130,6 +125,22 @@ class TestEvaluate:
         phi = OrthoRep(QuadSpace(3))
         with pytest.raises(ValueError, match="'s9'"):
             evaluate(("a", "s9", "s9"), phi)
+
+    @pytest.mark.parametrize("letter", ["b0", "b4", "B4", "b", "b01"])
+    def test_b_letter_out_of_range(self, letter):
+        for rep in (OrthoRep(QuadSpace(3)), PinRep(3), SpinorRep(3)):
+            with pytest.raises(ValueError, match=f"no image for letter '{letter}'"):
+                rep.image(letter)
+
+    def test_b_images_leave_letters(self):
+        # a b-image is kept by the rep, outside the base alphabet
+        reps = (OrthoRep(QuadSpace(4)), PinRep(4), SpinorRep(4), specialize(4, 5))
+        for rep in reps:
+            letters = rep.letters()
+            b3 = rep.image("b3")
+            assert rep.image("b3") is b3
+            assert (b3 * rep.image("B3")).is_identity
+            assert rep.letters() == letters and "b3" not in letters
 
     def test_run_across_the_seam(self):
         # the a-run of w1 + w2 is one run of 5, split 2 + 3 across the factors
@@ -203,34 +214,56 @@ class TestRelatorSuites:
     )
     def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
         # pinned, so that a return to one product per letter (1000 for
-        # eta, 1025 for phi and psi) fails on any host, however noisy.
-        # The packed kernels are counted at their entry, where one call
-        # multiplies n factors: n - 1 products.  phi's run powers are
-        # RMatrix products.
+        # eta, 1025 for phi and psi) fails on any host, however noisy
         rep = build(8)
-        count = 0
-        if cls is CliffordElement:
-            counters = [(CliffordAlgebra, "_product", lambda fs: len(fs) - 1)]
-        else:
-            counters = [(cls, "__mul__", lambda b: 1)]
-            if label == "phi":
-                counters.append((ortho, "laurent_product", len))
-
-        def counting(real, products_of):
-            def counted(a, b):
-                nonlocal count
-                count += products_of(b)
-                return real(a, b)
-
-            return counted
-
-        for owner, name, products_of in counters:
-            monkeypatch.setattr(owner, name, counting(getattr(owner, name), products_of))
+        count = count_products(monkeypatch, label, cls)
         assert relator_failures(schedule(8, 20, flavor), rep) == []
-        assert count == products, label
+        assert count() == products, label
+
+    @pytest.mark.parametrize(
+        "label, build, cls, products",
+        [
+            ("eta", SpinorRep, RMatrix, 5112),
+            ("psi", PinRep, CliffordElement, 5112),
+        ],
+    )
+    def test_Y_product_count(self, monkeypatch, label, build, cls, products):
+        # (b_i^k b_j^k)^2 is four run powers of two b-images, each b-image
+        # evaluated once per rep; one product per b-letter would be 19,680
+        rep = build(4)
+        count = count_products(monkeypatch, label, cls)
+        assert relator_failures(schedule(4, 20, "Y"), rep) == []
+        assert count() == products, label
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_Y_flavor(self, m):
         sched = schedule(m, 2, "Y")
         assert relator_failures(sched, OrthoRep(QuadSpace(m))) == []
         assert relator_failures(sched, PinRep(m)) == []
+        assert relator_failures(sched, SpinorRep(m)) == []
+
+
+def count_products(monkeypatch, label, cls):
+    """Count the products of ``cls`` images from now on; returns a reader.
+    The packed kernels are counted at their entry, where one call
+    multiplies n factors: n - 1 products.  phi's run powers are RMatrix
+    products."""
+    count = 0
+    if cls is CliffordElement:
+        counters = [(CliffordAlgebra, "_product", lambda fs: len(fs) - 1)]
+    else:
+        counters = [(cls, "__mul__", lambda b: 1)]
+        if label == "phi":
+            counters.append((ortho, "laurent_product", len))
+
+    def counting(real, products_of):
+        def counted(a, b):
+            nonlocal count
+            count += products_of(b)
+            return real(a, b)
+
+        return counted
+
+    for owner, name, products_of in counters:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), products_of))
+    return lambda: count

@@ -16,6 +16,8 @@ from ytwo.quadspace import (
 )
 from ytwo.rings import L_ONE, L_ZERO, T_INV, s_pow
 
+from oracles import ref_transvection
+
 
 def rand_vec(space, rng, scalars=None):
     if scalars is None:
@@ -92,6 +94,27 @@ class TestTransvection:
                 continue
             assert r.row_apply(w) == w
             done += 1
+
+    @pytest.mark.parametrize("m", range(3, 31))
+    def test_ortho_axes_match_dense(self, m):
+        sp = QuadSpace(m)
+        axes = [sp.basis_vector(0), sp.basis_vector(1)] + [
+            vec_add(sp.basis_vector(i), sp.basis_vector(i + 1)) for i in range(1, m)
+        ]
+        for w in axes:
+            assert transvection(sp, w).rows == ref_transvection(sp, w)
+
+    def test_random_unit_axes_match_dense(self):
+        rng = random.Random(11)
+        for m in (3, 4, 7):
+            sp = QuadSpace(m)
+            done = 0
+            while done < 40:
+                w = rand_vec(sp, rng)
+                if not q_eval(sp, w).is_monomial:
+                    continue
+                assert transvection(sp, w).rows == ref_transvection(sp, w)
+                done += 1
 
     def test_singular_axis_rejected(self):
         sp = QuadSpace(3)

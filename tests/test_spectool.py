@@ -210,7 +210,7 @@ class TestBFS:
         # its first new coset would reach 896 > 100_000 // 112 = 892 states
         assert err.value.count == 448
         # below the cap, a budget stop is a skip, not a disproved order
-        report = small_cases_check(3, 7, enumerate_mode="force")
+        report = small_cases_check(3, 7, force=True)
         assert report.enumeration == "cap"
         assert report.checks[-1] == ("group_order", None, None, None, str(err.value))
         assert run(["specialize", "--m", "3", "--n", "7", "--enumerate"]) == 3
@@ -360,7 +360,7 @@ class TestSmallCases:
         assert rep.failures == []
 
     def test_4_5_structure_only_quick(self):
-        rep = small_cases_check(4, 5, enumerate_mode="never")
+        rep = small_cases_check(4, 5, cap=1000)  # below the order: no closure
         assert rep.radical_rank == 1 and rep.q_radical == 1
         assert rep.a_order_phi == 5
         assert rep.aug_degrees == (4,)
@@ -374,20 +374,20 @@ class TestSmallCases:
         ],
     )
     def test_structural_fact_judged(self, m, field, value, check):
-        rep = replace(small_cases_check(m, 5, enumerate_mode="never"), **{field: value})
+        rep = replace(small_cases_check(m, 5, cap=1000), **{field: value})
         assert rep.status == "fail"
         assert check in rep.failures
 
     @pytest.mark.parametrize(
-        "m, mode, detail",
+        "m, n, detail",
         [
-            (4, "never", "expected order 979200; enumeration not requested"),
-            (6, "auto", "expected order 4171235328000 exceeds cap 2000000; "
+            (3, 9, "expected order unknown; enumeration not requested"),
+            (6, 5, "expected order 4171235328000 exceeds cap 2000000; "
              "structural checks only"),
         ],
     )
-    def test_group_order_skip_detail(self, m, mode, detail):
-        rep = small_cases_check(m, 5, enumerate_mode=mode)
+    def test_group_order_skip_detail(self, m, n, detail):
+        rep = small_cases_check(m, n)
         assert rep.checks[-1] == ("group_order", None, None, None, detail)
         assert rep.status == "skip"
 
@@ -416,10 +416,5 @@ class TestSmallCases:
 
         base = make_eval_map(5)
         alt = EvalMap(5, base.field, base.zeta ** 2)
-        source = OrthoRep(QuadSpace(3))
-        images = {
-            letter: source.image(letter).map_entries(alt.apply)
-            for letter in source.letters()
-        }
-        rep_alt = SpecializedRep("phi", 3, alt, images, "st")
+        rep_alt = SpecializedRep(OrthoRep(QuadSpace(3)), alt)
         assert group_order_bfs(rep_alt.b_matrices) == 4080
