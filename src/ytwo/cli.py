@@ -3,10 +3,10 @@
 Every subcommand runs a suite of named checks.  A check is one
 ``(name, ok, expected, actual, detail)`` tuple, the record that
 ``spectool.GroupReport.checks`` yields, with ``ok`` True (pass), False
-(fail) or None (skip); ``RunReport`` keeps these tuples and prints one
-line per check, or a JSON document with ``--json``.  Exit status: 1 on
-any failed check, else 3 when an explicitly requested enumeration hit
-the resource cap, else 0; 2 on usage errors.
+(fail) or None (skip); ``RunReport``, a ``rings.Record``, keeps these
+tuples and prints one line per check, or a JSON document with
+``--json``.  Exits 1 on any failed check, else 3 when an explicitly
+requested enumeration hit the resource cap, else 0; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .clifford import (
     PinRep,
@@ -37,7 +36,7 @@ from .quadspace import (
     q_eval,
     rmat_lower_laurent,
 )
-from .rings import L_ONE, S, cyclotomic_split, field_degree
+from .rings import L_ONE, Record, S, cyclotomic_split, field_degree
 from .spinor import (
     check_action,
     check_extended_action,
@@ -51,16 +50,12 @@ from .spectool import augmentation_components, small_cases_check
 _STATUS = {True: "pass", False: "fail", None: "skip"}
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """A command's checks, each a ``(name, ok, expected, actual, detail)``
     tuple as ``GroupReport.checks`` yields them (``ok`` None: skipped)."""
 
-    command: str
-    params: dict
-    checks: list = dc_field(default_factory=list)
-    elapsed_ms: int = 0
-    cap_hit: bool = False
+    __slots__ = ("command", "params", "checks", "elapsed_ms", "cap_hit")
+    _defaults = dict(checks=list, elapsed_ms=0, cap_hit=False)
 
     def add(self, name, ok, expected=None, actual=None, detail=None):
         self.checks.append((name, bool(ok), expected, actual, detail))

@@ -106,11 +106,11 @@ The pin representation sends
 all of which have spinor norm c * c^tr = 1.  Conjugation v -> c^-1 v c
 by such elements preserves the vector module and recovers the
 transvection representation row for row.
+``PowerSeq`` and ``CenterReport`` are ``rings.Record`` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -130,6 +130,7 @@ from .rings import (
     QE_ONE,
     QE_ZERO,
     QEScalar,
+    Record,
     S,
     T_INV,
     gf2_rank,
@@ -757,13 +758,10 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
 # -- power identities --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerSeq:
+class PowerSeq(Record):
     """The coefficient pair of (u v_i)**k = a_k + b_k u v_i."""
 
-    k: int
-    a: LaurentScalar
-    b: LaurentScalar
+    __slots__ = ("k", "a", "b")
 
 
 def power_sequences(kmax: int) -> list:
@@ -808,12 +806,8 @@ def check_power_identities(k: int, m: int = 3) -> PowerSeq:
 # -- centre and kernel -------------------------------------------------------
 
 
-@dataclass
-class CenterReport:
-    m: int
-    radical_is_central: bool
-    witness: str | None
-    specialized_dim: int
+class CenterReport(Record):
+    __slots__ = ("m", "radical_is_central", "witness", "specialized_dim")
 
 
 def _center_rows(alg) -> dict:

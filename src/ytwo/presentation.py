@@ -38,17 +38,16 @@ b-letters need no t- or S-letter image.  A representation's
 ``image("b<i>")`` is that word's image, evaluated on first use and kept
 by the representation; ``letters()`` stays the base alphabet.  Sidki's
 relators (b_i^k b_j^k)^2 of the "Y" schedule are words of four runs
-over b-letters.
+over b-letters.  ``RelationSchedule`` is a ``rings.Record`` value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from operator import mul
 
-from .rings import pow_by_squaring
+from .rings import Record, pow_by_squaring
 
 A = "a"
 A_INV = "A"
@@ -79,14 +78,10 @@ def b_word(i: int, m: int) -> tuple:
     return pre + core + tuple(reversed(pre))
 
 
-@dataclass(frozen=True)
-class RelationSchedule:
+class RelationSchedule(Record):
     """Named relator words for one of the three presentation flavors."""
 
-    m: int
-    kmax: int
-    flavor: str
-    relators: tuple  # tuple of (name, word)
+    __slots__ = ("m", "kmax", "flavor", "relators")  # relators: (name, word) pairs
 
     def names(self):
         return [name for name, _ in self.relators]

@@ -16,7 +16,7 @@ against nonzero entries only, and equality and hashing read the same
 sparse rows; dense rows are built only when read (JSON, printing).  A
 matrix is a value by the same convention as the scalars in ``rings``:
 a plain ``__slots__`` class whose fields are never assigned after
-construction.
+construction; so is ``HyperbolicDecomposition``, a ``rings.Record``.
 
 Scalars only need +, *, truth (nonzero), is_one and inverse(), so the
 same code runs over the Laurent ring, its quadratic extension, or a
@@ -41,11 +41,9 @@ lowest set bit of each column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import rings
 from .errors import NonUnitNormError, UnsupportedFormError
-from .rings import L_ONE, L_ZERO, LaurentScalar, T_INV, gf2_rank
+from .rings import L_ONE, L_ZERO, LaurentScalar, Record, T_INV, gf2_rank
 
 
 class RMatrix:
@@ -346,14 +344,13 @@ def transvection(space: QuadSpace, w) -> RMatrix:
     return RMatrix._sparse(tuple(rows), space.zero)
 
 
-@dataclass
-class HyperbolicDecomposition:
-    """Result of the inductive splitting-off of hyperbolic pairs."""
+class HyperbolicDecomposition(Record):
+    """Result of the inductive splitting-off of hyperbolic pairs: the (e, f)
+    vector ``pairs``, the ``residual`` basis of the remainder and its
+    q-values ``residual_q``, and (q0, q1, q_rest) per step in ``states``."""
 
-    pairs: list  # list of (e, f) vector pairs
-    residual: list  # basis of the undecomposed remainder
-    residual_q: list  # q-values of the residual basis
-    states: list = field(default_factory=list)  # (q0, q1, q_rest) per step
+    __slots__ = ("pairs", "residual", "residual_q", "states")
+    _defaults = dict(states=list)
 
 
 # q-state table for the inductive step: (q0, q1, q_common) -> (alpha, beta).

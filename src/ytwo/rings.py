@@ -3,7 +3,8 @@
 Three levels of scalars, all values by convention: plain ``__slots__``
 classes whose fields are never assigned after construction, so
 arithmetic returns new objects and constants such as ``L_ZERO`` are
-shared freely.  Nothing enforces this at run time.
+shared freely.  Nothing enforces this at run time.  The records of the
+other modules are plain ``__slots__`` classes too, on ``Record``.
 
 * ``LaurentScalar`` -- an element of GF(2)[s, 1/s].  A scalar is stored
   as an integer bit mask together with the exponent of its lowest term:
@@ -60,6 +61,29 @@ def pow_by_squaring(base, k: int):
         if k:
             base = base * base
     return result
+
+
+class Record:
+    """A plain ``__slots__`` record: ``__slots__`` names the fields in
+    constructor order, ``_defaults`` gives the optional ones their default
+    (a type such as ``list`` stands for a fresh instance of it)."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self).__name__, self.__slots__
+        # each keyword must name a field that no positional value filled
+        if len(args) > len(names) or set(kwargs) - set(names[len(args) :]):
+            raise TypeError(f"{cls} got too many, repeated or unknown fields")
+        given = dict(zip(names, args), **kwargs)
+        for name in names:
+            if name not in given:
+                if name not in self._defaults:
+                    raise TypeError(f"{cls} needs the field {name!r}")
+                value = self._defaults[name]
+                given[name] = value() if isinstance(value, type) else value
+            setattr(self, name, given[name])
 
 
 class LaurentScalar:

@@ -23,13 +23,12 @@ representative's product with each generator is tested for
 membership, so there is about one product per element, not one per
 element and generator.  It stops before a coset would take the stored
 states past a cap, or their bytes past a fixed budget, which wide
-states meet first.
+states meet first.  ``GroupReport`` is a ``rings.Record``.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .errors import CapExceededError, DegenerateFormError
@@ -50,7 +49,7 @@ from .quadspace import (
     q_eval,
     radical_vector,
 )
-from .rings import EvalMap, cyclotomic_cosets, cyclotomic_split, ff_rank, make_eval_map
+from .rings import EvalMap, Record, cyclotomic_cosets, cyclotomic_split, ff_rank, make_eval_map
 from .spinor import SpinorRep
 
 
@@ -415,25 +414,22 @@ EXPECTED_ORDERS = {
 }
 
 
-@dataclass
-class GroupReport:
-    m: int
-    n: int
-    map_desc: dict
-    specialization_error: str | None = None  # why specialize() failed
-    expected_order: int | None = None
-    order_phi: int | None = None
-    order_eta: int | None = None
-    enumeration: str = "skip"  # ran | skip | cap
-    cap: int = 2_000_000
-    budget_stop: str | None = None  # the byte-budget error, if it ended a "cap" run
-    a_order_phi: int | None = None
-    a_order_eta: int | None = None
-    radical_rank: int | None = None
-    q_radical: int | None = None  # 0/1 for even m, None otherwise
-    dickson_values: dict = dc_field(default_factory=dict)
-    dickson_caveat: bool = False
-    aug_degrees: tuple = ()
+class GroupReport(Record):
+    """One small-cases row: ``enumeration`` is "ran", "skip" or "cap", and
+    ``budget_stop`` the byte-budget error that ended a "cap" run, if any."""
+
+    __slots__ = (
+        "m", "n", "map_desc", "specialization_error", "expected_order",
+        "order_phi", "order_eta", "enumeration", "cap", "budget_stop",
+        "a_order_phi", "a_order_eta", "radical_rank", "q_radical",
+        "dickson_values", "dickson_caveat", "aug_degrees",
+    )
+    _defaults = dict(
+        specialization_error=None, expected_order=None, order_phi=None,
+        order_eta=None, enumeration="skip", cap=2_000_000, budget_stop=None,
+        a_order_phi=None, a_order_eta=None, radical_rank=None, q_radical=None,
+        dickson_values=dict, dickson_caveat=False, aug_degrees=(),
+    )
 
     @property
     def checks(self) -> list:

@@ -28,12 +28,10 @@ full group including tau.
 
 Linear independence of these bases is certified by specialization:
 full coefficient rank over one finite field already implies
-independence over the ring.
+independence over the ring.  ``WBasis`` is a ``rings.Record`` value.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .clifford import CliffordElement, PinRep, get_algebra
 from .errors import InconclusiveError, MismatchError
@@ -46,6 +44,7 @@ from .rings import (
     QE_ONE,
     QE_ZERO,
     QEScalar,
+    Record,
     S,
     S_INV,
     ff_rank,
@@ -131,15 +130,12 @@ def seed_vector(m: int) -> CliffordElement:
     return w
 
 
-@dataclass(frozen=True)
-class WBasis:
+class WBasis(Record):
     """Ordered basis of the spinor submodule, in doubling order: stage j
-    appends the s_j-translates of everything so far, j = m-1 down to 2.
-    """
+    appends the s_j-translates of everything so far, j = m-1 down to 2;
+    ``words`` holds the applied s-indices, in application order."""
 
-    m: int
-    elements: tuple
-    words: tuple  # applied s-indices, in application order
+    __slots__ = ("m", "elements", "words")
 
     def __len__(self):
         return len(self.elements)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ytwo
 from ytwo import cli, clifford, spectool
 from ytwo.cli import build_parser, run
 from ytwo.errors import NotCliffordGroupError, NotScalarError, NotUnitError
@@ -34,6 +39,31 @@ class TestExitCodes:
         )
         assert code == 3
         assert "skip" in capsys.readouterr().out
+
+
+class TestModuleEntry:
+    """``python -m ytwo`` runs the command line, and importing it loads
+    neither ``dataclasses`` nor ``inspect`` (they cost most of its
+    start-up)."""
+
+    def python(self, *args):
+        path = [str(Path(ytwo.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_python_m_ytwo(self):
+        proc = self.python("-m", "ytwo", "verify", "powers", "--kmax", "3", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "verify powers"
+        probe = (
+            "import sys; before = set(sys.modules); import ytwo.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        proc = self.python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestJsonReports:

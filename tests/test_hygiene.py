@@ -7,11 +7,12 @@ Stdlib ``ast`` scans.  For imports, every module in ``src/ytwo`` and
 anywhere in the module, including as the root of an attribute chain.
 Package ``__init__.py`` files (their imports are re-exports) and
 ``from __future__`` imports are exempt.  For definitions, a top-level
-function, class or assigned name, or a method, property or annotated
-field in the body of a top-level class (dunder names exempt), counts as
-referenced when its name appears, outside its own definition (for a
-name, the whole assignment), as an identifier, an attribute, an
-imported name or a string constant (the bench tracer names what it
+function, class or assigned name, or a method, property, annotated
+field or ``__slots__`` field in the body of a top-level class (dunder
+names exempt), counts as referenced when its name appears, outside its
+own definition (for a name, the whole assignment; for a slot field, the
+class's ``__slots__`` and ``__init__``), as an identifier, an attribute,
+an imported name or a string constant (the bench tracer names what it
 wraps by string) in ``src``, ``tests`` or ``perfbench``.
 The imports of a package ``__init__.py`` do not count: a re-export is
 not a use.
@@ -49,14 +50,14 @@ def unused_imports(source: str) -> list:
     )
 
 
-def referenced_names(trees, skip=None) -> set:
+def referenced_names(trees, skip=()) -> set:
     """Identifiers, attribute names, imported names and string constants
-    in ``trees``, not counting anything inside the node ``skip``."""
+    in ``trees``, not counting anything inside the nodes ``skip``."""
     names = set()
     stack = list(trees)
     while stack:
         node = stack.pop()
-        if node is skip:
+        if any(node is s for s in skip):
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -74,20 +75,41 @@ def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def slot_fields(cls):
+    """The string constants of the ``__slots__`` assigned in the body of
+    the class node ``cls``, and the nodes that declare or merely store
+    its fields: that assignment and ``__init__``."""
+    declared = [
+        m
+        for m in cls.body
+        if isinstance(m, ast.Assign)
+        and any(getattr(t, "id", None) == "__slots__" for t in m.targets)
+    ]
+    init = [m for m in cls.body if getattr(m, "name", None) == "__init__"]
+    fields = [
+        c
+        for node in declared
+        for c in ast.walk(node.value)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    return fields, declared + init
+
+
 def definitions(tree):
-    """``(node, name)`` for each top-level function, class and assigned
-    name of ``tree`` and each method, property and annotated field in
-    the body of a top-level class, dunder names left out."""
+    """``(line, name, skip)`` for each top-level function, class and
+    assigned name of ``tree`` and each method, property, annotated field
+    and ``__slots__`` field in the body of a top-level class, dunder
+    names left out; ``skip`` holds the nodes that do not count as uses."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*funcs, ast.ClassDef)):
-            yield node, node.name
+            yield node.lineno, node.name, (node,)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name) and not is_dunder(leaf.id):
-                        yield node, leaf.id
+                        yield node.lineno, leaf.id, (node,)
         if not isinstance(node, ast.ClassDef):
             continue
         for member in node.body:
@@ -100,7 +122,10 @@ def definitions(tree):
             else:
                 continue
             if not is_dunder(name):
-                yield member, name
+                yield member.lineno, name, (member,)
+        fields, skip = slot_fields(node)
+        for field in fields:
+            yield field.lineno, field.value, skip
 
 
 def unreferenced_definitions(source: str, elsewhere: set) -> list:
@@ -108,10 +133,10 @@ def unreferenced_definitions(source: str, elsewhere: set) -> list:
     ``source`` references nor ``elsewhere`` names."""
     tree = ast.parse(source)
     return sorted(
-        (node.lineno, name)
-        for node, name in definitions(tree)
+        (line, name)
+        for line, name, skip in definitions(tree)
         if name not in elsewhere
-        and name not in referenced_names([tree], skip=node)
+        and name not in referenced_names([tree], skip=skip)
     )
 
 
@@ -187,6 +212,24 @@ def test_scan_finds_planted_member():
     elsewhere = referenced_names([ast.parse("print(Box().used())\n")])
     found = unreferenced_definitions(source, elsewhere)
     assert found == [(3, "label"), (11, "recursive"), (15, "dead")]
+
+
+def test_scan_finds_planted_slot_field():
+    # a field used only where it is declared, defaulted or stored is dead
+    source = (
+        "class Rec(Record):\n"
+        '    __slots__ = ("size", "label", "dead")\n'
+        "    _defaults = dict(label='', dead=0)\n\n"
+        "class Point:\n"
+        '    __slots__ = ("x", "y")\n\n'
+        "    def __init__(self, x, y):\n"
+        "        self.x = x\n"
+        "        self.y = y\n\n"
+        "    def norm(self):\n        return self.x\n"
+    )
+    other = "print(Rec(1).size, Rec(2).label, Point(1, 2).norm())\n"
+    found = unreferenced_definitions(source, referenced_names([ast.parse(other)]))
+    assert found == [(2, "dead"), (6, "y")]
 
 
 def test_scan_finds_planted_constant():

@@ -1,6 +1,6 @@
+import copy
 import json
 import random
-from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -374,7 +374,8 @@ class TestSmallCases:
         ],
     )
     def test_structural_fact_judged(self, m, field, value, check):
-        rep = replace(small_cases_check(m, 5, cap=1000), **{field: value})
+        rep = copy.copy(small_cases_check(m, 5, cap=1000))
+        setattr(rep, field, value)
         assert rep.status == "fail"
         assert check in rep.failures
 
