@@ -52,7 +52,6 @@ from .quadspace import (
     transvection,
 )
 from .presentation import (
-    RelationSchedule,
     Representation,
     b_word,
     evaluate,

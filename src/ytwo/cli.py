@@ -9,8 +9,6 @@ tuples and prints one line per check, or a JSON document with
 requested enumeration hit the resource cap, else 0; 2 on usage errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import random
@@ -44,7 +42,7 @@ from .spinor import (
     spinor_basis,
     SpinorRep,
 )
-from .spectool import augmentation_components, small_cases_check
+from .spectool import DEFAULT_CAP, augmentation_components, small_cases_check
 
 
 _STATUS = {True: "pass", False: "fail", None: "skip"}
@@ -125,7 +123,7 @@ def _suite_relations(args, report):
     for label, rep, flavor in reps:
         sched = schedule(args.m, args.kmax, flavor)
         bad = set(relator_failures(sched, rep))
-        for name in sched.names():
+        for name, _ in sched:
             ok = name not in bad
             report.add(
                 f"{label}/m={args.m}/{name}",
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--m", type=_int_in(3, 10), required=True)
     p_spec.add_argument("--n", type=_eval_order, required=True)
     p_spec.add_argument("--enumerate", action="store_true")
-    p_spec.add_argument("--cap", type=_int_in(1, 2_000_000), default=2_000_000)
+    p_spec.add_argument("--cap", type=_int_in(1, DEFAULT_CAP), default=DEFAULT_CAP)
     p_spec.set_defaults(func=_cmd_specialize)
 
     p_aug = sub.add_parser("augmentation", parents=[shared], help="cyclotomic splitting report")

@@ -109,8 +109,6 @@ transvection representation row for row.
 ``PowerSeq`` and ``CenterReport`` are ``rings.Record`` values.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 from operator import or_
 
@@ -238,14 +236,6 @@ def _fold(x: int, fold: int, span: int) -> int:
     alpha**2 = s*alpha + 1, ``span`` the bits of one power of alpha."""
     top = x & fold
     return x ^ top ^ top >> 2 * span ^ top >> (span - 1) if top else x
-
-
-def _laurent(lo: int, x: int) -> LaurentScalar:
-    """The scalar with coefficient of s**(lo + k) at bit k of x."""
-    if not x:
-        return L_ZERO
-    shift = (x & -x).bit_length() - 1
-    return LaurentScalar._new(lo + shift, x >> shift)
 
 
 # -- the algebra ------------------------------------------------------------
@@ -412,8 +402,8 @@ class CliffordAlgebra:
     def _scalar(self, lo: int, xs):
         """The scalar whose alpha**i part has bit k -> s**(lo + k) of xs[i]."""
         if self.ring == "laurent":
-            return _laurent(lo, xs[0])
-        return QEScalar(_laurent(lo, xs[0]), _laurent(lo, xs[1]))
+            return LaurentScalar(lo, xs[0])
+        return QEScalar(LaurentScalar(lo, xs[0]), LaurentScalar(lo, xs[1]))
 
     def scalar(self, c) -> "CliffordElement":
         return self.from_terms({0: c})
@@ -780,12 +770,12 @@ def power_sequences(kmax: int) -> list:
     return out
 
 
-def check_power_identities(k: int, m: int = 3) -> PowerSeq:
+def check_power_identities(k: int) -> PowerSeq:
     """Verify (u v_i)**k = a_k + b_k u v_i, its v_i u mirror, and the
     exchange identity (v_1 u)**k (v_2 u)**k = (u v_2)**k (u v_1)**k, all
-    by direct algebra powering; returns the coefficient pair."""
+    by direct powering in the m = 3 algebra; returns the coefficient pair."""
     seq = power_sequences(k)[k]
-    alg = get_algebra(m, "laurent")
+    alg = get_algebra(3, "laurent")
     u = alg.u()
     for i in (1, 2):
         uv = u * alg.v(i)

@@ -78,7 +78,3 @@ class CapExceededError(YtwoError):
     def __init__(self, message, count=None):
         super().__init__(message)
         self.count = count
-
-
-class DegenerateFormError(YtwoError):
-    """Invariant undefined because the bilinear form has a radical."""

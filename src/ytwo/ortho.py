@@ -24,10 +24,8 @@ Sigma_{-1} = Sigma_0 = 1, not the empty sum), computed in the quadratic
 extension (where alpha**2 + alpha**-2 = t) and then lowered back to the
 Laurent subring.  The conjugates all share the shape "x -> x + f_x *
 (u + v1 + v2) on u, v1, v2" with coefficients summing to zero, the
-shape ``triple_form_matrix`` exposes directly.
+shape ``triple_form_matrix`` exposes directly, over QE scalars.
 """
-
-from __future__ import annotations
 
 from .presentation import A, A_INV, Representation, TAU, s_letter, st_letter
 from .quadspace import (
@@ -38,7 +36,7 @@ from .quadspace import (
     transvection,
     vec_add,
 )
-from .rings import ALPHA, ALPHA_INV, L_ONE, QE_ONE, QE_ZERO, QEScalar
+from .rings import ALPHA, ALPHA_INV, QE_ONE, QE_ZERO
 
 
 class OrthoRep(Representation):
@@ -84,31 +82,20 @@ class OrthoRep(Representation):
 def triple_form_matrix(space: QuadSpace, f0, f1, f2) -> RMatrix:
     """The map u -> u + f0*w, v1 -> v1 + f1*w, v2 -> v2 + f2*w for
     w = u + v1 + v2, and v_i -> v_i + (f0+1)u + (f1+1)v1 + (f2+1)v2
-    beyond; scalars may be Laurent or QE (zero coefficient sum assumed).
+    beyond, for QE scalars f0, f1, f2 (zero coefficient sum assumed).
     """
-    one = _one_like(f0)
-    zero = f0 + f0
-    n = space.rank
-    rows = []
-    head = [
-        (one + f0, f0, f0),
-        (f1, one + f1, f1),
-        (f2, f2, one + f2),
+    pad = (QE_ZERO,) * (space.rank - 3)
+    rows = [
+        (QE_ONE + f0, f0, f0) + pad,
+        (f1, QE_ONE + f1, f1) + pad,
+        (f2, f2, QE_ONE + f2) + pad,
     ]
-    for i in range(3):
-        rows.append(tuple(head[i]) + (zero,) * (n - 3))
-    tail = (one + f0, one + f1, one + f2)
-    for i in range(3, n):
-        row = list(tail) + [zero] * (n - 3)
-        row[i] = row[i] + one
+    tail = (QE_ONE + f0, QE_ONE + f1, QE_ONE + f2) + pad
+    for i in range(3, space.rank):
+        row = list(tail)
+        row[i] += QE_ONE
         rows.append(tuple(row))
     return RMatrix(rows)
-
-
-def _one_like(x):
-    if isinstance(x, QEScalar):
-        return QE_ONE
-    return L_ONE
 
 
 def conjugate_power_matrix(space: QuadSpace, k: int) -> RMatrix:

@@ -38,16 +38,15 @@ b-letters need no t- or S-letter image.  A representation's
 ``image("b<i>")`` is that word's image, evaluated on first use and kept
 by the representation; ``letters()`` stays the base alphabet.  Sidki's
 relators (b_i^k b_j^k)^2 of the "Y" schedule are words of four runs
-over b-letters.  ``RelationSchedule`` is a ``rings.Record`` value.
+over b-letters.  A relation schedule is a list of ``(name, word)``
+pairs.
 """
-
-from __future__ import annotations
 
 from functools import reduce
 from itertools import groupby
 from operator import mul
 
-from .rings import Record, pow_by_squaring
+from .rings import pow_by_squaring
 
 A = "a"
 A_INV = "A"
@@ -78,28 +77,13 @@ def b_word(i: int, m: int) -> tuple:
     return pre + core + tuple(reversed(pre))
 
 
-class RelationSchedule(Record):
-    """Named relator words for one of the three presentation flavors."""
-
-    __slots__ = ("m", "kmax", "flavor", "relators")  # relators: (name, word) pairs
-
-    def names(self):
-        return [name for name, _ in self.relators]
-
-    def __iter__(self):
-        return iter(self.relators)
-
-    def __len__(self):
-        return len(self.relators)
-
-
 def _commutator(x: tuple, y: tuple) -> tuple:
     return invert_word(x) + invert_word(y) + x + y
 
 
-def schedule(m: int, kmax: int, flavor: str) -> RelationSchedule:
-    """Relators of the chosen presentation, with the integer-indexed
-    commutation family truncated at ``kmax``.
+def schedule(m: int, kmax: int, flavor: str) -> list:
+    """The ``(name, word)`` relator pairs of the chosen presentation,
+    with the integer-indexed commutation family truncated at ``kmax``.
 
     * ``"y"``: Coxeter relations of the symmetric group, the truncated
       family [s1, s1^(a^k)] for 1 <= k <= kmax, and s_i a s_i a for
@@ -132,8 +116,7 @@ def schedule(m: int, kmax: int, flavor: str) -> RelationSchedule:
             for i in range(1, m):
                 rels.append((f"comm_tau_s{i}", (TAU, s_letter(i)) * 2))
             rels.append(("tau_inverts_a", (TAU, A, TAU, A)))
-        return RelationSchedule(m, kmax, flavor, tuple(rels))
-    if flavor == "Y":
+    elif flavor == "Y":
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 if i == j:
@@ -142,8 +125,9 @@ def schedule(m: int, kmax: int, flavor: str) -> RelationSchedule:
                     for tag, b in ((k, "b"), (-k, "B")):
                         word = ((f"{b}{i}",) * k + (f"{b}{j}",) * k) * 2
                         rels.append((f"bb_{i}_{j}_k{tag}", word))
-        return RelationSchedule(m, kmax, flavor, tuple(rels))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return rels
 
 
 class Representation:
@@ -212,8 +196,8 @@ def evaluate(word, rep: Representation):
     return rep.product(factors) if factors else rep.identity
 
 
-def relator_failures(sched: RelationSchedule, rep: Representation) -> list:
-    """Names of schedule relators whose image is not the identity."""
+def relator_failures(sched, rep: Representation) -> list:
+    """Names of the schedule's relators whose image is not the identity."""
     bad = []
     for name, word in sched:
         if not evaluate(word, rep).is_identity:

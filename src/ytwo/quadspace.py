@@ -39,8 +39,6 @@ lowest set bit of each column.
 ``RMatrix.__mul__`` stays the one generic product, over every ring.
 """
 
-from __future__ import annotations
-
 from . import rings
 from .errors import NonUnitNormError, UnsupportedFormError
 from .rings import L_ONE, L_ZERO, LaurentScalar, Record, T_INV, gf2_rank

@@ -26,8 +26,6 @@ primitive n-th root of unity zeta, hence s to zeta + 1/zeta and t to
 zeta**2 + 1/zeta**2, and is a ring homomorphism on both scalar levels.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import (
@@ -61,6 +59,13 @@ def pow_by_squaring(base, k: int):
         if k:
             base = base * base
     return result
+
+
+def _poly_str(exponents, var: str) -> str:
+    """The terms var**e, in the given order, joined as "x^4 + x + 1"; "0"
+    if there are none."""
+    terms = ["1" if e == 0 else var if e == 1 else f"{var}^{e}" for e in exponents]
+    return " + ".join(terms) or "0"
 
 
 class Record:
@@ -219,34 +224,13 @@ class LaurentScalar:
         return hash((self.off, self.mask))
 
     def __str__(self):
-        if not self.mask:
-            return "0"
-        terms = []
-        for e in self.exponents():
-            if e == 0:
-                terms.append("1")
-            elif e == 1:
-                terms.append("s")
-            else:
-                terms.append(f"s^{e}")
-        return " + ".join(terms)
+        return _poly_str(self.exponents(), "s")
 
     def str_t(self):
         """Render in the variable t = s**2 (requires even support)."""
         if not self.in_t_subring():
             raise ValueError(f"{self} has odd exponents; not in the t-subring")
-        if not self.mask:
-            return "0"
-        terms = []
-        for e in self.exponents():
-            h = e // 2
-            if h == 0:
-                terms.append("1")
-            elif h == 1:
-                terms.append("t")
-            else:
-                terms.append(f"t^{h}")
-        return " + ".join(terms)
+        return _poly_str([e // 2 for e in self.exponents()], "t")
 
     def __repr__(self):
         return f"LaurentScalar<{self}>"
@@ -572,17 +556,13 @@ class FiniteField:
         return hash((self.degree, self.modulus))
 
     def __repr__(self):
-        return f"GF(2^{self.degree}; {_poly_str(self.modulus)})"
+        return f"GF(2^{self.degree}; {_x_poly(self.modulus)})"
 
 
-def _poly_str(mask: int) -> str:
-    if mask == 0:
-        return "0"
-    terms = []
-    for i in range(mask.bit_length() - 1, -1, -1):
-        if mask >> i & 1:
-            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return " + ".join(terms)
+def _x_poly(mask: int) -> str:
+    """The GF(2)[x] polynomial with coefficient of x**i at bit i of mask,
+    highest power first (its exponents are the bit positions)."""
+    return _poly_str(LaurentScalar(0, mask).exponents()[::-1], "x")
 
 
 class FFElement:
@@ -640,7 +620,7 @@ class FFElement:
         return hash((self.field.degree, self.field.modulus, self.bits))
 
     def __str__(self):
-        return _poly_str(self.bits)
+        return _x_poly(self.bits)
 
     def __repr__(self):
         return f"FFElement<{self} in {self.field!r}>"
@@ -689,7 +669,7 @@ class EvalMap:
         return {
             "n": self.n,
             "degree": self.field.degree,
-            "modulus": _poly_str(self.field.modulus),
+            "modulus": _x_poly(self.field.modulus),
             "zeta": self.zeta.to_json(),
         }
 

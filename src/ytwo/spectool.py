@@ -23,15 +23,14 @@ representative's product with each generator is tested for
 membership, so there is about one product per element, not one per
 element and generator.  It stops before a coset would take the stored
 states past a cap, or their bytes past a fixed budget, which wide
-states meet first.  ``GroupReport`` is a ``rings.Record``.
+states meet first.  ``DEFAULT_CAP`` is every default cap here and the
+CLI's largest ``--cap``.  ``GroupReport`` is a ``rings.Record``.
 """
-
-from __future__ import annotations
 
 import sys
 from math import gcd
 
-from .errors import CapExceededError, DegenerateFormError
+from .errors import CapExceededError
 from .presentation import (
     A,
     Representation,
@@ -223,6 +222,9 @@ def _apply(blocks: list, states: list) -> list:
     return out
 
 
+# The default cap on the states an enumeration stores, and the largest
+# ``--cap`` the CLI accepts.
+DEFAULT_CAP = 2_000_000
 # The cap counts states; this bounds their bytes, which grow with the
 # state width (a (10,41) phi state packs 2,420 bits, a (3,9) one 96).
 _BYTE_BUDGET = 512 << 20
@@ -319,12 +321,12 @@ def _group_order(generator_tuples, cap: int) -> int:
     return _coset_closure(ident, schedules, cap)
 
 
-def group_order_bfs(generators, cap: int = 2_000_000) -> int:
+def group_order_bfs(generators, cap: int = DEFAULT_CAP) -> int:
     """Exact order of the group generated by invertible field matrices."""
     return _group_order([(g,) for g in generators], cap)
 
 
-def group_order_bfs_tuples(generator_tuples, cap: int = 2_000_000) -> int:
+def group_order_bfs_tuples(generator_tuples, cap: int = DEFAULT_CAP) -> int:
     """Order of a group of matrix tuples (one matrix per component ring,
     multiplied componentwise).  States are the concatenated packings."""
     return _group_order(generator_tuples, cap)
@@ -376,19 +378,13 @@ def matrix_order(mat: RMatrix) -> int:
     raise ArithmeticError(f"order exceeds bound {_ORDER_BOUND}")
 
 
-def dickson(mat: RMatrix, allow_degenerate: bool = False) -> int:
+def dickson(mat: RMatrix) -> int:
     """rank(M + 1) mod 2: the Z2 invariant that is 1 on transvections.
 
-    Only meaningful when the bilinear form is nondegenerate (odd m,
-    i.e. even matrix size); pass allow_degenerate to compute the raw
-    parity anyway.
+    It is the Dickson invariant only where the bilinear form is
+    nondegenerate (odd m, even matrix size).  On even m it is the raw
+    parity, and the small-cases row marks its check with a caveat.
     """
-    n = mat.size
-    if n % 2 and not allow_degenerate:
-        raise DegenerateFormError(
-            f"size {n} means even m: the form has a radical; "
-            "pass allow_degenerate to report the raw parity"
-        )
     field = mat.zero.field
     rows = [
         [x.bits ^ 1 if i == j else x.bits for j, x in enumerate(row)]
@@ -416,19 +412,20 @@ EXPECTED_ORDERS = {
 
 class GroupReport(Record):
     """One small-cases row: ``enumeration`` is "ran", "skip" or "cap", and
-    ``budget_stop`` the byte-budget error that ended a "cap" run, if any."""
+    ``budget_stop`` the byte-budget error that ended a "cap" run, if any.
+    On even m the Dickson check carries a degenerate-form caveat."""
 
     __slots__ = (
         "m", "n", "map_desc", "specialization_error", "expected_order",
         "order_phi", "order_eta", "enumeration", "cap", "budget_stop",
         "a_order_phi", "a_order_eta", "radical_rank", "q_radical",
-        "dickson_values", "dickson_caveat", "aug_degrees",
+        "dickson_values", "aug_degrees",
     )
     _defaults = dict(
         specialization_error=None, expected_order=None, order_phi=None,
-        order_eta=None, enumeration="skip", cap=2_000_000, budget_stop=None,
+        order_eta=None, enumeration="skip", cap=DEFAULT_CAP, budget_stop=None,
         a_order_phi=None, a_order_eta=None, radical_rank=None, q_radical=None,
-        dickson_values=dict, dickson_caveat=False, aug_degrees=(),
+        dickson_values=dict, aug_degrees=(),
     )
 
     @property
@@ -457,7 +454,7 @@ class GroupReport(Record):
             all(v == 0 for v in self.dickson_values.values()),
             "0 (even transvection count)",
             str(self.dickson_values),
-            "caveat: degenerate form" if self.dickson_caveat else None,
+            "caveat: degenerate form" if m % 2 == 0 else None,
         )
         expected, cap = self.expected_order, self.cap
         if self.enumeration == "ran":
@@ -509,7 +506,7 @@ class GroupReport(Record):
 def small_cases_check(
     m: int,
     n: int,
-    cap: int = 2_000_000,
+    cap: int = DEFAULT_CAP,
     force: bool = False,
 ) -> GroupReport:
     """Specialize both representations at (m, n) and record the
@@ -548,8 +545,7 @@ def small_cases_check(
         report.q_radical = 1 if q_r.is_one else 0
 
     for i, mat in enumerate(phi.b_matrices, start=1):
-        report.dickson_values[f"b{i}"] = dickson(mat, allow_degenerate=True)
-    report.dickson_caveat = m % 2 == 0
+        report.dickson_values[f"b{i}"] = dickson(mat)
 
     if force or (report.expected_order is not None and report.expected_order <= cap):
         try:

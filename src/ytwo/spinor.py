@@ -31,8 +31,6 @@ full coefficient rank over one finite field already implies
 independence over the ring.  ``WBasis`` is a ``rings.Record`` value.
 """
 
-from __future__ import annotations
-
 from .clifford import CliffordElement, PinRep, get_algebra
 from .errors import InconclusiveError, MismatchError
 from .presentation import A, A_INV, Representation, TAU, s_letter

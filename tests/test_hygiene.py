@@ -15,7 +15,11 @@ class's ``__slots__`` and ``__init__``), as an identifier, an attribute,
 an imported name or a string constant (the bench tracer names what it
 wraps by string) in ``src``, ``tests`` or ``perfbench``.
 The imports of a package ``__init__.py`` do not count: a re-export is
-not a use.
+not a use.  A field of a ``rings.Record`` counts as used only where it
+is loaded as an attribute (``x.field``): a keyword, parameter or local
+of the same name, or a store, is not a read of the field.  Any object's
+attribute of that name still counts, so the scan finds some dead
+fields, not all of them.
 """
 
 import ast
@@ -50,16 +54,20 @@ def unused_imports(source: str) -> list:
     )
 
 
-def referenced_names(trees, skip=()) -> set:
+def referenced_names(trees, skip=(), attribute_loads=False) -> set:
     """Identifiers, attribute names, imported names and string constants
-    in ``trees``, not counting anything inside the nodes ``skip``."""
+    in ``trees``, not counting anything inside the nodes ``skip``; with
+    ``attribute_loads``, only the names of attributes loaded."""
     names = set()
     stack = list(trees)
     while stack:
         node = stack.pop()
         if any(node is s for s in skip):
             continue
-        if isinstance(node, ast.Name):
+        if attribute_loads:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+        elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -95,21 +103,29 @@ def slot_fields(cls):
     return fields, declared + init
 
 
+def is_record(cls) -> bool:
+    """The class node ``cls`` names ``Record`` among its bases."""
+    names = {getattr(b, "id", None) or getattr(b, "attr", None) for b in cls.bases}
+    return "Record" in names
+
+
 def definitions(tree):
-    """``(line, name, skip)`` for each top-level function, class and
-    assigned name of ``tree`` and each method, property, annotated field
-    and ``__slots__`` field in the body of a top-level class, dunder
-    names left out; ``skip`` holds the nodes that do not count as uses."""
+    """``(line, name, skip, attribute_loads)`` for each top-level
+    function, class and assigned name of ``tree`` and each method,
+    property, annotated field and ``__slots__`` field in the body of a
+    top-level class, dunder names left out; ``skip`` holds the nodes
+    that do not count as uses, and ``attribute_loads`` is set for the
+    fields of a ``Record``, which only attribute loads use."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*funcs, ast.ClassDef)):
-            yield node.lineno, node.name, (node,)
+            yield node.lineno, node.name, (node,), False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name) and not is_dunder(leaf.id):
-                        yield node.lineno, leaf.id, (node,)
+                        yield node.lineno, leaf.id, (node,), False
         if not isinstance(node, ast.ClassDef):
             continue
         for member in node.body:
@@ -122,21 +138,22 @@ def definitions(tree):
             else:
                 continue
             if not is_dunder(name):
-                yield member.lineno, name, (member,)
+                yield member.lineno, name, (member,), False
         fields, skip = slot_fields(node)
         for field in fields:
-            yield field.lineno, field.value, skip
+            yield field.lineno, field.value, skip, is_record(node)
 
 
-def unreferenced_definitions(source: str, elsewhere: set) -> list:
+def unreferenced_definitions(source: str, elsewhere: set, loaded=()) -> list:
     """The ``definitions`` of ``source`` that neither the rest of
-    ``source`` references nor ``elsewhere`` names."""
+    ``source`` references nor ``elsewhere`` names; a ``Record`` field
+    must be loaded as an attribute there or in ``loaded``."""
     tree = ast.parse(source)
     return sorted(
         (line, name)
-        for line, name, skip in definitions(tree)
-        if name not in elsewhere
-        and name not in referenced_names([tree], skip=skip)
+        for line, name, skip, loads in definitions(tree)
+        if name not in (loaded if loads else elsewhere)
+        and name not in referenced_names([tree], skip, attribute_loads=loads)
     )
 
 
@@ -156,25 +173,28 @@ EVERYWHERE = sorted(
 )
 
 
-def names_in_init(tree) -> set:
+def names_in_init(tree, attribute_loads=False) -> set:
     """``referenced_names`` of a package ``__init__`` module, its imports
     (re-exports) left out."""
     imports = (ast.Import, ast.ImportFrom)
-    return referenced_names(n for n in tree.body if not isinstance(n, imports))
+    nodes = [n for n in tree.body if not isinstance(n, imports)]
+    return referenced_names(nodes, attribute_loads=attribute_loads)
 
 
 @functools.cache
-def names_in_file(path) -> set:
+def names_in_file(path, attribute_loads=False) -> set:
     tree = ast.parse(path.read_text())
     if path.name == "__init__.py":
-        return names_in_init(tree)
-    return referenced_names([tree])
+        return names_in_init(tree, attribute_loads)
+    return referenced_names([tree], attribute_loads=attribute_loads)
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
 def test_no_unreferenced_definitions(path):
-    elsewhere = set().union(*(names_in_file(p) for p in EVERYWHERE if p != path))
-    assert unreferenced_definitions(path.read_text(), elsewhere) == []
+    others = [p for p in EVERYWHERE if p != path]
+    elsewhere = set().union(*(names_in_file(p) for p in others))
+    loaded = set().union(*(names_in_file(p, True) for p in others))
+    assert unreferenced_definitions(path.read_text(), elsewhere, loaded) == []
 
 
 def test_scan_finds_planted_definition():
@@ -227,9 +247,28 @@ def test_scan_finds_planted_slot_field():
         "        self.y = y\n\n"
         "    def norm(self):\n        return self.x\n"
     )
-    other = "print(Rec(1).size, Rec(2).label, Point(1, 2).norm())\n"
-    found = unreferenced_definitions(source, referenced_names([ast.parse(other)]))
+    other = ast.parse("print(Rec(1).size, Rec(2).label, Point(1, 2).norm())\n")
+    loaded = referenced_names([other], attribute_loads=True)
+    found = unreferenced_definitions(source, referenced_names([other]), loaded)
     assert found == [(2, "dead"), (6, "y")]
+
+
+def test_scan_finds_record_field_set_but_never_loaded():
+    # a Record field set by keyword, stored and named by parameters and
+    # locals is dead until some module reads it as ``x.field``
+    source = (
+        "class Sched(Record):\n"
+        '    __slots__ = ("m", "flavor", "rels")\n\n'
+        "def schedule(m, flavor):\n"
+        "    rels = [flavor] * m\n"
+        "    sched = Sched(m=m, flavor=flavor, rels=rels)\n"
+        "    sched.flavor = flavor\n"
+        "    return sched\n"
+    )
+    other = ast.parse("print(schedule(2, 'y').rels, args.m)\n")
+    loaded = referenced_names([other], attribute_loads=True)
+    found = unreferenced_definitions(source, referenced_names([other]), loaded)
+    assert found == [(2, "flavor")]
 
 
 def test_scan_finds_planted_constant():

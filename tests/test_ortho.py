@@ -23,6 +23,7 @@ from ytwo.rings import (
     L_ZERO,
     LaurentScalar,
     QE_ZERO,
+    QEScalar,
     S,
     T,
     s_pow,
@@ -148,7 +149,10 @@ class TestTripleForms:
     def test_two_forms_commute(self):
         sp = QuadSpace(5)
         rng = random.Random(42)
-        scalars = [L_ZERO, L_ONE, T, T + L_ONE, s_pow(4), s_pow(2) + s_pow(4)]
+        scalars = [
+            QEScalar(x)
+            for x in (L_ZERO, L_ONE, T, T + L_ONE, s_pow(4), s_pow(2) + s_pow(4))
+        ]
         for _ in range(200):
             f0, f1 = rng.choice(scalars), rng.choice(scalars)
             g0, g1 = rng.choice(scalars), rng.choice(scalars)

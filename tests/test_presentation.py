@@ -47,7 +47,7 @@ class TestBWords:
 
 class TestSchedule:
     def test_names_ytilde(self):
-        names = schedule(3, 2, "y-tilde").names()
+        names = [name for name, _ in schedule(3, 2, "y-tilde")]
         for expected in (
             "tau_sq",
             "braid_12",
@@ -73,7 +73,7 @@ class TestSchedule:
         sched = schedule(4, 1, "Y")
         # 12 ordered pairs, k in {1, -1}
         assert len(sched) == 24
-        names = sched.names()
+        names = [name for name, _ in sched]
         assert "bb_1_2_k1" in names and "bb_1_2_k-1" in names
 
     def test_bad_params(self):

@@ -10,7 +10,6 @@ import pytest
 from ytwo import cli
 from ytwo.cli import RunReport
 from ytwo.clifford import CenterReport, PowerSeq
-from ytwo.presentation import RelationSchedule
 from ytwo.quadspace import HyperbolicDecomposition
 from ytwo.rings import L_ONE, T_INV
 from ytwo.spectool import GroupReport
@@ -21,12 +20,11 @@ RECORDS = [
     (RunReport, ("verify powers", {"kmax": 3}, [("k", True, None, None, None)], 12, True)),
     (PowerSeq, (2, T_INV, L_ONE)),
     (CenterReport, (5, False, "u", 1)),
-    (RelationSchedule, (3, 1, "y", (("inv_s2", ("s2", "a", "s2", "a")),))),
     (HyperbolicDecomposition, ([("e", "f")], ["r"], [L_ONE], [(L_ONE, T_INV, T_INV)])),
     (
         GroupReport,
         (3, 5, {"n": 5}, None, 4080, 4080, 4080, "ran", 1000, None, 5, 5, 0, None,
-         {"b1": 0}, False, (4,)),
+         {"b1": 0}, (4,)),
     ),
     (WBasis, (3, ("w",), ((),))),
 ]
@@ -50,7 +48,6 @@ DEFAULTS = {
         "radical_rank": None,
         "q_radical": None,
         "dickson_values": {},
-        "dickson_caveat": False,
         "aug_degrees": (),
     },
 }

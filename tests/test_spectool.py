@@ -7,7 +7,7 @@ import pytest
 
 from ytwo import spectool
 from ytwo.cli import run
-from ytwo.errors import CapExceededError, DegenerateFormError
+from ytwo.errors import CapExceededError
 from ytwo.presentation import st_letter
 from ytwo.quadspace import QuadSpace, transvection
 from ytwo.rings import FiniteField, make_eval_map
@@ -296,9 +296,7 @@ class TestDickson:
 
     def test_even_m_guard(self):
         rep = specialize(4, 5, "phi")
-        with pytest.raises(DegenerateFormError):
-            dickson(rep.image("a"))
-        assert dickson(rep.image("a"), allow_degenerate=True) in (0, 1)
+        assert dickson(rep.image("a")) in (0, 1)
 
     def test_even_products_random(self):
         sp = QuadSpace(3)
@@ -364,6 +362,14 @@ class TestSmallCases:
         assert rep.radical_rank == 1 and rep.q_radical == 1
         assert rep.a_order_phi == 5
         assert rep.aug_degrees == (4,)
+
+    @pytest.mark.parametrize("m, detail", [(3, None), (4, "caveat: degenerate form")])
+    def test_dickson_caveat_on_even_m(self, m, detail):
+        # even m: the form has a radical, so the parity is raw and marked
+        rep = small_cases_check(m, 3)
+        assert rep.enumeration == "skip"
+        (check,) = [c for c in rep.checks if c[0] == "dickson_b_generators"]
+        assert check[4] == detail
 
     @pytest.mark.parametrize(
         "m, field, value, check",
