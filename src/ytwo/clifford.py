@@ -665,10 +665,10 @@ class PinRep(Representation):
             images[s_letter(i)] = u * pair
         super().__init__(m, images, alg.one)
 
-    def product(self, factors):
-        """The product of a non-empty sequence of images by one
-        packed-int kernel call."""
-        return self.algebra._product(factors)
+    def product(self, word):
+        """The image of a non-empty word: its run powers multiplied by
+        one packed-int kernel call."""
+        return self.algebra._product(self.runs(word))
 
 
 def spinor_norm(c: CliffordElement):

@@ -10,9 +10,11 @@ Generator images (row convention, composition left to right):
 
 Every image preserves the quadratic and bilinear forms, and all matrix
 entries in the image are polynomials in t even though the form values
-involve 1/t.  A word's run images are multiplied by one packed
-column-int product (``quadspace.laurent_product``); each letter image's
-ops for it are built on its first use and kept by the representation.
+involve 1/t.  A word is multiplied by one packed column-int product
+(``quadspace.laurent_product``) that chains the ops of every letter
+after the first, letter by letter.  A letter's ops are built on its
+first use and kept by the representation; a run power would cost a
+generic product and new ops on every call, so runs take no powers here.
 
 ``conjugate_power_matrix`` builds the closed-form matrix for the k-fold
 a-conjugate of s1 out of the geometric sums
@@ -56,27 +58,23 @@ class OrthoRep(Representation):
             images[st_letter(i)] = st
             images[s_letter(i)] = r_u * st
         super().__init__(m, images, space.identity_matrix())
-        # id(image) -> laurent_ops(image), built on the image's first use
-        # in a product and kept (the images live as long as the rep, so
-        # their ids stay theirs).  Not in advance: at m = 100 the ops of
-        # all 2m + 1 images take about 4 MB, and a closed-form word uses
-        # three images.
-        self._ops = dict.fromkeys(id(img) for img in images.values())
+        # letter -> laurent_ops(image), built on the letter's first use:
+        # at m = 100 the ops of all 2m + 1 images take about 4 MB, and a
+        # closed-form word uses three letters
+        self._ops = {}
 
-    def product(self, factors):
-        """The product of a non-empty sequence of images by one packed
-        column-int product (``laurent_product``).  A letter image's ops
-        are built once per rep, a run power's once per call."""
-        known, built = self._ops, {}
+    def product(self, word):
+        """The image of a non-empty word by one packed column-int product
+        (``laurent_product``): the first letter's image is packed, every
+        other letter acts by its ops."""
+        ops = self._ops
         chain = []
-        for f in factors[1:]:
-            key = id(f)
-            ops = known.get(key) or built.get(key)
-            if ops is None:
-                ops = laurent_ops(f)
-                (known if key in known else built)[key] = ops
-            chain.append(ops)
-        return laurent_product(factors[0], chain)
+        for letter in word[1:]:
+            op = ops.get(letter)
+            if op is None:
+                op = ops[letter] = laurent_ops(self.image(letter))
+            chain.append(op)
+        return laurent_product(self.image(word[0]), chain)
 
 
 def triple_form_matrix(space: QuadSpace, f0, f1, f2) -> RMatrix:

@@ -17,15 +17,19 @@ the b-letters are not involutions, so ``invert_word`` swaps them with
 A and the B-letters.
 
 A representation is anything with an ``image(letter)`` lookup, an
-``identity`` element and images that multiply with ``*``.  Evaluating a
-word is the monoid homomorphism sending concatenation to products.
-Relator words are made of letter powers, so ``evaluate`` multiplies
-maximal runs x**k, not letters: each run's image is one power by
-squaring, and equal runs in one word share it.  The run powers are then
-multiplied by the representation's ``product``, a left fold of ``*``
-unless the representation has a faster n-factor product: the pin and
-the transvection representations multiply them in one packed-int
-kernel call each.
+``identity`` element, images that multiply with ``*``, and a
+``product(word)`` that multiplies a non-empty word's letter images in
+order; ``evaluate`` is that monoid homomorphism, with the identity for
+the empty word.  Relator words are made of letter powers, so
+``Representation.product`` (the fold that eta and the specialized
+representations use) and ``PinRep.product`` multiply maximal runs
+x**k, not letters: each run's image is one power by squaring
+(``runs``), and equal runs in one word share it.  The fold multiplies
+the run powers with ``*``, ``PinRep`` in one packed-int kernel call.
+``OrthoRep`` takes no powers: its kernel applies a letter as a list of
+column shifts kept per letter, while a power would cost a generic
+product and a new shift list on every call, so it chains one list per
+letter.
 
 The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:
@@ -164,36 +168,30 @@ class Representation:
     def letters(self):
         return sorted(self._images)
 
-    def product(self, factors):
-        """The product of a non-empty sequence of images, in order: a
-        left fold of ``*`` here, one packed kernel call in ``OrthoRep``
-        and ``PinRep``."""
-        return reduce(mul, factors)
+    def runs(self, word) -> list:
+        """The image of each maximal run x**k of a word, in order: one
+        ``pow_by_squaring`` of x's image per run, memoized by ``(x, k)``,
+        so a commutator's two ``A**k`` and two ``a**k`` runs share one
+        power each."""
+        powers = {}
+        images = []
+        for letter, run in groupby(word):
+            k = sum(1 for _ in run)
+            power = powers.get((letter, k))
+            if power is None:
+                power = powers[letter, k] = pow_by_squaring(self.image(letter), k)
+            images.append(power)
+        return images
+
+    def product(self, word):
+        """The image of a non-empty word: its run powers folded with ``*``
+        here, other multiplications in ``OrthoRep`` and ``PinRep``."""
+        return reduce(mul, self.runs(word))
 
 
 def evaluate(word, rep: Representation):
-    """Product of letter images in word order (identity for the empty word).
-
-    Each maximal run x**k costs one ``pow_by_squaring`` of x's image,
-    memoized by ``(x, k)`` for this call, so a commutator's two ``A**k``
-    and two ``a**k`` runs share one power each.  The run images are then
-    multiplied in word order by one ``rep.product`` call.  For ``OrthoRep``
-    that is one packed column-int product (``quadspace.laurent_product``),
-    which packs the first run image and applies every other run as shifts
-    of whole columns; for ``PinRep`` one n-factor Clifford product, which
-    packs the run image with the most terms once and chains every other
-    run onto it.  Both unpack once per word.  Other representations, such
-    as the block-recursive ``SpinorRep``, fold with ``*``.
-    """
-    powers = {}
-    factors = []
-    for letter, run in groupby(word):
-        k = sum(1 for _ in run)
-        power = powers.get((letter, k))
-        if power is None:
-            power = powers[letter, k] = pow_by_squaring(rep.image(letter), k)
-        factors.append(power)
-    return rep.product(factors) if factors else rep.identity
+    """Product of letter images in word order (identity for the empty word)."""
+    return rep.product(word) if word else rep.identity
 
 
 def relator_failures(sched, rep: Representation) -> list:

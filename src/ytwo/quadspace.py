@@ -36,7 +36,9 @@ span (the most bits any of its entries needs), so an entry of the
 product has degree below the sum of the spans: with ``width`` that sum,
 no shift leaves its slot.  The result is unpacked once, by walking the
 lowest set bit of each column.
-``RMatrix.__mul__`` stays the one generic product, over every ring.
+A phi word takes only this kernel (``OrthoRep.product``), no generic
+product; ``RMatrix.__mul__`` stays the one generic product, over every
+ring.
 """
 
 from . import rings

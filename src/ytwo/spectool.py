@@ -153,10 +153,10 @@ def _row_images(mat: RMatrix) -> list:
     one packed row (bit k of entry j is x**k in column j)."""
     field = mat.zero.field
     d = field.degree
+    powers = [field.pow_bits(field.x.bits, k) for k in range(d)]
     images = []
     for row in mat.entries:
-        for k in range(d):
-            xk_bits = field.pow_bits(field.x.bits, k)
+        for xk_bits in powers:
             packed = 0
             for c, entry in row.items():
                 packed |= field.mul_bits(xk_bits, entry.bits) << (c * d)
@@ -169,11 +169,9 @@ def _chunk_tables(images: list) -> list:
     images; the last table may be narrower, and len(table) - 1 is its mask."""
     tables = []
     for base in range(0, len(images), _CHUNK_BITS):
-        part = images[base : base + _CHUNK_BITS]
-        table = [0] * (1 << len(part))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] ^ part[low.bit_length() - 1]
+        table = [0]
+        for img in images[base : base + _CHUNK_BITS]:
+            table += [t ^ img for t in table]
         tables.append(table)
     return tables
 

@@ -1,4 +1,6 @@
-"""``presentation.evaluate`` (one power per letter run) against
+"""``presentation.evaluate`` (each representation's ``product``: run
+powers folded with ``*`` for eta, run powers in one kernel call for
+psi, letter op lists chained in one kernel call for phi) against
 ``ref_evaluate`` in oracles.py (one product per letter): every relator
 word of the three schedule flavors at ``kmax`` 20, random words with
 planted runs of up to 25 letters, and the closed-form words
@@ -7,6 +9,7 @@ The "Y" words are over b-letters, whose images are checked on their own
 against the oracle's b-words."""
 
 import functools
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,13 +96,27 @@ def test_closed_form_words(m):
     assert mismatches("phi", m, closed_form_words()) == []
 
 
-def test_planted_short_power_is_caught(monkeypatch):
+@pytest.mark.parametrize("label, flavor", [("psi", "y-tilde"), ("eta", "y")])
+def test_planted_short_power_is_caught(monkeypatch, label, flavor):
     # a run x**k raised to k - 1 must fail the schedule and closed-form checks
     real = presentation.pow_by_squaring
     monkeypatch.setattr(
         presentation,
         "pow_by_squaring",
         lambda base, k: real(base, k - 1) if k > 1 else base,
+    )
+    words = [word for _, word in schedule(4, 20, flavor)]
+    assert mismatches(label, 4, words)
+    assert mismatches(label, 4, closed_form_words())
+
+
+def test_planted_run_chained_once_is_caught(monkeypatch):
+    # phi chaining each maximal run's letter once must fail both checks
+    real = OrthoRep.product
+    monkeypatch.setattr(
+        OrthoRep,
+        "product",
+        lambda self, word: real(self, tuple(letter for letter, _ in groupby(word))),
     )
     words = [word for _, word in schedule(4, 20, "y-tilde")]
     assert mismatches("phi", 4, words)

@@ -208,17 +208,23 @@ class TestRelatorSuites:
         "label, build, flavor, cls, products",
         [
             ("eta", SpinorRep, "y", RMatrix, 392),
-            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 417),
+            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 1025),
             ("psi", PinRep, "y-tilde", CliffordElement, 417),
         ],
     )
     def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
         # pinned, so that a return to one product per letter (1000 for
-        # eta, 1025 for phi and psi) fails on any host, however noisy
+        # eta, 1025 for psi) fails on any host, however noisy; phi chains
+        # one op list per letter by design (1025), and must do so without
+        # any generic RMatrix product
         rep = build(8)
         count = count_products(monkeypatch, label, cls)
+        if label == "phi":
+            generic = count_products(monkeypatch, "RMatrix.__mul__", RMatrix)
         assert relator_failures(schedule(8, 20, flavor), rep) == []
         assert count() == products, label
+        if label == "phi":
+            assert generic() == 0
 
     @pytest.mark.parametrize(
         "label, build, cls, products",
@@ -246,15 +252,16 @@ class TestRelatorSuites:
 def count_products(monkeypatch, label, cls):
     """Count the products of ``cls`` images from now on; returns a reader.
     The packed kernels are counted at their entry, where one call
-    multiplies n factors: n - 1 products.  phi's run powers are RMatrix
-    products."""
+    multiplies n factors: n - 1 products.  For ``label`` "phi" that is
+    the chained letter op lists of ``laurent_product``; any other label
+    counts ``cls.__mul__`` calls."""
     count = 0
     if cls is CliffordElement:
         counters = [(CliffordAlgebra, "_product", lambda fs: len(fs) - 1)]
+    elif label == "phi":
+        counters = [(ortho, "laurent_product", len)]
     else:
         counters = [(cls, "__mul__", lambda b: 1)]
-        if label == "phi":
-            counters.append((ortho, "laurent_product", len))
 
     def counting(real, products_of):
         def counted(a, b):

@@ -170,6 +170,24 @@ class TestPackedStepper:
             assert len(_compile_generator((mat, mat))) == 4
             assert check((mat, mat), 2 * 7 * 7 * 4) == 2
 
+    def test_chunk_tables_are_xors_of_images(self):
+        # entry v of chunk table c is the XOR of the images of v's set
+        # bits in chunk c, the narrower last table included
+        from ytwo.spectool import _CHUNK_BITS, _chunk_tables
+
+        rng = random.Random(5)
+        images = [rng.getrandbits(64) for _ in range(2 * _CHUNK_BITS + 5)]
+        tables = _chunk_tables(images)
+        assert [len(t) for t in tables] == [1 << _CHUNK_BITS] * 2 + [1 << 5]
+        for c, table in enumerate(tables):
+            part = images[c * _CHUNK_BITS : (c + 1) * _CHUNK_BITS]
+            for v, entry in enumerate(table):
+                want = 0
+                for k, img in enumerate(part):
+                    if v >> k & 1:
+                        want ^= img
+                assert entry == want
+
 
 class TestBFS:
     def test_empty(self):
