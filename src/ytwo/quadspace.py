@@ -5,6 +5,9 @@ u, v_1, ..., v_m.  The bilinear form pairs any two distinct basis
 vectors to 1 and is alternating; the quadratic form takes the value 1
 on u and 1/t on every v_i.  Both extend to arbitrary vectors by
 q(sum l_i x_i) = sum l_i**2 q(x_i) + sum_{i<j} l_i l_j (x_i, x_j).
+As every (x_i, x_j) with i != j is 1, ``q_eval``, ``bilin`` and
+``transvection`` read closed forms in one pass over the entries, such
+as (x, y) = X Y + sum x_i y_i with X, Y the sums of the entries.
 
 Everything uses one global convention: vectors are rows, row i of a
 matrix is the image of basis vector i, and composition reads left to
@@ -31,11 +34,12 @@ lo_F acts through its ``laurent_ops``: one op (k, j, e) per set bit e of
 F[k][j] over s**lo_F, grouped by k.  Since column j of P * F is the sum
 of column k of P times F[k][j], applying F is ``new[j] ^= cols[k] << e``
 for each op, skipped as a whole for a zero column k.  Over its own
-lowest exponent every entry of F is a polynomial of degree below its
-span (the most bits any of its entries needs), so an entry of the
-product has degree below the sum of the spans: with ``width`` that sum,
-no shift leaves its slot.  The result is unpacked once, by walking the
-lowest set bit of each column.
+lowest exponent every entry of F has degree below its span (the most
+bits any of its entries needs), so an entry of a product of r + 1
+factors, or of a prefix of it, has degree at most the sum of
+(span_i - 1): with ``width`` = sum span_i - r (at least 1; a zero
+factor has span 0 and zeroes the product), no shift leaves its slot.
+The result is unpacked once, by walking the lowest set bit of each column.
 A phi word takes only this kernel (``OrthoRep.product``), no generic
 product; ``RMatrix.__mul__`` stays the one generic product, over every
 ring.
@@ -213,11 +217,9 @@ def laurent_product(first: RMatrix, chain) -> RMatrix:
         return first
     entries = first.entries
     n = len(entries)
-    base, width = _lo_span(entries)
-    lo = base
-    for f_lo, f_span, _ in chain:
-        lo += f_lo
-        width += f_span
+    base, span = _lo_span(entries)
+    lo = base + sum(f_lo for f_lo, _, _ in chain)
+    width = max(span + sum(f_span - 1 for _, f_span, _ in chain), 1)
     cols = [0] * n
     for i, row in enumerate(entries):
         at = i * width - base
@@ -283,44 +285,29 @@ class QuadSpace:
 
 
 def q_eval(space: QuadSpace, vec):
-    """Value of the quadratic form on a vector."""
-    total = space.zero
-    n = space.rank
-    for i in range(n):
-        c = vec[i]
+    """q(vec) in one pass: q(sum c_i x_i) = sum_i c_i (c_i q(x_i) + S_i),
+    S_i the sum of the entries before c_i, since (x_i, x_j) = 1 for i != j."""
+    total = before = space.zero
+    for c, q in zip(vec, space.q_values):
         if c:
-            total = total + c * c * space.q_values[i]
-    for i in range(n):
-        ci = vec[i]
-        if not ci:
-            continue
-        for j in range(i + 1, n):
-            cj = vec[j]
-            if cj:
-                total = total + ci * cj
+            total = total + c * (c * q + before)
+            before = before + c
     return total
 
 
 def bilin(space: QuadSpace, x, y):
-    """The alternating bilinear pairing (all distinct basis pairs pair to 1)."""
-    total = space.zero
-    n = space.rank
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(n):
-            if i != j and y[j]:
-                total = total + xi * y[j]
+    """(x, y) = X Y + sum x_i y_i, X and Y the sums of the entries:
+    distinct basis vectors pair to 1, and the sum cancels the diagonal
+    terms x_i y_i of X Y in characteristic two."""
+    total = sum(x, space.zero) * sum(y, space.zero)
+    for a, b in zip(x, y):
+        if a and b:
+            total = total + a * b
     return total
 
 
 def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(c, x):
-    return tuple(c * a for a in x)
 
 
 def transvection(space: QuadSpace, w) -> RMatrix:
@@ -357,6 +344,7 @@ class HyperbolicDecomposition(Record):
 # The family is periodic with period four starting from (1, 1/t, 1/t).
 _T1 = T_INV
 _T1P = T_INV + L_ONE
+_GF2 = (L_ZERO, L_ONE)
 _STATE_TABLE = {
     (L_ONE, _T1, _T1): (1, 1),
     (L_ONE, _T1, _T1P): (0, 1),
@@ -375,23 +363,28 @@ def hyperbolic_decompose(space: QuadSpace) -> HyperbolicDecomposition:
         q(alpha e0 + beta e1 + e_k) = 0.
 
     The step extracts e = alpha e0 + beta e1 + e_k and
-    f = alpha e0 + beta e1 + e_{k-1}, corrects the remaining vectors by
-    multiples of e + f so they stay orthogonal to the pair, and updates
-    the q-values (q0 += beta**2 + 1, q1 += alpha**2 + 1, rest +=
-    alpha**2 + beta**2 + 1).  All output vectors are GF(2) combinations
-    of the input basis.
+    f = alpha e0 + beta e1 + e_{k-1}, adds e + f times beta + 1 to e0,
+    alpha + 1 to e1 and alpha + beta + 1 to the rest, so they stay
+    orthogonal to the pair, and adds the same GF(2) coefficients to their
+    q-values (q0 += beta**2 + 1 = beta + 1, and so on).  All vectors are
+    GF(2) combinations of the input basis, so the working vectors are bit
+    masks over it (bit i for basis vector i), and a mask becomes a scalar
+    tuple only for the output and for the per-step cross-check.
     """
     if not isinstance(space.q_values[0], LaurentScalar):
         raise UnsupportedFormError("decomposition runs over the Laurent ring")
-    vectors = [space.basis_vector(i) for i in range(space.rank)]
     qs = list(space.q_values)
     if qs[0] != L_ONE or any(q != T_INV for q in qs[1:]):
         raise UnsupportedFormError("q-values are not (1, 1/t, ..., 1/t)")
 
-    one, zero = space.one, space.zero
-    pairs = []
-    states = []
-    while len(vectors) >= 4:
+    one, zero, rank = space.one, space.zero, space.rank
+
+    def vec(mask):
+        return tuple(one if mask >> i & 1 else zero for i in range(rank))
+
+    masks = [1 << i for i in range(rank)]
+    pairs, states = [], []
+    while len(masks) >= 4:
         rest = qs[2:]
         if any(q != rest[0] for q in rest[1:]):
             raise UnsupportedFormError("tail q-values diverged; outside the family")
@@ -400,43 +393,29 @@ def hyperbolic_decompose(space: QuadSpace) -> HyperbolicDecomposition:
         if ab is None:
             raise UnsupportedFormError(f"q-state {state} is not in the table")
         alpha, beta = ab
-        k = len(vectors) - 1
-        sa = one if alpha else zero
-        sb = one if beta else zero
-        head = vec_add(vec_scale(sa, vectors[0]), vec_scale(sb, vectors[1]))
-        e = vec_add(head, vectors[k])
-        f = vec_add(head, vectors[k - 1])
-        ef = vec_add(e, f)
+        k = len(masks) - 1
+        head = alpha * masks[0] ^ beta * masks[1]
+        e = head ^ masks[k]
+        f = head ^ masks[k - 1]
+        ef = e ^ f
         # correction coefficients (beta+1, alpha+1, alpha+beta+1) in GF(2)
-        c0 = one if (beta ^ 1) else zero
-        c1 = one if (alpha ^ 1) else zero
-        cr = one if (alpha ^ beta ^ 1) else zero
-        new_vectors = [
-            vec_add(vectors[0], vec_scale(c0, ef)),
-            vec_add(vectors[1], vec_scale(c1, ef)),
-        ]
-        for i in range(2, k - 1):
-            new_vectors.append(vec_add(vectors[i], vec_scale(cr, ef)))
-        a_sq = L_ONE if alpha else L_ZERO
-        b_sq = L_ONE if beta else L_ZERO
-        new_qs = [
-            qs[0] + b_sq + L_ONE,
-            qs[1] + a_sq + L_ONE,
-        ]
-        for i in range(2, k - 1):
-            new_qs.append(qs[i] + a_sq + b_sq + L_ONE)
+        c0, c1, cr = beta ^ 1, alpha ^ 1, alpha ^ beta ^ 1
+        new_masks = [masks[0] ^ c0 * ef, masks[1] ^ c1 * ef]
+        new_masks += [x ^ cr * ef for x in masks[2 : k - 1]]
+        new_qs = [qs[0] + _GF2[c0], qs[1] + _GF2[c1]]
+        new_qs += [q + _GF2[cr] for q in qs[2 : k - 1]]
         # the table is an advertised contract; cross-check it from scratch
-        for vec, q in zip(new_vectors, new_qs):
-            if q_eval(space, vec) != q:
+        for x, q in zip(new_masks, new_qs):
+            if q_eval(space, vec(x)) != q:
                 raise UnsupportedFormError("q-update formulas disagree with q_eval")
-        pairs.append((e, f))
+        pairs.append((vec(e), vec(f)))
         states.append(state)
-        vectors = new_vectors
-        qs = new_qs
+        masks, qs = new_masks, new_qs
+    residual = [vec(x) for x in masks]
     return HyperbolicDecomposition(
         pairs=pairs,
-        residual=vectors,
-        residual_q=[q_eval(space, v) for v in vectors],
+        residual=residual,
+        residual_q=[q_eval(space, v) for v in residual],
         states=states,
     )
 

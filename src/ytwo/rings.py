@@ -26,6 +26,7 @@ primitive n-th root of unity zeta, hence s to zeta + 1/zeta and t to
 zeta**2 + 1/zeta**2, and is a ring homomorphism on both scalar levels.
 """
 
+import functools
 import itertools
 
 from .errors import (
@@ -400,14 +401,14 @@ def is_irreducible(poly: int) -> bool:
     x = 0b10
     if _ppowmod(x, 1 << d, poly) != _pmod(x, poly):
         return False
-    for p in _prime_factors(d):
+    for p in prime_factors(d):
         h = _ppowmod(x, 1 << (d // p), poly) ^ _pmod(x, poly)
         if _pgcd(poly, h) != 1:
             return False
     return True
 
 
-def _prime_factors(n: int) -> list:
+def prime_factors(n: int) -> list:
     out = []
     p = 2
     while p * p <= n:
@@ -488,7 +489,7 @@ class FiniteField:
         self.modulus = modulus
         self.order = 1 << degree
         self._qm1 = self.order - 1
-        self._qm1_factors = _prime_factors(self._qm1)
+        self._qm1_factors = prime_factors(self._qm1)
         self._build_tables()
         self.zero = FFElement(self, 0)
         self.one = FFElement(self, 1)
@@ -677,13 +678,15 @@ class EvalMap:
         return f"EvalMap<n={self.n}, zeta={self.zeta} in {self.field!r}>"
 
 
+@functools.cache
 def make_eval_map(n: int, modulus: int | None = None) -> EvalMap:
     """Construct the evaluation map for odd n >= 3.
 
     The field degree is ``field_degree(n)``, the multiplicative order d of
     2 modulo n, so that n divides 2**d - 1.  zeta is g**((2**d - 1)/n)
     for the least primitive element g, a deterministic choice recorded in
-    ``describe()``.
+    ``describe()``.  Each map and its field (2**d-entry tables) is built
+    once per process and shared; neither is mutated after construction.
     """
     field = FiniteField(field_degree(n), modulus)
     zeta = FFElement(field, field.generator_bits) ** ((field.order - 1) // n)

@@ -48,7 +48,10 @@ from .quadspace import (
     q_eval,
     radical_vector,
 )
-from .rings import EvalMap, Record, cyclotomic_cosets, cyclotomic_split, ff_rank, make_eval_map
+from .rings import (
+    EvalMap, Record, cyclotomic_cosets, cyclotomic_split, ff_rank, make_eval_map,
+    prime_factors,
+)
 from .spinor import SpinorRep
 
 
@@ -361,19 +364,17 @@ def eta_component_matrices(m: int, n: int) -> list:
     return [tuple(comp[i] for comp in components) for i in range(m)]
 
 
-_ORDER_BOUND = 100_000
-
-
-def matrix_order(mat: RMatrix) -> int:
-    """Multiplicative order of a field matrix (search up to _ORDER_BOUND)."""
-    field = mat.zero.field
-    ident = RMatrix.identity(mat.size, field.one, field.zero)
-    acc = mat
-    for k in range(1, _ORDER_BOUND + 1):
-        if acc == ident:
-            return k
-        acc = acc * mat
-    raise ArithmeticError(f"order exceeds bound {_ORDER_BOUND}")
+def matrix_order(mat: RMatrix, n: int):
+    """The multiplicative order of a field matrix, given that it divides
+    n: None unless mat**n is the identity, else n with each prime p
+    divided out while mat**(order/p) is still the identity."""
+    if not (mat**n).is_identity:
+        return None
+    order = n
+    for p in prime_factors(n):
+        while order % p == 0 and (mat ** (order // p)).is_identity:
+            order //= p
+    return order
 
 
 def dickson(mat: RMatrix) -> int:
@@ -532,8 +533,8 @@ def small_cases_check(
     report.aug_degrees = tuple(cyclotomic_split(n))
     report.expected_order = EXPECTED_ORDERS.get((m, n))
 
-    report.a_order_phi = matrix_order(phi.image(A))
-    report.a_order_eta = matrix_order(eta.image(A))
+    report.a_order_phi = matrix_order(phi.image(A), n)
+    report.a_order_eta = matrix_order(eta.image(A), n)
 
     space = QuadSpace(m)
     report.radical_rank = (m + 1) - gram_rank_gf2(m)

@@ -197,20 +197,36 @@ def ref_xn_plus_1_over_x_plus_1(n):
     return (1 << n) - 1
 
 
-# -- transvections, dense ----------------------------------------------------
+# -- the form and transvections, dense ---------------------------------------
+
+
+def ref_q_eval(space, vec):
+    """q(vec) from the q-values and the all-ones pairing of distinct basis
+    vectors, over every pair of entries."""
+    n, q = space.rank, space.zero
+    for i in range(n):
+        q = q + vec[i] * vec[i] * space.q_values[i]
+        for j in range(i + 1, n):
+            q = q + vec[i] * vec[j]
+    return q
+
+
+def ref_bilin(space, x, y):
+    """(x, y) as the sum of x_i y_j over all ordered pairs i != j."""
+    n, total = space.rank, space.zero
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total = total + x[i] * y[j]
+    return total
 
 
 def ref_transvection(space, w):
     """Dense rows of x -> x + ((x, w)/q(w)) w, one basis vector x at a
-    time: q(w) from the q-values and the all-ones pairing of distinct
-    basis vectors, (e_i, w) as the sum of w's entries off position i."""
+    time: q(w) by ``ref_q_eval``, (e_i, w) as the sum of w's entries off
+    position i."""
     n, zero, one = space.rank, space.zero, space.one
-    qw = zero
-    for i in range(n):
-        qw = qw + w[i] * w[i] * space.q_values[i]
-        for j in range(i + 1, n):
-            qw = qw + w[i] * w[j]
-    qw_inv = qw.inverse()
+    qw_inv = ref_q_eval(space, w).inverse()
     rows = []
     for i in range(n):
         pair = zero

@@ -104,6 +104,18 @@ class TestJsonReports:
         assert by_name["group_order_eta"]["actual"] == "4080"
         assert by_name["a_order_phi"]["status"] == "pass"
 
+    def test_specialize_large_n_orders(self, capsys):
+        # the order of a is read off the factors of n = 2**17 - 1, a prime,
+        # with no search up to n
+        code, data = run_json(
+            capsys, ["specialize", "--m", "3", "--n", "131071", "--json"]
+        )
+        assert code == 0
+        by_name = {c["name"]: c for c in data["checks"]}
+        for label in ("phi", "eta"):
+            check = by_name[f"a_order_{label}"]
+            assert (check["status"], check["actual"]) == ("pass", "131071")
+
 
 class TestSpecializeOrders:
     @pytest.mark.parametrize(

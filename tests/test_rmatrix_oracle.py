@@ -11,12 +11,14 @@ three rings and the explicit examples below hold in each.
 """
 
 import random
+import sys
 from functools import reduce
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ytwo import quadspace
 from ytwo.ortho import OrthoRep
 from ytwo.quadspace import QuadSpace, RMatrix, laurent_ops, laurent_product
 from ytwo.rings import L_ONE, L_ZERO, QE_ZERO, FiniteField, LaurentScalar, QEScalar
@@ -256,6 +258,7 @@ NEGATIVE_B = [[((-3,), ()), Z], [((-1, 4), ()), ((0, -2), ())]]
 # columns 0 and 2 are zero; ORDER_B then maps column 1 into column 2
 ZERO_COLS = [[Z, ONE, Z], [Z, S, Z], [Z, ONE, Z]]
 # (1 + s**15)**2 = 1 + s**30: the width must hold the sum of the spans
+# less one per chained factor, and needs all 31 bits here
 WIDE = [[((0, 15), ()), ONE], [Z, ((0, 15), ())]]
 # 1 + 1 = 0 on every entry: the product is the zero matrix
 ALL_ONES = [[ONE, ONE], [ONE, ONE]]
@@ -300,3 +303,68 @@ def test_laurent_product_of_long_words(seed):
     for length in (rng.randint(1, 100), 100):
         mats = [phi.image(rng.choice(letters)) for _ in range(length)]
         assert packed(mats) == reduce(mul, mats)
+
+
+# -- planted faults in the packed product's slot frame --------------------------
+
+
+def plant_frame(monkeypatch, frame):
+    """Make ``laurent_product`` read its first factor's (lo, span) from
+    ``_lo_span`` as frame(lo, span, chain); ``laurent_ops`` reads the
+    true one."""
+    real = quadspace._lo_span
+
+    def planted(entries):
+        lo, span = real(entries)
+        caller = sys._getframe(1)
+        if caller.f_code is laurent_product.__code__:
+            return frame(lo, span, caller.f_locals["chain"])
+        return lo, span
+
+    monkeypatch.setattr(quadspace, "_lo_span", planted)
+
+
+# name: (frame, the explicit example that catches it, how it fails)
+FRAMES = {
+    # a width of sum span - r - 1 bits: s**30 is carried past the last row
+    "one bit narrow": (
+        lambda lo, span, chain: (lo, span - 1),
+        [WIDE, WIDE],
+        IndexError,
+    ),
+    # the first factor's lowest exponent left out of the packing and the sum
+    "first lo left out": (
+        lambda lo, span, chain: (0, span),
+        [NEGATIVE, NEGATIVE_B, NEGATIVE],
+        ValueError,
+    ),
+    # a width of the largest span, the plain bound for one factor
+    "largest span": (
+        lambda lo, span, chain: (
+            lo,
+            max([span] + [f[1] for f in chain]) - sum(f[1] - 1 for f in chain),
+        ),
+        [WIDE, WIDE],
+        IndexError,
+    ),
+}
+reference = test_laurent_product_matches_reference.hypothesis.inner_test
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_planted_slot_frame_fails_the_reference(monkeypatch, name):
+    frame, raws, error = FRAMES[name]
+    reference(raws=raws)
+    plant_frame(monkeypatch, frame)
+    with pytest.raises(error):
+        reference(raws=raws)
+
+
+def test_planted_chained_lo_left_out_fails_the_reference(monkeypatch):
+    # each chained factor's lowest exponent left out of the result's base
+    real = laurent_ops
+    monkeypatch.setattr(
+        sys.modules[__name__], "laurent_ops", lambda mat: (0,) + real(mat)[1:]
+    )
+    with pytest.raises(AssertionError):
+        reference(raws=[WIDE, NEGATIVE, WIDE, NEGATIVE_B])

@@ -8,7 +8,7 @@ import pytest
 from ytwo import spectool
 from ytwo.cli import run
 from ytwo.errors import CapExceededError
-from ytwo.presentation import st_letter
+from ytwo.presentation import s_letter, st_letter
 from ytwo.quadspace import QuadSpace, transvection
 from ytwo.rings import FiniteField, make_eval_map
 from ytwo.spectool import (
@@ -31,11 +31,11 @@ from oracles import factorial, order_omega_minus_6, order_sl2, order_sp4
 class TestSpecialize:
     def test_phi_a_order(self):
         rep = specialize(3, 5, "phi")
-        assert matrix_order(rep.image("a")) == 5
+        assert matrix_order(rep.image("a"), 5) == 5
 
     def test_eta_a_order(self):
         rep = specialize(3, 5, "eta")
-        assert matrix_order(rep.image("a")) == 5
+        assert matrix_order(rep.image("a"), 5) == 5
         # diag(zeta, 1/zeta) exactly
         z = rep.map.zeta
         assert rep.image("a").rows == ((z, rep.field.zero), (rep.field.zero, z ** -1))
@@ -64,7 +64,17 @@ class TestSpecialize:
         for m, n in ((3, 5), (3, 7), (4, 5)):
             rep = specialize(m, n, "phi")
             for mat in rep.b_matrices:
-                assert matrix_order(mat) == n
+                assert matrix_order(mat, n) == n
+
+    def test_order_is_a_divisor_of_n(self):
+        # a**3 at n = 9 has order 3: both prime factors 3 are divided out
+        # only as far as the identity holds
+        rep = specialize(3, 9, "phi")
+        a = rep.image("a")
+        assert matrix_order(a, 9) == 9
+        assert matrix_order(a**3, 9) == 3
+        assert matrix_order(a**9, 9) == 1
+        assert matrix_order(a, 3) is None  # a**3 is not the identity
 
 
 class TestPacking:
@@ -374,6 +384,16 @@ class TestSmallCases:
         assert rep.radical_rank == 1
         assert rep.q_radical == 0
         assert rep.failures == []
+
+    def test_planted_a_image_fails_its_check(self, monkeypatch):
+        # an s-letter image in place of a's: its n-th power is not the
+        # identity, so both order checks fail and nothing is raised
+        monkeypatch.setattr(spectool, "A", s_letter(1))
+        rep = small_cases_check(3, 5)
+        assert rep.a_order_phi is None and rep.a_order_eta is None
+        assert rep.failures == ["a_order_phi", "a_order_eta"]
+        checks = {c[0]: c for c in rep.checks}
+        assert checks["a_order_phi"][1:4] == (False, "5", "None")
 
     def test_4_5_structure_only_quick(self):
         rep = small_cases_check(4, 5, cap=1000)  # below the order: no closure
