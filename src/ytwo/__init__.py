@@ -70,6 +70,7 @@ from .clifford import (
     get_algebra,
     intertwines,
     kernel_element,
+    lifts,
     power_sequences,
     spinor_norm,
 )

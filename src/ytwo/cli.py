@@ -1,6 +1,9 @@
 """Command-line front end: verification suites with text or JSON reports.
 
-Every subcommand runs a suite of named checks.  A check is one
+Every command is a suite: a function ``suite(args, report)`` that adds
+named checks to one ``RunReport``.  ``run`` builds that report (the
+command, ``verify <suite>`` or the command's name, and its parameters),
+times the suite and prints the report.  A check is one
 ``(name, ok, expected, actual, detail)`` tuple, the record that
 ``spectool.GroupReport.checks`` yields, with ``ok`` True (pass), False
 (fail) or None (skip); ``RunReport``, a ``rings.Record``, keeps these
@@ -19,9 +22,8 @@ from .clifford import (
     PinRep,
     center_report,
     check_power_identities,
-    conjugation_matrix,
-    intertwines,
     kernel_element,
+    lifts,
     spinor_norm,
 )
 from .errors import YtwoError
@@ -133,20 +135,13 @@ def _suite_relations(args, report):
             )
 
 
-def _lifts(c, mat) -> bool:
-    """pi(c) == mat: c has spinor norm 1, which makes c^-1 = c^tr, and
-    x_i c = c * (row i of mat) for each generator x_i (the module
-    docstring of ``ytwo.clifford`` has the proof)."""
-    return spinor_norm(c).is_one and intertwines(c, mat)
-
-
 def _suite_lifting(args, report):
     phi = OrthoRep(QuadSpace(args.m))
     psi = PinRep(args.m)
     letters = phi.letters()
     for letter in letters:
         image = psi.image(letter)
-        ok, error = _attempt(lambda: conjugation_matrix(image) == phi.image(letter))
+        ok, error = _attempt(lambda: lifts(image, phi.image(letter)))
         report.add(f"lifting/m={args.m}/generator_{letter}", ok, detail=error)
         norm, error = _attempt(lambda: spinor_norm(image))
         report.add(
@@ -162,7 +157,7 @@ def _suite_lifting(args, report):
         word = tuple(
             rng.choice(letters) for _ in range(rng.randint(0, args.maxlen))
         )
-        ok, error = _attempt(lambda: _lifts(evaluate(word, psi), evaluate(word, phi)))
+        ok, error = _attempt(lambda: lifts(evaluate(word, psi), evaluate(word, phi)))
         if not ok:
             detail = f"first failing word {''.join(word)}"
             detail += f": {error}" if error else ""
@@ -246,25 +241,7 @@ def _suite_extended(args, report):
     )
 
 
-def _cmd_verify(args) -> RunReport:
-    report = RunReport(
-        command=f"verify {args.suite}", params=_param_dict(args)
-    )
-    suite = {
-        "relations": _suite_relations,
-        "lifting": _suite_lifting,
-        "closed-form": _suite_closed_form,
-        "powers": _suite_powers,
-        "basis": _suite_basis,
-        "center": _suite_center,
-        "extended": _suite_extended,
-    }[args.suite]
-    suite(args, report)
-    return report
-
-
-def _cmd_decompose(args) -> RunReport:
-    report = RunReport(command="decompose", params=_param_dict(args))
+def _suite_decompose(args, report):
     m = args.rank - 1
     space = QuadSpace(m)
     dec = hyperbolic_decompose(space)
@@ -300,19 +277,15 @@ def _cmd_decompose(args) -> RunReport:
             "(" + ", ".join(s.str_t() for s in st) + ")" for st in dec.states
         ),
     )
-    return report
 
 
-def _cmd_specialize(args) -> RunReport:
-    report = RunReport(command="specialize", params=_param_dict(args))
+def _suite_specialize(args, report):
     g = small_cases_check(args.m, args.n, cap=args.cap, force=args.enumerate)
     report.checks += g.checks
     report.cap_hit = args.enumerate and g.enumeration == "cap"
-    return report
 
 
-def _cmd_augmentation(args) -> RunReport:
-    report = RunReport(command="augmentation", params=_param_dict(args))
+def _suite_augmentation(args, report):
     degrees = cyclotomic_split(args.n)
     report.add(
         f"split_degree_sum/n={args.n}",
@@ -328,7 +301,6 @@ def _cmd_augmentation(args) -> RunReport:
         expected=str(degrees),
         actual=str(sorted(c.field.degree for c in comps)),
     )
-    return report
 
 
 def _param_dict(args) -> dict:
@@ -377,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=42, help="seed for randomized suites"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    verify = sub.add_parser("verify", help="run an exact verification suite")
+    vsub = verify.add_subparsers(dest="suite", required=True)
 
-    p_verify = sub.add_parser("verify", help="run an exact verification suite")
-    vsub = p_verify.add_subparsers(dest="suite", required=True)
-
-    def common(p, m_max=None, kmax=None, n=None):
+    def common(parent, name, suite, m_max=None, kmax=None, n=None, **kw):
+        p = parent.add_parser(name, parents=[shared], **kw)
         if m_max:
             p.add_argument(
                 "--m", type=_int_in(3, m_max), default=4, help="rank parameter (>= 3)"
@@ -396,36 +368,35 @@ def build_parser() -> argparse.ArgumentParser:
                 " existing scripts)"
             )
             p.add_argument("--n", type=_eval_order, default=n, help=help_n)
-        p.set_defaults(func=_cmd_verify)
+        p.set_defaults(func=suite)
+        return p
 
     # Each bound keeps its command within reach (README gives the times
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
     # at m=11; lifting on its default 200 words 19-23 s and 72-94 MB at
-    # m=13, against 5.3-7.3 s and 34-40 MB at m=12 and 0.8-1.1 s at m=10
+    # m=13, against 3.6-4.8 s and 32-39 MB at m=12 and 0.65-0.83 s at m=10
     # (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14); closed-form 1.1 s
     # and 35 MB at m=200.
-    common(vsub.add_parser("relations", parents=[shared]), m_max=10, kmax=(20, 1, 30))
-    vsub.choices["relations"].add_argument(
+    p_rel = common(vsub, "relations", _suite_relations, m_max=10, kmax=(20, 1, 30))
+    p_rel.add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
     )
-    p_lift = vsub.add_parser("lifting", parents=[shared])
-    common(p_lift, m_max=12)
+    p_lift = common(vsub, "lifting", _suite_lifting, m_max=12)
     p_lift.add_argument("--words", type=_int_in(0, 2500), default=200)
     p_lift.add_argument("--maxlen", type=_int_in(0, 100), default=30)
-    common(vsub.add_parser("closed-form", parents=[shared]), m_max=100, kmax=(20, 0, 50))
-    common(vsub.add_parser("powers", parents=[shared]), kmax=(50, 0, 1000))
+    common(vsub, "closed-form", _suite_closed_form, m_max=100, kmax=(20, 0, 50))
+    common(vsub, "powers", _suite_powers, kmax=(50, 0, 1000))
     # the spinor basis and the center report support m <= 8 only
-    common(vsub.add_parser("basis", parents=[shared]), m_max=8)
-    common(vsub.add_parser("center", parents=[shared]), m_max=8, n=5)
-    common(vsub.add_parser("extended", parents=[shared]), m_max=8)
+    common(vsub, "basis", _suite_basis, m_max=8)
+    common(vsub, "center", _suite_center, m_max=8, n=5)
+    common(vsub, "extended", _suite_extended, m_max=8)
 
-    p_dec = sub.add_parser("decompose", parents=[shared], help="hyperbolic pair extraction")
+    p_dec = common(sub, "decompose", _suite_decompose, help="hyperbolic pair extraction")
     p_dec.add_argument(
         "--rank", type=_int_in(4, 150), required=True, help="module rank m+1"
     )
-    p_dec.set_defaults(func=_cmd_decompose)
 
-    p_spec = sub.add_parser("specialize", parents=[shared], help="finite-field small-cases report")
+    p_spec = common(sub, "specialize", _suite_specialize, help="finite-field small-cases report")
     # the eta images are 2**(m-2)-square: time and memory grow ~4x per
     # step.  The (3,9) enumeration stores about 88 bytes per state, 200 MB
     # at the cap; no order in EXPECTED_ORDERS lies between it and 1e9.
@@ -434,19 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--n", type=_eval_order, required=True)
     p_spec.add_argument("--enumerate", action="store_true")
     p_spec.add_argument("--cap", type=_int_in(1, DEFAULT_CAP), default=DEFAULT_CAP)
-    p_spec.set_defaults(func=_cmd_specialize)
 
-    p_aug = sub.add_parser("augmentation", parents=[shared], help="cyclotomic splitting report")
+    p_aug = common(sub, "augmentation", _suite_augmentation, help="cyclotomic splitting report")
     p_aug.add_argument("--n", type=_eval_order, required=True)
-    p_aug.set_defaults(func=_cmd_augmentation)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = f"verify {args.suite}" if args.command == "verify" else args.command
+    report = RunReport(command=command, params=_param_dict(args))
     start = time.monotonic()
-    report = args.func(args)
+    args.func(args, report)
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))

@@ -84,7 +84,8 @@ onto endomorphism of the algebra (it has the right inverse c^tr), a
 finitely generated module over the scalars, and an onto endomorphism
 of such a module is one-to-one (Vasconcelos 1969).  So c^tr c = 1 as
 well, c^-1 = c^tr, and c^-1 x_i c = row i.  No inverse and no
-conjugation matrix is needed.
+conjugation matrix is needed: ``lifts(c, M)`` is this judgment, and
+``conjugation_matrix`` stays as the reference it is tested against.
 
 Two closed forms of the same action rule serve the maps that need no
 product.  The transpose of a monomial is
@@ -675,7 +676,7 @@ def spinor_norm(c: CliffordElement):
     """The scalar c * c^tr; raises NotScalarError if it is not scalar."""
     prod = c * c.transpose()
     if not prod.is_scalar:
-        raise NotScalarError("spinor norm is not a pure scalar", element=prod)
+        raise NotScalarError("spinor norm is not a pure scalar")
     return prod.scalar_part()
 
 
@@ -743,6 +744,13 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
         if _fold(acc, fold, span) != _act(x, left[i]) << -low:
             return False
     return True
+
+
+def lifts(c: CliffordElement, mat: RMatrix) -> bool:
+    """True iff pi(c) == mat: c has spinor norm 1, which makes c^-1 =
+    c^tr, and ``intertwines(c, mat)`` (the module docstring has the
+    proof).  The one place where the two are judged together."""
+    return spinor_norm(c).is_one and intertwines(c, mat)
 
 
 # -- power identities --------------------------------------------------------
@@ -853,17 +861,14 @@ def center_report(m: int) -> CenterReport:
 
 def kernel_element(m: int, lam: LaurentScalar) -> CliffordElement:
     """A norm-one central element: 1 + lam*r when m = 2 mod 4 (q(r) = 0)
-    and 1 + lam*(1 + r) when m = 0 mod 4 (q(r) = 1).  Verified to have
-    spinor norm 1 and to conjugate every vector trivially."""
+    and 1 + lam*(1 + r) when m = 0 mod 4 (q(r) = 1).  Verified by
+    ``lifts`` to lift the identity matrix."""
     if m % 2:
         raise ValueError(f"kernel elements exist only for even m, got {m}")
     alg = get_algebra(m, "laurent")
     r = alg.radical_element()
     core = r if m % 4 == 2 else alg.one + r
     z = alg.one + core.scale(lam)
-    norm = spinor_norm(z)
-    if not norm.is_one:
-        raise MismatchError(f"kernel candidate has spinor norm {norm}")
-    if not intertwines(z, RMatrix.identity(m + 1, L_ONE, L_ZERO)):
-        raise MismatchError("kernel candidate does not centralize the module")
+    if not lifts(z, RMatrix.identity(m + 1, L_ONE, L_ZERO)):
+        raise MismatchError("kernel candidate is not a norm-one element of ker(pi)")
     return z

@@ -42,10 +42,6 @@ class MixedAmbientError(YtwoError):
 class NotScalarError(YtwoError):
     """Product expected to be a pure scalar has higher-degree terms."""
 
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
-
 
 class NotCliffordGroupError(YtwoError):
     """Conjugation by the element does not preserve the vector module."""

@@ -366,10 +366,12 @@ def hyperbolic_decompose(space: QuadSpace) -> HyperbolicDecomposition:
     f = alpha e0 + beta e1 + e_{k-1}, adds e + f times beta + 1 to e0,
     alpha + 1 to e1 and alpha + beta + 1 to the rest, so they stay
     orthogonal to the pair, and adds the same GF(2) coefficients to their
-    q-values (q0 += beta**2 + 1 = beta + 1, and so on).  All vectors are
-    GF(2) combinations of the input basis, so the working vectors are bit
-    masks over it (bit i for basis vector i), and a mask becomes a scalar
-    tuple only for the output and for the per-step cross-check.
+    q-values (q0 += beta**2 + 1 = beta + 1, and so on).  Each step checks
+    both: every corrected vector's q-value against ``q_eval``, and its
+    pairing with e and f on the masks.  All vectors are GF(2) combinations
+    of the input basis, so the working vectors are bit masks over it
+    (bit i for basis vector i), and a mask becomes a scalar tuple only for
+    the output and for the q-value check.
     """
     if not isinstance(space.q_values[0], LaurentScalar):
         raise UnsupportedFormError("decomposition runs over the Laurent ring")
@@ -381,6 +383,10 @@ def hyperbolic_decompose(space: QuadSpace) -> HyperbolicDecomposition:
 
     def vec(mask):
         return tuple(one if mask >> i & 1 else zero for i in range(rank))
+
+    def pairing(x, y):
+        # (x, y) = |x| |y| + |x & y| mod 2 on masks, ``bilin``'s closed form
+        return (x.bit_count() * y.bit_count() + (x & y).bit_count()) % 2
 
     masks = [1 << i for i in range(rank)]
     pairs, states = [], []
@@ -404,8 +410,11 @@ def hyperbolic_decompose(space: QuadSpace) -> HyperbolicDecomposition:
         new_masks += [x ^ cr * ef for x in masks[2 : k - 1]]
         new_qs = [qs[0] + _GF2[c0], qs[1] + _GF2[c1]]
         new_qs += [q + _GF2[cr] for q in qs[2 : k - 1]]
-        # the table is an advertised contract; cross-check it from scratch
+        # the table is an advertised contract; cross-check each step on its own:
+        # each corrected x is orthogonal to e and f and has its q-value
         for x, q in zip(new_masks, new_qs):
+            if pairing(x, e) or pairing(x, f):
+                raise UnsupportedFormError("correction not orthogonal to the pair")
             if q_eval(space, vec(x)) != q:
                 raise UnsupportedFormError("q-update formulas disagree with q_eval")
         pairs.append((vec(e), vec(f)))

@@ -678,17 +678,22 @@ class EvalMap:
         return f"EvalMap<n={self.n}, zeta={self.zeta} in {self.field!r}>"
 
 
+# one field per degree, shared by the maps of every n of that degree
+_field = functools.cache(FiniteField)
+
+
 @functools.cache
-def make_eval_map(n: int, modulus: int | None = None) -> EvalMap:
+def make_eval_map(n: int) -> EvalMap:
     """Construct the evaluation map for odd n >= 3.
 
     The field degree is ``field_degree(n)``, the multiplicative order d of
     2 modulo n, so that n divides 2**d - 1.  zeta is g**((2**d - 1)/n)
     for the least primitive element g, a deterministic choice recorded in
-    ``describe()``.  Each map and its field (2**d-entry tables) is built
-    once per process and shared; neither is mutated after construction.
+    ``describe()``.  Each map is built once per process, and each field
+    (2**d-entry tables) once per degree, so a process holds at most
+    ``MAX_FIELD_DEGREE`` fields; neither is mutated after construction.
     """
-    field = FiniteField(field_degree(n), modulus)
+    field = _field(field_degree(n))
     zeta = FFElement(field, field.generator_bits) ** ((field.order - 1) // n)
     return EvalMap(n, field, zeta)
 

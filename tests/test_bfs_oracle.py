@@ -7,13 +7,17 @@ found by the packed closure must equal the oracle's.  A pair of
 permutation matrices acting componentwise is the permutation of the
 disjoint union of both point sets.  Generators that are already in the
 group of the earlier ones (a repeat, the identity, a product) must leave
-the order unchanged, and so must the order of the generators.
+the order unchanged, and so must the order of the generators.  Each
+planted fault in the closure changes the order of the smallest
+generators that catch it, or makes the walk fail.
 """
 
 from itertools import permutations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ytwo import spectool
 from ytwo.quadspace import RMatrix
 from ytwo.rings import FiniteField
 from ytwo.spectool import (
@@ -96,3 +100,34 @@ def test_eta_generator_order_independent():
     tuples = eta_component_matrices(3, 7)
     for order in permutations(tuples):
         assert group_order_bfs_tuples(order) == EXPECTED_ORDERS[3, 7]
+
+
+# -- planted faults in the closure ---------------------------------------------
+
+# name: (edit to ``_coset_closure``, the smallest generators that catch
+# it, and the order the planted closure gives, or the error it raises)
+CLOSURE_PLANTS = {
+    # the third coset of <a> in S3 is reached only as b * a
+    "newest generator only": (
+        ("for s in taken:", "for s in taken[-1:]:"), [(1, 0, 2), (0, 2, 1)], 4
+    ),
+    # the identity lies in the trivial group, yet is added as its coset
+    "in seen skip dropped": (("continue  # g is already in H", "pass"), [(0,)], 2),
+    # with |H| = 1, elements[pos + 1] is the next coset, past the end
+    "membership at pos + 1": (
+        ("rep = [elements[pos]]", "rep = [elements[pos + 1]]"), [(1, 0)], IndexError
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_PLANTS))
+def test_planted_closure_fault_is_caught(plant, name):
+    edit, ps, planted = CLOSURE_PLANTS[name]
+    mats = [perm_matrix(FIELDS[1], p) for p in ps]
+    assert group_order_bfs(mats) == perm_closure(ps)
+    plant(spectool, "_coset_closure", edit)
+    try:
+        got = group_order_bfs(mats)
+    except IndexError as exc:
+        got = type(exc)
+    assert got == planted

@@ -226,25 +226,24 @@ class TestGuardedDomainErrors:
         ]
 
     def test_lifting_error_becomes_fail_check(self, capsys, monkeypatch):
-        # With the inverse replaced by 1, the generators' conjugation rows
-        # are x_i * c, and for most letters some row is not a vector (as
-        # in test_conjugation_rejects_middle_rows).  Words are checked by
-        # intertwining, which needs no inverse; it raises here instead.
+        # Generators and words are judged alike by clifford.lifts: with
+        # its intertwining check raising, every generator's lifting check
+        # and the words check fail with the error as detail, and the
+        # generators' norm checks, which do not intertwine, still pass.
         def broken(c, mat):
-            raise NotScalarError("planted error on the word path")
+            raise NotScalarError("planted error in the lifting judgment")
 
-        monkeypatch.setattr(clifford, "cl_inverse", lambda c: c.algebra.one)
-        monkeypatch.setattr(cli, "intertwines", broken)
+        monkeypatch.setattr(clifford, "intertwines", broken)
         argv = ["verify", "lifting", "--m", "4", "--words", "5", "--json"]
         code, data = run_json(capsys, argv)
         assert code == 1
         failed = {c["name"]: c["detail"] for c in data["checks"] if c["status"] == "fail"}
-        assert "lifting/m=4/generator_a" in failed
-        assert all(name.startswith("lifting/m=4/") for name in failed)
-        assert "non-vector component" in failed["lifting/m=4/generator_a"]
-        words = failed["lifting/m=4/random_words(count=5,maxlen=30)"]
+        words = failed.pop("lifting/m=4/random_words(count=5,maxlen=30)")
         assert words.startswith("first failing word ")
-        assert words.endswith(": planted error on the word path")
+        assert words.endswith(": planted error in the lifting judgment")
+        assert len(failed) == 9 and "lifting/m=4/generator_a" in failed
+        assert all(name.startswith("lifting/m=4/generator_") for name in failed)
+        assert set(failed.values()) == {"planted error in the lifting judgment"}
 
 
 class TestSuites:
@@ -257,8 +256,8 @@ class TestSuites:
         assert "phi/m=3" in out and "psi/m=3" in out and "eta/m=3" in out
 
     def test_lifting(self, capsys):
-        # generators by their conjugation matrices, words by spinor norm
-        # and intertwining
+        # generators and words alike by clifford.lifts: the spinor norm,
+        # then intertwining
         for m in ("3", "6"):
             assert run(["verify", "lifting", "--m", m, "--words", "30"]) == 0
 

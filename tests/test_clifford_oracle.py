@@ -4,17 +4,18 @@ every monomial product and transpose of fresh algebras at m = 3 and 4,
 planted faults in the packed generator actions, the closed-form
 transposes and centre rows against the products, the canonical raw
 storage form under operations that must not change an element, the
-n-factor product and the conjugation rows against left folds of the
-reference product, scaling by a monomial and ``cl_inverse`` against the
-product path, and the intertwining check against the conjugation
-matrix, with planted faults."""
+n-factor product (with planted faults) and the conjugation rows against
+left folds of the reference product, scaling by a monomial (with a
+planted fault) and ``cl_inverse`` against the product path, and the
+intertwining check against the conjugation matrix, with planted
+faults."""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ytwo import cli, clifford
+from ytwo import clifford
 from ytwo.clifford import (
     CliffordAlgebra,
     CliffordElement,
@@ -24,6 +25,7 @@ from ytwo.clifford import (
     conjugation_matrix,
     get_algebra,
     intertwines,
+    lifts,
 )
 from ytwo.errors import NotCliffordGroupError
 from ytwo.presentation import evaluate, schedule
@@ -436,6 +438,43 @@ def test_product_matches_fold(m, ring, xs):
     assert to_ref(prod) == ref_fold(els)
 
 
+# name: (edits to ``CliffordAlgebra._product``, and the ring, the smallest
+# factors at m = 3 that catch them, and what the comparison with the fold
+# then raises)
+PRODUCT_PLANTS = {
+    # alpha**2 folded once, after the last chained factor: alpha**3
+    # chains alpha onto alpha * alpha and leaves a block past alpha**2
+    "fold after the last factor only": (
+        [
+            ("fold, True)", "0, True)"),
+            ("fold, False)", "0, False)"),
+            ("parts = [[] for", "x = _fold(x, fold, span); parts = [[] for"),
+        ],
+        "qe",
+        [[(0, [], [0])]] * 3,
+        IndexError,
+    ),
+    # factor 0 left out of V: v1**8 meets 4 squares, 8 bits down, and
+    # the headroom is then 2 * max(3, 7 // 2) = 6 bits
+    "factor 0 left out of V": (
+        [("for f in factors) // 2", "for f in factors[1:]) // 2")],
+        "laurent",
+        [[(0b10, [0], [])]] * 8,
+        AssertionError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_PLANTS))
+def test_planted_product_fault_is_caught(plant, name):
+    edits, ring, xs, error = PRODUCT_PLANTS[name]
+    check = test_product_matches_fold.hypothesis.inner_test
+    check(m=3, ring=ring, xs=xs)
+    plant(CliffordAlgebra, "_product", *edits)
+    with pytest.raises(error):
+        check(m=3, ring=ring, xs=xs)
+
+
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("m, name", [(3, "bb_2_3_k10"), (4, "bb_4_3_k-11")])
 def test_long_schedule_words_match_fold(m, ring, name):
@@ -500,6 +539,14 @@ def test_monomial_scale_matches_product(m, ring, seed, k):
     inverse = cl_inverse(c)
     assert inverse == cbar * alg.scalar((c * cbar).scalar_part().inverse())
     assert to_ref(c * inverse) == to_ref(alg.one)
+
+
+def test_planted_negated_monomial_scale_is_caught(plant):
+    # s * 1, the smallest scale that moves lo
+    alg = get_algebra(3)
+    assert alg.one.scale(S) == alg.scalar(S)
+    plant(CliffordElement, "scale", ("self.lo + low.off", "self.lo - low.off"))
+    assert alg.one.scale(S) != alg.scalar(S)
 
 
 def test_cl_inverse_makes_three_products(monkeypatch):
@@ -673,9 +720,9 @@ def test_lifting_check_rejects_zero_and_non_units(monkeypatch):
 
     def check():
         for c in elements:
-            assert not cli._lifts(c, ident)
+            assert not lifts(c, ident)
 
     check()
-    monkeypatch.setattr(cli, "spinor_norm", lambda c: L_ONE)  # no norm check
+    monkeypatch.setattr(clifford, "spinor_norm", lambda c: L_ONE)  # no norm check
     with pytest.raises(AssertionError):
         check()

@@ -5,12 +5,11 @@ tuple algorithm it replaced, kept below.
 ``q_eval`` and ``bilin`` run over the Laurent ring, its quadratic
 extension and GF(16), on seeded random vectors with many zero entries
 and on vectors whose entries sum to zero.  Each plant is a copy of the
-package's own source with one fault put in, and must fail its check."""
+package's own source with one fault put in, and must fail its check; a
+flipped correction must also make ``hyperbolic_decompose`` raise."""
 
 import functools
-import inspect
 import random
-import textwrap
 
 import pytest
 
@@ -160,25 +159,15 @@ def test_decomposition_matches_tuple_algorithm():
 # -- planted faults -------------------------------------------------------------
 
 
-def plant(monkeypatch, name, old, new):
-    """Replace ``quadspace.<name>`` by a copy of its source with ``old``
-    replaced by ``new``, compiled against the module's globals."""
-    source = textwrap.dedent(inspect.getsource(getattr(quadspace, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(quadspace))
-    exec(compile(source.replace(old, new), quadspace.__file__, "exec"), namespace)
-    monkeypatch.setattr(quadspace, name, namespace[name])
-
-
-def test_planted_stale_running_sum_is_caught(monkeypatch):
-    plant(monkeypatch, "q_eval", "before = before + c", "pass")
+def test_planted_stale_running_sum_is_caught(plant):
+    plant(quadspace, "q_eval", ("before = before + c", "pass"))
     assert {(f, ring) for f, ring, _ in form_mismatches()} >= {
         ("q_eval", "laurent"), ("q_eval", "qe"), ("q_eval", "ff")
     }
 
 
-def test_planted_bilin_without_diagonal_is_caught(monkeypatch):
-    plant(monkeypatch, "bilin", "total = total + a * b", "pass")
+def test_planted_bilin_without_diagonal_is_caught(plant):
+    plant(quadspace, "bilin", ("total = total + a * b", "pass"))
     assert {(f, ring) for f, ring, _ in form_mismatches()} == {
         ("bilin", "laurent"), ("bilin", "qe"), ("bilin", "ff")
     }
@@ -189,6 +178,16 @@ def test_planted_bilin_without_diagonal_is_caught(monkeypatch):
     ("alpha ^ 1, alpha ^ beta ^ 1", "alpha, alpha ^ beta ^ 1"),
     ("alpha ^ beta ^ 1\n", "alpha ^ beta\n"),
 ])
-def test_planted_flipped_correction_is_caught(monkeypatch, old, new):
-    plant(monkeypatch, "hyperbolic_decompose", old, new)
-    assert decompose_mismatches()
+def test_planted_flipped_correction_is_caught(plant, old, new):
+    # a flipped coefficient adds e + f to a vector or leaves it out, and
+    # (e + f, e) = (e + f, f) = 1, so at every rank the flip makes wrong
+    # the step's own orthogonality check raises
+    plant(quadspace, "hyperbolic_decompose", (old, new))
+    raised = {}
+    for rank in range(4, 41):
+        try:
+            quadspace.hyperbolic_decompose(QuadSpace(rank - 1))
+        except UnsupportedFormError as exc:
+            raised[rank] = str(exc)
+    assert sorted(raised) == decompose_mismatches() != []
+    assert set(raised.values()) == {"correction not orthogonal to the pair"}

@@ -19,7 +19,9 @@ not a use.  A field of a ``rings.Record`` counts as used only where it
 is loaded as an attribute (``x.field``): a keyword, parameter or local
 of the same name, or a store, is not a read of the field.  Any object's
 attribute of that name still counts, so the scan finds some dead
-fields, not all of them.
+fields, not all of them.  An attribute that a class only sets in a
+method, as ``self.name = ...`` in ``__init__`` without a ``__slots__``
+entry, is no definition here, so a dead one is not seen at all.
 """
 
 import ast

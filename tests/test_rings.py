@@ -227,9 +227,15 @@ class TestEvalMap:
         assert emap.t_image.bits == 0b110
 
     def test_n7(self):
-        emap = make_eval_map(7, modulus=0b1011)
-        assert emap.field.degree == 3
+        emap = make_eval_map(7)
+        assert emap.field.degree == 3 and emap.field.modulus == 0b1011
         assert emap.zeta.order() == 7
+
+    def test_one_field_per_degree(self):
+        # n = 5 and 15 both need GF(16): their maps share its tables
+        five, fifteen = make_eval_map(5), make_eval_map(15)
+        assert five is not fifteen and five.field is fifteen.field
+        assert make_eval_map(7).field is not five.field
 
     def test_even_n_rejected(self):
         with pytest.raises(EvenNError):
@@ -262,7 +268,8 @@ class TestEvalMap:
         assert emap.apply(ALPHA) == emap.zeta
 
     def test_eval_t(self):
-        emap = make_eval_map(5, modulus=0b10011)
+        emap = make_eval_map(5)
+        assert emap.field.modulus == 0b10011
         # (zeta + 1/zeta)^2 with zeta = x^3, by oracle field arithmetic
         ref = RefField(0b10011)
         z = ref.pow(2, 3)

@@ -368,3 +368,16 @@ def test_planted_chained_lo_left_out_fails_the_reference(monkeypatch):
     )
     with pytest.raises(AssertionError):
         reference(raws=[WIDE, NEGATIVE, WIDE, NEGATIVE_B])
+
+
+def test_planted_zero_column_skip_on_the_target_is_caught(plant):
+    # column 0 of the first factor is zero, and the second moves column 1
+    # into it: a skip that tests the target column, not the source, drops
+    # the product's only term
+    first = build("laurent", [[Z, ONE], [Z, Z]])
+    second = build("laurent", [[Z, Z], [ONE, Z]])
+    want = first * second
+    assert quadspace.laurent_product(first, [laurent_ops(second)]) == want
+    skip_on_j = ("new[j] ^= c << e", "new[j] ^= c << e if cols[j] else 0")
+    plant(quadspace, "laurent_product", skip_on_j)
+    assert quadspace.laurent_product(first, [laurent_ops(second)]) != want
