@@ -374,9 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     # Each bound keeps its command within reach (README gives the times
     # at each bound).  The next --m step: relations --rep all takes 1.6 s
     # at m=11; lifting on its default 200 words 19-23 s and 72-94 MB at
-    # m=13, against 3.6-4.8 s and 32-39 MB at m=12 and 0.65-0.83 s at m=10
-    # (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14); closed-form 1.1 s
-    # and 35 MB at m=200.
+    # m=13 (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14), measured
+    # before pin words were multiplied by letter programs, against
+    # 3.0-4.3 s and 32-39 MB at m=12 and 0.56-0.66 s at m=10 (seeds 1-3)
+    # with them; closed-form 1.1 s and 35 MB at m=200.
     p_rel = common(vsub, "relations", _suite_relations, m_max=10, kmax=(20, 1, 30))
     p_rel.add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"
@@ -411,8 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser ``run`` reads arguments with, built by its first call and
+# kept: a tree built per call costs its build time and leaves cyclic
+# garbage each time, and parsing keeps no state in it
+_parser = None
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     command = f"verify {args.suite}" if args.command == "verify" else args.command
     report = RunReport(command=command, params=_param_dict(args))
     start = time.monotonic()

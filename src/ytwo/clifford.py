@@ -35,20 +35,34 @@ Every other factor is chained onto the packed int X: the factors to
 its left by left actions, nearest first, those to its right
 by right actions.  A chained factor sends X to the sum over its
 monomials p of the coefficient of p times the chain x_p * X (x_g1 *
-(x_g2 * ...), g1 < ... < gk the generators of p) or X * x_p.  Chains
-that share their first actions share those steps: the monomials are
-walked depth first through the trie of their chains (``_chain``), so
-only the current path is alive, at most m + 2 ints whatever the number
-of terms.  Each set bit of a coefficient is one shift-XOR of a whole
-chain, a factor's alpha**i part lands i blocks up, and alpha**2 = s*alpha
-+ 1 folds the third block back after each chained factor.  The result
-is unpacked once, by walking its lowest set bit, so the cost follows the
-nonzero slots, and made canonical once.
+(x_g2 * ...), g1 < ... < gk the generators of p) or X * x_p.  A
+chained factor is first compiled into a program (``_compile``): its
+monomials in the depth-first order of the trie of their chains, one
+step each, which keeps a prefix of the current path, applies the
+generators the monomial adds to it and adds its coefficient ints times
+the last int of the path.  ``_chain`` runs a program.  Chains that share
+their first actions share those steps, and only the current path is
+alive, at most m + 2 ints whatever the number of terms.  Each set bit of
+a coefficient is one shift-XOR of a whole chain, a factor's alpha**i
+part lands i blocks up, and alpha**2 = s*alpha + 1 folds the third block
+back after each chained factor.  The result is unpacked once, by walking
+its lowest set bit, so the cost follows the nonzero slots, and made
+canonical once.
 
-The width.  Let l_1..l_n be the bit lengths of the factors' ORed ints
-and V the sum over the factors of the most v-generators in one of their
-monomials; take H = 2 * max(m, V // 2) and W = l_1 + ... + l_n + H,
-rounded up to a multiple of 16.  Every slot then holds its coefficient:
+Word products by letter programs.  ``PinRep`` keeps the right-action
+program of each letter's image, compiled on the letter's first use.
+``PinRep.times(x, word)`` packs x once and runs the program of each
+letter of the word in turn, and a word's image is its first letter's
+image times the other letters: one packed product per word, with no run
+powers and nothing compiled per word, as phi chains the op lists of its
+letters (``quadspace.laurent_product``).
+
+The width.  Let l_p be the bit length of the packed factor's ORed ints,
+l_j those of the chained factors, and V the sum over all factors of the
+most v-generators in one of their monomials; take H = 2 * max(m, V //
+2) and W = l_p + H plus the sum of the l_j on the QE ring, of the l_j -
+1 on the Laurent ring, rounded up to a multiple of 16.  Every slot then
+holds its coefficient:
 
 * Bottom.  Follow one term of the expansion: a current monomial M and
   the generators still to apply.  Let P count the v-generators in M plus
@@ -60,16 +74,18 @@ rounded up to a multiple of 16.  Every slot then holds its coefficient:
   term meets at most V // 2 squares and falls at most 2 * (V // 2) <= H
   bits below where it was packed: never below bit 0 of its slot.
 * Top.  Actions never raise a coefficient.  The packed coefficients lie
-  below bit H + l_j.  A chained factor of bit length l multiplies by a
+  below bit H + l_p.  A chained factor of bit length l multiplies by a
   polynomial of degree below l, raising the top bit by at most l - 1,
-  and its fold adds s * alpha**2, one bit more: at most l per chained
-  factor, so every bit stays below H + l_1 + ... + l_n <= W.  (On the
-  Laurent ring nothing folds and a bit per chained factor is spare.)
+  and on the QE ring its fold adds s * alpha**2, one bit more.  So every
+  bit stays below W.  On the Laurent ring nothing folds, and that bit
+  is spared per chained factor: without it, letter chains widen the
+  slots of long words, and the "y-tilde" relators at m = 8 build action
+  tables up to 176 bits wide, against 96 with it.
 
 Two factors hold at most 2m v-generators, so a binary product has H =
-2m and W = l_a + l_b + 2m whatever its monomials: its width depends on
-the bit lengths alone, and binary products share few widths (the masks
-are built once per width).
+2m and W = l_a + l_b + 2m (one less on the Laurent ring) whatever its
+monomials: its width depends on the bit lengths alone, and binary
+products share few widths (the masks are built once per width).
 
 Intertwining.  ``intertwines(c, M)`` asks whether x_i c = c * sum_j
 M_ij x_j for every generator x_i.  It packs c once and takes the m + 1
@@ -111,6 +127,7 @@ transvection representation row for row.
 """
 
 from functools import reduce
+from itertools import islice
 from operator import or_
 
 from .errors import (
@@ -180,7 +197,8 @@ def _mono_transpose(mono: int) -> tuple:
 
 def _slot_width(la: int, lb: int, squares: int) -> int:
     """Bits per packed slot for a product whose packed factor's ints have
-    bit length la, whose chained factors' bit lengths sum to lb, and in
+    bit length la, whose chained factors may raise the top bit by lb (the
+    sum of their bit lengths, each less one on the Laurent ring), and in
     which one term meets at most ``squares`` squares v_i v_i = s**-2 (the
     bound is proved in the module docstring).  Rounded up to a multiple
     of 16, so that products share few widths."""
@@ -239,6 +257,29 @@ def _fold(x: int, fold: int, span: int) -> int:
     return x ^ top ^ top >> 2 * span ^ top >> (span - 1) if top else x
 
 
+def _chain(x: int, steps, actions, span: int, fold: int) -> int:
+    """The packed int x acted on by a program's ``steps`` (from
+    ``CliffordAlgebra._compile``) through ``actions``, the left or right
+    table of ``CliffordAlgebra._actions``, with the alpha**2 block folded
+    back."""
+    acc = 0
+    path = [x]
+    for keep, gens, coeffs in steps:
+        del path[keep:]
+        y = path[-1]
+        for g in gens:
+            y = _act(y, actions[g])
+            path.append(y)
+        base = 0
+        for c in coeffs:
+            while c:
+                low = c & -c
+                acc ^= y << (base + low.bit_length() - 1)
+                c ^= low
+            base += span
+    return _fold(acc, fold, span)
+
+
 # -- the algebra ------------------------------------------------------------
 
 
@@ -291,7 +332,7 @@ class CliffordAlgebra:
     def _actions(self, width: int) -> tuple:
         """The packed-int tables for ``width``-bit slots, cached per width:
         (left, right, fold).  ``left`` and ``right`` hold the generator
-        actions (``right`` indexed by m - g, as ``_chain`` walks it), the
+        actions (``right`` indexed by m - g, as ``_compile`` numbers it), the
         entry of g being (mask, up, down, extras): ``mask`` covers every
         slot whose monomial holds g; the slots outside it move up by ``up``
         = width << g (M to M | g), those inside down by ``down`` (M to M ^
@@ -319,86 +360,100 @@ class CliffordAlgebra:
         tables = self._polybits_cache[width] = (left, right[::-1], fold)
         return tables
 
-    def _chain(self, x: int, parts, actions, span: int, fold: int, left: bool) -> int:
-        """sum(c * x_p * X) (left) or sum(c * X * x_p) over the terms
-        c * p of ``parts``, X the packed int x, with the alpha**2 block
-        folded back.
+    def _compile(self, el: "CliffordElement", left: bool) -> tuple:
+        """The program by which ``el`` acts on a packed int X, as sum(c *
+        x_p * X) (left) or sum(c * X * x_p) over its terms c * p:
+        (lo, bits, vcount, steps), with el's ``lo``, the bit length of
+        its ORed ints, its ``_vcount`` and one (keep, gens, coeffs) step
+        per monomial, run by ``_chain``.
 
         A chain applies p's generators highest first on the left and
         lowest first on the right; reversing the bits of every monomial
-        (``_reversed``, with ``actions`` indexed to match) turns the right
-        case into the left one.  Walking the keys in increasing order is
-        then a depth-first walk of the trie of chains, the parent of a
-        key being the key without its lowest bit: ``path`` holds the
-        (key, chain) pairs from the root x to the current key, at most
+        (``_reversed``, with the right actions indexed to match) turns the
+        right case into the left one.  Taken in increasing order, the keys
+        are then a depth-first walk of the trie of chains, the parent of a
+        key being the key without its lowest bit, and the path from the
+        root X to a key holds one int per prefix of its top bits.  A key
+        shares with the key before it the prefix above the highest bit
+        where the two differ.  Its step keeps that prefix's ints of the
+        path (``keep``, the root included), applies the actions of the
+        key's bits below it, highest first (``gens``), each result one
+        more int of the path, and adds the coefficient ints ``coeffs``
+        (one per power of alpha) times the last: the path holds at most
         m + 2 ints, and a chain shares its parent's actions."""
-        rev = None if left else self._reversed
+        parts = el.parts
+        rev = self._reversed
         monos = parts[0].keys() | parts[1].keys() if len(parts) == 2 else parts[0]
-        keys = sorted(monos if left else [rev[p] for p in monos])
-        acc = 0
-        path = [(0, x)]
-        for key in keys:
-            q, y = path[-1]
-            while key & -(q & -q) != q:  # q is not a prefix of key
-                path.pop()
-                q, y = path[-1]
-            rest = key ^ q
+        steps = []
+        prev = 0
+        for key in sorted(monos if left else [rev[p] for p in monos]):
+            rest = key & (1 << (key ^ prev).bit_length()) - 1
+            keep = (key ^ rest).bit_count() + 1
+            gens = []
             while rest:
                 g = rest.bit_length() - 1
                 rest ^= 1 << g
-                y = _act(y, actions[g])
-                q |= 1 << g
-                path.append((q, y))
+                gens.append(g)
             p = key if left else rev[key]
-            base = 0
-            for part in parts:
-                c = part.get(p, 0)
-                while c:
-                    low = c & -c
-                    acc ^= y << (base + low.bit_length() - 1)
-                    c ^= low
-                base += span
-        return _fold(acc, fold, span)
+            # coeffs is a list: tuple() of a generator left CPython's tuple
+            # free lists 0.1 MB fuller on 2,000 m = 4 lifting words
+            steps.append((keep, tuple(gens), [part.get(p, 0) for part in parts]))
+            prev = key
+        return el.lo, _or_all(parts).bit_length(), _vcount(parts), tuple(steps)
+
+    def _run(self, x: "CliffordElement", lefts, rights) -> "CliffordElement":
+        """x with the programs ``lefts`` (nearest first) chained on its
+        left and ``rights`` on its right (see the module docstring): x is
+        packed once, each program runs on the packed int, and the result
+        is unpacked and made canonical once."""
+        programs = (*lefts, *rights)
+        if not programs:
+            return x
+        m = self.m
+        spare = self.ring == "laurent"  # no fold: a spare bit per factor
+        lo, chained = x.lo, 0
+        for f_lo, bits, _, _ in programs:
+            lo += f_lo
+            chained += max(bits - spare, 0)  # a zero factor has no bits
+        squares = m  # two factors hold at most 2m v-generators
+        if len(programs) > 1:
+            v = _vcount(x.parts) + sum(f_v for _, _, f_v, _ in programs)
+            squares = max(m, v // 2)
+        width = _slot_width(_or_all(x.parts).bit_length(), chained, squares)
+        left, right, fold = self._polybits_cache.get(width) or self._actions(width)
+        span = width << (m + 1)  # the bits of one power of alpha
+        y = _pack(x.parts, width, 2 * squares, span)
+        for *_, steps in lefts:
+            y = _chain(y, steps, left, span, fold)
+        for *_, steps in rights:
+            y = _chain(y, steps, right, span, fold)
+        parts = [[] for _ in self.zero.parts]
+        full, last = (1 << width) - 1, (1 << (m + 1)) - 1
+        slot = 0  # the slot at bit 0 of y
+        while y:
+            skip = ((y & -y).bit_length() - 1) // width
+            slot += skip
+            y >>= skip * width
+            parts[slot >> (m + 1)].append((slot & last, y & full))
+            y >>= width
+            slot += 1
+        return _canonical(self, lo - 2 * squares, parts)
 
     def _product(self, factors) -> "CliffordElement":
-        """The product of a sequence of elements (see the module
-        docstring): the factor with the most terms is packed once, every
-        other factor is chained onto it, and the result is unpacked and
-        made canonical once."""
-        if len(factors) == 1:
-            return factors[0]
-        m = self.m
-        lo = bits = 0
+        """The product of a sequence of elements: the factor with the most
+        terms is packed once and every other factor is compiled and
+        chained onto it (``_run``)."""
         most = -1
         for i, f in enumerate(factors):
             size = sum(map(len, f.parts))
-            b = _or_all(f.parts).bit_length()
-            lo += f.lo
-            bits += b
             if size >= most:  # pack the last factor with the most terms
-                j, most, packed_bits = i, size, b
-        squares = m  # two factors hold at most 2m v-generators
-        if len(factors) > 2:
-            squares = max(m, sum(_vcount(f.parts) for f in factors) // 2)
-        width = _slot_width(packed_bits, bits - packed_bits, squares)
-        left, right, fold = self._polybits_cache.get(width) or self._actions(width)
-        span = width << (m + 1)  # the bits of one power of alpha
-        x = _pack(factors[j].parts, width, 2 * squares, span)
-        for f in reversed(factors[:j]):
-            x = self._chain(x, f.parts, left, span, fold, True)
-        for f in factors[j + 1 :]:
-            x = self._chain(x, f.parts, right, span, fold, False)
-        parts = [[] for _ in self.zero.parts]
-        full, last = (1 << width) - 1, (1 << (m + 1)) - 1
-        slot = 0  # the slot at bit 0 of x
-        while x:
-            skip = ((x & -x).bit_length() - 1) // width
-            slot += skip
-            x >>= skip * width
-            parts[slot >> (m + 1)].append((slot & last, x & full))
-            x >>= width
-            slot += 1
-        return _canonical(self, lo - 2 * squares, parts)
+                j, most = i, size
+        compile = self._compile
+        return self._run(
+            factors[j],
+            [compile(f, True) for f in reversed(factors[:j])],
+            [compile(f, False) for f in factors[j + 1 :]],
+        )
 
     def _scalar(self, lo: int, xs):
         """The scalar whose alpha**i part has bit k -> s**(lo + k) of xs[i]."""
@@ -665,11 +720,30 @@ class PinRep(Representation):
             images[st_letter(i)] = pair
             images[s_letter(i)] = u * pair
         super().__init__(m, images, alg.one)
+        # letter -> the right-action program of its image, built on the
+        # letter's first use
+        self._programs = {}
+
+    def times(self, x: CliffordElement, word) -> CliffordElement:
+        """x times the images of the letters of ``word``, in order, by one
+        packed product: x is packed once and every letter acts by its
+        kept program."""
+        x._check_ambient(self.identity)
+        programs = self._programs
+        chain = []
+        for letter in word:
+            program = programs.get(letter)
+            if program is None:
+                program = programs[letter] = self.algebra._compile(self.image(letter), False)
+            chain.append(program)
+        return self.algebra._run(x, (), chain)
 
     def product(self, word):
-        """The image of a non-empty word: its run powers multiplied by
-        one packed-int kernel call."""
-        return self.algebra._product(self.runs(word))
+        """The image of a non-empty word: the first letter's image times
+        the other letters (``times``), read by ``islice``, as a slice
+        per word would put tuples of every word length on CPython's
+        free lists."""
+        return self.times(self.image(word[0]), islice(word, 1, None))
 
 
 def spinor_norm(c: CliffordElement):

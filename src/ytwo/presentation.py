@@ -21,15 +21,15 @@ A representation is anything with an ``image(letter)`` lookup, an
 ``product(word)`` that multiplies a non-empty word's letter images in
 order; ``evaluate`` is that monoid homomorphism, with the identity for
 the empty word.  Relator words are made of letter powers, so
-``Representation.product`` (the fold that eta and the specialized
-representations use) and ``PinRep.product`` multiply maximal runs
-x**k, not letters: each run's image is one power by squaring
-(``runs``), and equal runs in one word share it.  The fold multiplies
-the run powers with ``*``, ``PinRep`` in one packed-int kernel call.
-``OrthoRep`` takes no powers: its kernel applies a letter as a list of
-column shifts kept per letter, while a power would cost a generic
-product and a new shift list on every call, so it chains one list per
-letter.
+``Representation.product``, the fold that only eta and the specialized
+representations use, multiplies maximal runs x**k, not letters: each
+run's image is one power by squaring (``runs``), equal runs in one word
+share it, and the fold multiplies the run powers with ``*``.
+``OrthoRep`` and ``PinRep`` take no powers.  Their kernels apply a
+letter by an action kept per letter (a list of column shifts, a Clifford
+chain program), while a power would cost a generic product and a new
+action on every call, so each chains one action per letter in one
+packed-int kernel call.
 
 The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:
@@ -172,7 +172,8 @@ class Representation:
         """The image of each maximal run x**k of a word, in order: one
         ``pow_by_squaring`` of x's image per run, memoized by ``(x, k)``,
         so a commutator's two ``A**k`` and two ``a**k`` runs share one
-        power each."""
+        power each.  Only the fold below takes run powers: eta and the
+        specialized representations."""
         powers = {}
         images = []
         for letter, run in groupby(word):
@@ -185,7 +186,7 @@ class Representation:
 
     def product(self, word):
         """The image of a non-empty word: its run powers folded with ``*``
-        here, other multiplications in ``OrthoRep`` and ``PinRep``."""
+        here, letters chained in ``OrthoRep`` and ``PinRep``."""
         return reduce(mul, self.runs(word))
 
 

@@ -146,8 +146,8 @@ def spinor_basis(m: int) -> WBasis:
     elems = [seed_vector(m)]
     words = [()]
     for j in range(m - 1, 1, -1):
-        img = pin.image(s_letter(j))
-        elems += [x * img for x in elems]
+        letter = (s_letter(j),)
+        elems += [pin.times(x, letter) for x in elems]
         words += [wd + (j,) for wd in words]
     return WBasis(m, tuple(elems), tuple(words))
 
@@ -210,9 +210,8 @@ def _check_rows(expected: dict, elems, pin, message: str):
     for every letter and row; the first failure raises MismatchError
     with ``message.format(letter, i)`` and witness ``(letter, i)``."""
     for letter, mat in expected.items():
-        img = pin.image(letter)
         for i, x in enumerate(elems):
-            if x * img != _expand_rhs(mat.entries[i], elems):
+            if pin.times(x, (letter,)) != _expand_rhs(mat.entries[i], elems):
                 raise MismatchError(message.format(letter, i), witness=(letter, i))
 
 

@@ -316,6 +316,27 @@ class TestParser:
             assert parser.parse_args(argv).seed == 42
 
 
+    def test_run_builds_the_parser_once(self, monkeypatch, capsys):
+        # one tree per process, and reading arguments leaves nothing in it:
+        # the second call reports its own parameters, and the help of the
+        # reused tree is a fresh tree's
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for kmax in (2, 3):
+            code, data = run_json(capsys, ["verify", "powers", "--kmax", str(kmax), "--json"])
+            assert code == 0 and data["params"]["kmax"] == str(kmax)
+        with pytest.raises(SystemExit) as err:
+            run(["--help"])
+        assert err.value.code == 0
+        assert len(built) == 1
+        assert capsys.readouterr().out == build_parser().format_help()
+
     def test_lifting_m_bound(self):
         parser = build_parser()
         assert parser.parse_args(["verify", "lifting", "--m", "12"]).m == 12

@@ -28,7 +28,7 @@ from ytwo.clifford import (
     lifts,
 )
 from ytwo.errors import NotCliffordGroupError
-from ytwo.presentation import evaluate, schedule
+from ytwo.presentation import evaluate, relator_failures, schedule
 from ytwo.quadspace import RMatrix
 from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, QEScalar, S
 
@@ -438,28 +438,50 @@ def test_product_matches_fold(m, ring, xs):
     assert to_ref(prod) == ref_fold(els)
 
 
-# name: (edits to ``CliffordAlgebra._product``, and the ring, the smallest
-# factors at m = 3 that catch them, and what the comparison with the fold
-# then raises)
+# name: (the planted function, as its owner and name, the edits to it,
+# and the ring, the smallest factors at m = 3 that catch them, and what
+# the comparison with the fold then raises)
 PRODUCT_PLANTS = {
     # alpha**2 folded once, after the last chained factor: alpha**3
     # chains alpha onto alpha * alpha and leaves a block past alpha**2
     "fold after the last factor only": (
+        (CliffordAlgebra, "_run"),
         [
-            ("fold, True)", "0, True)"),
-            ("fold, False)", "0, False)"),
-            ("parts = [[] for", "x = _fold(x, fold, span); parts = [[] for"),
+            ("left, span, fold)", "left, span, 0)"),
+            ("right, span, fold)", "right, span, 0)"),
+            ("parts = [[] for", "y = _fold(y, fold, span); parts = [[] for"),
         ],
         "qe",
         [[(0, [], [0])]] * 3,
         IndexError,
     ),
-    # factor 0 left out of V: v1**8 meets 4 squares, 8 bits down, and
-    # the headroom is then 2 * max(3, 7 // 2) = 6 bits
+    # factor 0, the farthest of the left-chained factors, left out of V:
+    # v1**8 meets 4 squares, 8 bits down, and the headroom is then
+    # 2 * max(3, 7 // 2) = 6 bits
     "factor 0 left out of V": (
-        [("for f in factors) // 2", "for f in factors[1:]) // 2")],
+        (CliffordAlgebra, "_run"),
+        [("f_v for _, _, f_v, _ in programs)", "f_v for _, _, f_v, _ in programs[:-1])")],
         "laurent",
         [[(0b10, [0], [])]] * 8,
+        AssertionError,
+    ),
+    # a program step that ignores ``keep``: (u + v1) chained onto u + v1
+    # walks u, then v1, whose parent is the root, not u
+    "keep ignored": (
+        (clifford, "_chain"),
+        [("del path[keep:]", "pass")],
+        "laurent",
+        [[(0b01, [0], []), (0b10, [0], [])]] * 2,
+        AssertionError,
+    ),
+    # the Laurent ring's spare bit per chained factor taken over "qe" too:
+    # alpha * alpha(1 + s**9) gets slots of 6 + 10 bits, not 6 + 10 + 1
+    # rounded up to 32, and the fold puts its s**10 * alpha term on bit 16
+    "Laurent width over qe": (
+        (CliffordAlgebra, "_run"),
+        [('spare = self.ring == "laurent"', "spare = True")],
+        "qe",
+        [[(0, [], [0])], [(0, [], [0, 9])]],
         AssertionError,
     ),
 }
@@ -467,10 +489,10 @@ PRODUCT_PLANTS = {
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_PLANTS))
 def test_planted_product_fault_is_caught(plant, name):
-    edits, ring, xs, error = PRODUCT_PLANTS[name]
+    (owner, planted), edits, ring, xs, error = PRODUCT_PLANTS[name]
     check = test_product_matches_fold.hypothesis.inner_test
     check(m=3, ring=ring, xs=xs)
-    plant(CliffordAlgebra, "_product", *edits)
+    plant(owner, planted, *edits)
     with pytest.raises(error):
         check(m=3, ring=ring, xs=xs)
 
@@ -489,6 +511,16 @@ def test_long_schedule_words_match_fold(m, ring, name):
         check_canonical(prod)
         assert to_ref(prod) == ref_fold([psi.image(letter) for letter in w])
     assert evaluate(word, psi).is_identity
+
+
+def test_letter_chains_keep_slots_narrow(monkeypatch):
+    # the Laurent ring's spare bit per chained letter program: the
+    # y-tilde relators at m = 8 build no action table wider than 112
+    # bits (176 without it)
+    psi = PinRep(8)
+    monkeypatch.setattr(psi.algebra, "_polybits_cache", {})
+    assert relator_failures(schedule(8, 20, "y-tilde"), psi) == []
+    assert max(psi.algebra._polybits_cache) <= 112
 
 
 def random_word(psi, rng, maxlen):

@@ -1,6 +1,6 @@
 """``presentation.evaluate`` (each representation's ``product``: run
-powers folded with ``*`` for eta, run powers in one kernel call for
-psi, letter op lists chained in one kernel call for phi) against
+powers folded with ``*`` for eta, letter programs chained in one kernel
+call for psi, letter op lists chained in one kernel call for phi) against
 ``ref_evaluate`` in oracles.py (one product per letter): every relator
 word of the three schedule flavors at ``kmax`` 20, random words with
 planted runs of up to 25 letters, and the closed-form words
@@ -96,7 +96,7 @@ def test_closed_form_words(m):
     assert mismatches("phi", m, closed_form_words()) == []
 
 
-@pytest.mark.parametrize("label, flavor", [("psi", "y-tilde"), ("eta", "y")])
+@pytest.mark.parametrize("label, flavor", [("eta", "y")])
 def test_planted_short_power_is_caught(monkeypatch, label, flavor):
     # a run x**k raised to k - 1 must fail the schedule and closed-form checks
     real = presentation.pow_by_squaring
@@ -110,14 +110,31 @@ def test_planted_short_power_is_caught(monkeypatch, label, flavor):
     assert mismatches(label, 4, closed_form_words())
 
 
-def test_planted_run_chained_once_is_caught(monkeypatch):
-    # phi chaining each maximal run's letter once must fail both checks
-    real = OrthoRep.product
+def check_run_chained_once_is_caught(monkeypatch, label, cls):
+    # chaining each maximal run's letter once must fail both checks
+    real = cls.product
     monkeypatch.setattr(
-        OrthoRep,
+        cls,
         "product",
         lambda self, word: real(self, tuple(letter for letter, _ in groupby(word))),
     )
     words = [word for _, word in schedule(4, 20, "y-tilde")]
-    assert mismatches("phi", 4, words)
-    assert mismatches("phi", 4, closed_form_words())
+    assert mismatches(label, 4, words)
+    assert mismatches(label, 4, closed_form_words())
+
+
+def test_planted_run_chained_once_is_caught(monkeypatch):
+    check_run_chained_once_is_caught(monkeypatch, "phi", OrthoRep)
+
+
+def test_planted_psi_run_chained_once_is_caught(monkeypatch):
+    check_run_chained_once_is_caught(monkeypatch, "psi", PinRep)
+
+
+def test_planted_first_letter_chained_twice_is_caught(plant):
+    # psi running the first letter's program on its packed image as well:
+    # the one-letter word t then evaluates to u * u = 1
+    word = ("t",)
+    assert mismatches("psi", 3, [word]) == []
+    plant(PinRep, "product", ("islice(word, 1, None)", "word"))
+    assert mismatches("psi", 3, [word]) == [word]

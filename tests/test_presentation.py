@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ytwo.clifford import CliffordAlgebra, CliffordElement, PinRep, conjugation_matrix
-from ytwo import ortho
+from ytwo import clifford, ortho, presentation
+from ytwo.clifford import CliffordElement, PinRep, conjugation_matrix
 from ytwo.ortho import OrthoRep
 from ytwo.presentation import (
     b_word,
@@ -15,6 +15,7 @@ from ytwo.presentation import (
     st_letter,
 )
 from ytwo.quadspace import QuadSpace, RMatrix, transvection
+from ytwo.rings import pow_by_squaring
 from ytwo.spectool import specialize
 from ytwo.spinor import SpinorRep
 
@@ -209,37 +210,44 @@ class TestRelatorSuites:
         [
             ("eta", SpinorRep, "y", RMatrix, 392),
             ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 1025),
-            ("psi", PinRep, "y-tilde", CliffordElement, 417),
+            ("psi", PinRep, "y-tilde", CliffordElement, 1025),
         ],
     )
     def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
         # pinned, so that a return to one product per letter (1000 for
-        # eta, 1025 for psi) fails on any host, however noisy; phi chains
-        # one op list per letter by design (1025), and must do so without
-        # any generic RMatrix product
+        # eta) fails on any host, however noisy; phi and psi chain one op
+        # list or program per letter by design (1025), phi without any
+        # generic RMatrix product and psi without any run power
         rep = build(8)
         count = count_products(monkeypatch, label, cls)
+        powers = count_powers(monkeypatch)
         if label == "phi":
             generic = count_products(monkeypatch, "RMatrix.__mul__", RMatrix)
         assert relator_failures(schedule(8, 20, flavor), rep) == []
         assert count() == products, label
         if label == "phi":
             assert generic() == 0
+        if label == "psi":
+            assert powers() == 0
 
     @pytest.mark.parametrize(
         "label, build, cls, products",
         [
             ("eta", SpinorRep, RMatrix, 5112),
-            ("psi", PinRep, CliffordElement, 5112),
+            ("psi", PinRep, CliffordElement, 19704),
         ],
     )
     def test_Y_product_count(self, monkeypatch, label, build, cls, products):
-        # (b_i^k b_j^k)^2 is four run powers of two b-images, each b-image
-        # evaluated once per rep; one product per b-letter would be 19,680
+        # eta: (b_i^k b_j^k)^2 is four run powers of two b-images, each
+        # b-image evaluated once per rep; one product per b-letter would
+        # be 19,680.  psi chains one program per b-letter, those 19,680,
+        # plus 24 for its eight b-images, and takes no run power.
         rep = build(4)
         count = count_products(monkeypatch, label, cls)
+        powers = count_powers(monkeypatch)
         assert relator_failures(schedule(4, 20, "Y"), rep) == []
         assert count() == products, label
+        assert (powers() == 0) == (label == "psi")
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_Y_flavor(self, m):
@@ -251,26 +259,43 @@ class TestRelatorSuites:
 
 def count_products(monkeypatch, label, cls):
     """Count the products of ``cls`` images from now on; returns a reader.
-    The packed kernels are counted at their entry, where one call
-    multiplies n factors: n - 1 products.  For ``label`` "phi" that is
-    the chained letter op lists of ``laurent_product``; any other label
-    counts ``cls.__mul__`` calls."""
+    The packed kernels are counted by the factors they chain: for
+    ``label`` "phi" the letter op lists of one ``laurent_product`` call,
+    for Clifford images each program ``clifford._chain`` runs (psi's
+    letter programs, and a generic product's chained factors); any other
+    label counts ``cls.__mul__`` calls."""
     count = 0
     if cls is CliffordElement:
-        counters = [(CliffordAlgebra, "_product", lambda fs: len(fs) - 1)]
+        counters = [(clifford, "_chain", lambda args: 1)]
     elif label == "phi":
-        counters = [(ortho, "laurent_product", len)]
+        counters = [(ortho, "laurent_product", lambda args: len(args[1]))]
     else:
-        counters = [(cls, "__mul__", lambda b: 1)]
+        counters = [(cls, "__mul__", lambda args: 1)]
 
     def counting(real, products_of):
-        def counted(a, b):
+        def counted(*args):
             nonlocal count
-            count += products_of(b)
-            return real(a, b)
+            count += products_of(args)
+            return real(*args)
 
         return counted
 
     for owner, name, products_of in counters:
         monkeypatch.setattr(owner, name, counting(getattr(owner, name), products_of))
+    return lambda: count
+
+
+def count_powers(monkeypatch):
+    """Count the run powers taken from now on (``pow_by_squaring`` as
+    ``Representation.runs`` and ``CliffordElement.__pow__`` call it);
+    returns a reader."""
+    count = 0
+
+    def counted(base, k):
+        nonlocal count
+        count += 1
+        return pow_by_squaring(base, k)
+
+    for owner in (presentation, clifford):
+        monkeypatch.setattr(owner, "pow_by_squaring", counted)
     return lambda: count
