@@ -376,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     # at m=11; lifting on its default 200 words 19-23 s and 72-94 MB at
     # m=13 (20 words: 2.2-4.4 s at m=13, 2.5-9.5 s at m=14), measured
     # before pin words were multiplied by letter programs, against
-    # 3.0-4.3 s and 32-39 MB at m=12 and 0.56-0.66 s at m=10 (seeds 1-3)
-    # with them; closed-form 1.1 s and 35 MB at m=200.
+    # 2.8-4.0 s and 32-39 MB at m=12 and 0.49-0.64 s and 18 MB at m=10
+    # (seeds 1-3) with them and the norm compared on packed ints;
+    # closed-form 1.1 s and 35 MB at m=200.
     p_rel = common(vsub, "relations", _suite_relations, m_max=10, kmax=(20, 1, 30))
     p_rel.add_argument(
         "--rep", choices=("phi", "psi", "eta", "both", "all"), default="both"

@@ -54,7 +54,7 @@ program of each letter's image, compiled on the letter's first use.
 ``PinRep.times(x, word)`` packs x once and runs the program of each
 letter of the word in turn, and a word's image is its first letter's
 image times the other letters: one packed product per word, with no run
-powers and nothing compiled per word, as phi chains the op lists of its
+powers and nothing compiled per word, as phi chains the factor ops of its
 letters (``quadspace.laurent_product``).
 
 The width.  Let l_p be the bit length of the packed factor's ORed ints,
@@ -102,6 +102,22 @@ of such a module is one-to-one (Vasconcelos 1969).  So c^tr c = 1 as
 well, c^-1 = c^tr, and c^-1 x_i c = row i.  No inverse and no
 conjugation matrix is needed: ``lifts(c, M)`` is this judgment, and
 ``conjugation_matrix`` stays as the reference it is tested against.
+
+The norm.  ``_norm_slots(c)`` computes c * c^tr on packed ints alone:
+it XORs c's coefficient ints into the submasks of the transposes
+(``_transposed``, cancelled ints dropped), compiles the right program
+of c^tr straight from those dicts, packs c at the binary width W =
+l_c + l_tr + 2m (one less on the Laurent ring, rounded as above; l_tr
+<= l_c, as every int of c^tr XORs ints of c) with headroom H = 2m, and
+chains the program on it.  Slot M of the alpha**i block then holds
+the coefficient over s**(2 lo - 2m), lo being c's.  A set bit in any
+slot but monomial 0's raises NotScalarError; ``spinor_norm`` reads
+the two slots of monomial 0 as its scalar, and ``lifts`` asks that the
+alpha slot be zero and the other be the single bit of s**0, bit 2m -
+2 lo.  When lo > m that bit would lie below bit 0 of the slot: every
+term of the norm then has a positive exponent, so the norm is not 1,
+and ``lifts`` says so without a shift.  No element is built for c^tr
+or for the product, and nothing is unpacked beyond two slots.
 
 Two closed forms of the same action rule serve the maps that need no
 product.  The transpose of a monomial is
@@ -193,6 +209,20 @@ def _mono_transpose(mono: int) -> tuple:
             sub = (sub - 1) & mono
         hit = _TR_CACHE[mono] = tuple(subs)
     return hit
+
+
+def _transposed(parts) -> list:
+    """The parts of c^tr over c's ``lo``, from the parts of c: each
+    coefficient XORed into the submasks ``_mono_transpose`` lists, and
+    the ints that cancel dropped."""
+    out = []
+    for part in parts:
+        acc: dict = {}
+        for mono, x in part.items():
+            for sub in _mono_transpose(mono):
+                acc[sub] = acc.get(sub, 0) ^ x
+        out.append({mono: x for mono, x in acc.items() if x})
+    return out
 
 
 def _slot_width(la: int, lb: int, squares: int) -> int:
@@ -360,12 +390,13 @@ class CliffordAlgebra:
         tables = self._polybits_cache[width] = (left, right[::-1], fold)
         return tables
 
-    def _compile(self, el: "CliffordElement", left: bool) -> tuple:
-        """The program by which ``el`` acts on a packed int X, as sum(c *
-        x_p * X) (left) or sum(c * X * x_p) over its terms c * p:
-        (lo, bits, vcount, steps), with el's ``lo``, the bit length of
-        its ORed ints, its ``_vcount`` and one (keep, gens, coeffs) step
-        per monomial, run by ``_chain``.
+    def _compile(self, lo: int, parts, left: bool) -> tuple:
+        """The program by which the element with ``lo`` and ``parts`` (as
+        a ``CliffordElement`` holds them) acts on a packed int X, as
+        sum(c * x_p * X) (left) or sum(c * X * x_p) over its terms c * p:
+        (lo, bits, vcount, steps), with ``lo``, the bit length of the
+        ORed ints, the ``_vcount`` and one (keep, gens, coeffs) step per
+        monomial, run by ``_chain``.
 
         A chain applies p's generators highest first on the left and
         lowest first on the right; reversing the bits of every monomial
@@ -381,7 +412,6 @@ class CliffordAlgebra:
         more int of the path, and adds the coefficient ints ``coeffs``
         (one per power of alpha) times the last: the path holds at most
         m + 2 ints, and a chain shares its parent's actions."""
-        parts = el.parts
         rev = self._reversed
         monos = parts[0].keys() | parts[1].keys() if len(parts) == 2 else parts[0]
         steps = []
@@ -399,7 +429,7 @@ class CliffordAlgebra:
             # free lists 0.1 MB fuller on 2,000 m = 4 lifting words
             steps.append((keep, tuple(gens), [part.get(p, 0) for part in parts]))
             prev = key
-        return el.lo, _or_all(parts).bit_length(), _vcount(parts), tuple(steps)
+        return lo, _or_all(parts).bit_length(), _vcount(parts), tuple(steps)
 
     def _run(self, x: "CliffordElement", lefts, rights) -> "CliffordElement":
         """x with the programs ``lefts`` (nearest first) chained on its
@@ -451,8 +481,8 @@ class CliffordAlgebra:
         compile = self._compile
         return self._run(
             factors[j],
-            [compile(f, True) for f in reversed(factors[:j])],
-            [compile(f, False) for f in factors[j + 1 :]],
+            [compile(f.lo, f.parts, True) for f in reversed(factors[:j])],
+            [compile(f.lo, f.parts, False) for f in factors[j + 1 :]],
         )
 
     def _scalar(self, lo: int, xs):
@@ -594,13 +624,7 @@ class CliffordElement:
         return self * self.algebra.scalar(c)
 
     def transpose(self) -> "CliffordElement":
-        parts = []
-        for part in self.parts:
-            acc: dict = {}
-            for mono, x in part.items():
-                for sub in _mono_transpose(mono):
-                    acc[sub] = acc.get(sub, 0) ^ x
-            parts.append(acc.items())
+        parts = [acc.items() for acc in _transposed(self.parts)]
         return _canonical(self.algebra, self.lo, parts)
 
     # -- views -------------------------------------------------------------
@@ -734,7 +758,9 @@ class PinRep(Representation):
         for letter in word:
             program = programs.get(letter)
             if program is None:
-                program = programs[letter] = self.algebra._compile(self.image(letter), False)
+                image = self.image(letter)
+                program = self.algebra._compile(image.lo, image.parts, False)
+                programs[letter] = program
             chain.append(program)
         return self.algebra._run(x, (), chain)
 
@@ -746,12 +772,32 @@ class PinRep(Representation):
         return self.times(self.image(word[0]), islice(word, 1, None))
 
 
+def _norm_slots(c: CliffordElement) -> tuple:
+    """The spinor norm c * c^tr as (lo, xs), bit k of xs[i] standing for
+    s**(lo + k) in its alpha**i part; raises NotScalarError if it is not
+    scalar.  c is packed at the binary width and the right program of
+    c^tr, compiled from c's parts, is chained on it (module docstring):
+    no element is built for c^tr or for the product."""
+    alg = c.algebra
+    m = alg.m
+    _, bits, _, steps = alg._compile(c.lo, _transposed(c.parts), False)
+    spare = alg.ring == "laurent"
+    width = _slot_width(_or_all(c.parts).bit_length(), max(bits - spare, 0), m)
+    _, right, fold = alg._polybits_cache.get(width) or alg._actions(width)
+    span = width << (m + 1)
+    y = _chain(_pack(c.parts, width, 2 * m, span), steps, right, span, fold)
+    full = (1 << width) - 1
+    xs = [y >> i * span & full for i in range(len(c.parts))]
+    for i, x in enumerate(xs):
+        y ^= x << i * span
+    if y:
+        raise NotScalarError("spinor norm is not a pure scalar")
+    return 2 * (c.lo - m), xs
+
+
 def spinor_norm(c: CliffordElement):
     """The scalar c * c^tr; raises NotScalarError if it is not scalar."""
-    prod = c * c.transpose()
-    if not prod.is_scalar:
-        raise NotScalarError("spinor norm is not a pure scalar")
-    return prod.scalar_part()
+    return c.algebra._scalar(*_norm_slots(c))
 
 
 def cl_inverse(c: CliffordElement) -> CliffordElement:
@@ -823,8 +869,13 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
 def lifts(c: CliffordElement, mat: RMatrix) -> bool:
     """True iff pi(c) == mat: c has spinor norm 1, which makes c^-1 =
     c^tr, and ``intertwines(c, mat)`` (the module docstring has the
-    proof).  The one place where the two are judged together."""
-    return spinor_norm(c).is_one and intertwines(c, mat)
+    proof).  The one place where the two are judged together; the norm
+    is compared with 1 on its packed slots (``_norm_slots``), and raises
+    NotScalarError if it is not scalar."""
+    lo, xs = _norm_slots(c)
+    if lo > 0 or xs[0] != 1 << -lo or any(xs[1:]):
+        return False
+    return intertwines(c, mat)
 
 
 # -- power identities --------------------------------------------------------

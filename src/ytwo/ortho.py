@@ -11,10 +11,17 @@ Generator images (row convention, composition left to right):
 Every image preserves the quadratic and bilinear forms, and all matrix
 entries in the image are polynomials in t even though the form values
 involve 1/t.  A word is multiplied by one packed column-int product
-(``quadspace.laurent_product``) that chains the ops of every letter
-after the first, letter by letter.  A letter's ops are built on its
-first use and kept by the representation; a run power would cost a
-generic product and new ops on every call, so runs take no powers here.
+(``quadspace.laurent_product``) that chains the factor ops of every
+letter after the first, letter by letter.  A letter given above as
+transvections acts by them, one or two factors in their transvection
+form (``quadspace.transvection_ops``): the kept identity and one term,
+y = sum c_k col_k and then col_j ^= w_j y, whose span is one more than
+the top exponent of c w (1 for r_u and r_{v_i + v_{i+1}}, 3 for
+r_{v1}, whose c holds t = s**2).  A b-letter acts by its image as a
+general matrix (``quadspace.laurent_ops``).  A letter's ops are built
+on its first use and kept by the representation; a run power would
+cost a generic product and new ops on every call, so runs take no
+powers here.
 
 ``conjugate_power_matrix`` builds the closed-form matrix for the k-fold
 a-conjugate of s1 out of the geometric sums
@@ -29,6 +36,9 @@ Laurent subring.  The conjugates all share the shape "x -> x + f_x *
 shape ``triple_form_matrix`` exposes directly, over QE scalars.
 """
 
+from functools import reduce
+from operator import mul
+
 from .presentation import A, A_INV, Representation, TAU, s_letter, st_letter
 from .quadspace import (
     QuadSpace,
@@ -36,6 +46,7 @@ from .quadspace import (
     laurent_ops,
     laurent_product,
     transvection,
+    transvection_ops,
     vec_add,
 )
 from .rings import ALPHA, ALPHA_INV, QE_ONE, QE_ZERO
@@ -49,31 +60,44 @@ class OrthoRep(Representation):
     def __init__(self, space: QuadSpace):
         self.space = space
         m = space.m
-        r_u = transvection(space, space.basis_vector(0))
-        r_v1 = transvection(space, space.basis_vector(1))
-        images = {TAU: r_u, A: r_u * r_v1, A_INV: r_v1 * r_u}
+        u, v1 = space.basis_vector(0), space.basis_vector(1)
+        # letter -> the axes of its transvections, in product order
+        self._axes = {TAU: (u,), A: (u, v1), A_INV: (v1, u)}
         for i in range(1, m):
             axis = vec_add(space.basis_vector(i), space.basis_vector(i + 1))
-            st = transvection(space, axis)
-            images[st_letter(i)] = st
-            images[s_letter(i)] = r_u * st
+            self._axes[st_letter(i)] = (axis,)
+            self._axes[s_letter(i)] = (u, axis)
+        r = {}  # one transvection matrix per axis
+        images = {}
+        for letter, axes in self._axes.items():
+            for w in axes:
+                if w not in r:
+                    r[w] = transvection(space, w)
+            images[letter] = reduce(mul, (r[w] for w in axes))
         super().__init__(m, images, space.identity_matrix())
-        # letter -> laurent_ops(image), built on the letter's first use:
-        # at m = 100 the ops of all 2m + 1 images take about 4 MB, and a
-        # closed-form word uses three letters
+        # letter -> its factor ops, built on the letter's first use: the
+        # ``transvection_ops`` of its axes, or ``laurent_ops`` of a
+        # b-letter's image.  At m = 100 the ops of all 2m + 1 images take
+        # about 4 MB as matrices, and a closed-form word uses three letters
         self._ops = {}
 
     def product(self, word):
         """The image of a non-empty word by one packed column-int product
         (``laurent_product``): the first letter's image is packed, every
-        other letter acts by its ops."""
+        other letter acts by its one or two transvections, a b-letter by
+        its matrix."""
         ops = self._ops
         chain = []
         for letter in word[1:]:
             op = ops.get(letter)
             if op is None:
-                op = ops[letter] = laurent_ops(self.image(letter))
-            chain.append(op)
+                axes = self._axes.get(letter)
+                if axes:
+                    op = tuple(transvection_ops(self.space, w) for w in axes)
+                else:
+                    op = (laurent_ops(self.image(letter)),)
+                ops[letter] = op
+            chain += op
         return laurent_product(self.image(word[0]), chain)
 
 

@@ -29,20 +29,44 @@ Products of several Laurent matrices (the transvection images of a
 word) have a packed kernel, ``laurent_product``.  The running product
 is a list of n column ints: entry (i, j) is a ``width``-bit slot at bit
 i*width of column j, bit b of the slot standing for s**(lo + b), lo the
-sum of the factors' lowest exponents.  A factor F with lowest exponent
-lo_F acts through its ``laurent_ops``: one op (k, j, e) per set bit e of
-F[k][j] over s**lo_F, grouped by k.  Since column j of P * F is the sum
-of column k of P times F[k][j], applying F is ``new[j] ^= cols[k] << e``
-for each op, skipped as a whole for a zero column k.  Over its own
-lowest exponent every entry of F has degree below its span (the most
-bits any of its entries needs), so an entry of a product of r + 1
-factors, or of a prefix of it, has degree at most the sum of
-(span_i - 1): with ``width`` = sum span_i - r (at least 1; a zero
-factor has span 0 and zeroes the product), no shift leaves its slot.
-The result is unpacked once, by walking the lowest set bit of each column.
-A phi word takes only this kernel (``OrthoRep.product``), no generic
-product; ``RMatrix.__mul__`` stays the one generic product, over every
-ring.
+sum of the first factor's lowest exponent and the chained factors'
+lo_F.  Since column j of P * F is the sum of column k of P times
+F[k][j], a factor acts on whole columns.  Every factor is given by its
+factor ops (lo_F, span_F, keep, terms): the new columns start as the
+old ones if ``keep`` (a kept identity) or as zeros, and each term
+(sources, targets) takes
+
+    y = sum(cols[k] << e for (k, e) in sources),
+    new[j] ^= y << e for (j, e) in targets,
+
+every y read from the columns before the factor, and skipped when it
+is zero.  Two kinds of factor take this one form:
+
+* A general matrix (``laurent_ops``): no kept identity, and one term
+  per nonzero row k, its one source (k, 0) and a target (j, e) per set
+  bit e of F[k][j] over s**lo_F (a zero column k skips its term).
+* A transvection r_w (``transvection_ops``): x -> x + c(x) w, row i of
+  its matrix being e_i + c_i w.  The identity is kept, lo_F = 0, and
+  one term has a source (k, e) per set bit of c_k and a target (j, e)
+  per set bit of w_j: y = sum c_k col_k, then col_j ^= w_j y, the two
+  sides' exponents moved by +lo_w and -lo_w so that both are at least
+  0 (a rank-one part c w with a negative exponent is refused).  r_u
+  costs m + 1 shifts where its matrix takes 2m + 1, and a swap
+  r_{v_i + v_{i+1}} four where its matrix takes m + 1.
+
+Over s**lo_F every entry of F has degree below its span_F: for a
+matrix, the most bits any of its entries needs; for a
+transvection, one more than the top exponent of c w, the sum of the
+top source and target exponents, and at least 1 for the identity.  A
+term's y may pass the top of its slot, but it is no truncated value:
+each of its bits lands, shifted by a target, at its entry's true
+degree.  So an entry of a product of r + 1 factors, or of a prefix of
+it, has degree at most the sum of (span_i - 1): with ``width`` = sum
+span_i - r (at least 1; a zero factor has span 0 and zeroes the
+product), no shift leaves its slot.  The result is unpacked once, by
+walking the lowest set bit of each column.  A phi word takes only this
+kernel (``OrthoRep.product``), no generic product; ``RMatrix.__mul__``
+stays the one generic product, over every ring.
 """
 
 from . import rings
@@ -188,47 +212,55 @@ def _lo_span(entries) -> tuple:
     return lo, span
 
 
+def _shifts(entries, base: int) -> tuple:
+    """A (j, e) pair per set bit of each entry x of the {j: x} dict
+    ``entries``, e the bit's exponent less ``base``."""
+    out = []
+    for j, x in entries.items():
+        d, mask = x.off - base, x.mask
+        while mask:
+            low = mask & -mask
+            out.append((j, d + low.bit_length() - 1))
+            mask ^= low
+    return tuple(out)
+
+
 def laurent_ops(mat: RMatrix) -> tuple:
-    """How the Laurent matrix ``mat`` acts in ``laurent_product``:
-    (lo, span, ops) with (lo, span) as in ``_lo_span`` and ops one
-    (k, targets) pair per nonzero row k, targets holding a (j, e) pair
-    per set bit e of entry (k, j) over s**lo."""
+    """How the Laurent matrix ``mat`` acts in ``laurent_product``, as a
+    general factor: (lo, span, False, terms) with (lo, span) as in
+    ``_lo_span`` and one term per nonzero row k, its one source (k, 0)
+    and a target (j, e) per set bit e of entry (k, j) over s**lo."""
     lo, span = _lo_span(mat.entries)
-    ops = []
-    for k, row in enumerate(mat.entries):
-        targets = []
-        for j, x in row.items():
-            d, mask = x.off - lo, x.mask
-            while mask:
-                low = mask & -mask
-                targets.append((j, d + low.bit_length() - 1))
-                mask ^= low
-        if targets:
-            ops.append((k, tuple(targets)))
-    return lo, span, tuple(ops)
+    terms = tuple(
+        (((k, 0),), _shifts(row, lo)) for k, row in enumerate(mat.entries) if row
+    )
+    return lo, span, False, terms
 
 
 def laurent_product(first: RMatrix, chain) -> RMatrix:
     """first * F_1 * ... * F_r for Laurent matrices, each F_i given by its
-    ``laurent_ops`` in ``chain``, in one packed column-int product (module
-    docstring): ``first`` is packed straight from its entries, each F_i
-    acts by its ops, and the result is unpacked once."""
+    factor ops (``laurent_ops`` or ``transvection_ops``) in ``chain``, in
+    one packed column-int product (module docstring): ``first`` is packed
+    straight from its entries, each F_i acts by its terms, and the result
+    is unpacked once."""
     if not chain:
         return first
     entries = first.entries
     n = len(entries)
     base, span = _lo_span(entries)
-    lo = base + sum(f_lo for f_lo, _, _ in chain)
-    width = max(span + sum(f_span - 1 for _, f_span, _ in chain), 1)
+    lo = base + sum(f[0] for f in chain)
+    width = max(span + sum(f[1] - 1 for f in chain), 1)
     cols = [0] * n
     for i, row in enumerate(entries):
         at = i * width - base
         for j, x in row.items():
             cols[j] |= x.mask << (at + x.off)
-    for _, _, ops in chain:
-        new = [0] * n
-        for k, targets in ops:
-            c = cols[k]
+    for _, _, keep, terms in chain:
+        new = cols[:] if keep else [0] * n
+        for sources, targets in terms:
+            c = 0
+            for k, e in sources:
+                c ^= cols[k] << e
             if c:
                 for j, e in targets:
                     new[j] ^= c << e
@@ -310,11 +342,11 @@ def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def transvection(space: QuadSpace, w) -> RMatrix:
-    """Matrix of x -> x + ((x, w)/q(w)) w; requires q(w) to be a unit.
-
-    Row i is e_i + ((W + w_i)/q(w)) w, W the sum of w's entries, since
-    (e_i, w) = W - w_i; it is built from w's nonzero entries."""
+def _rank_one(space: QuadSpace, w) -> tuple:
+    """(c, support) of the transvection along w: row i of its matrix is
+    e_i + c[i] w, and ``support`` holds w's nonzero entries by column.
+    c[i] = (W + w_i)/q(w), W the sum of w's entries, since (e_i, w) =
+    W - w_i; requires q(w) to be a unit."""
     qw = q_eval(space, w)
     try:
         qw_inv = qw.inverse()
@@ -322,13 +354,42 @@ def transvection(space: QuadSpace, w) -> RMatrix:
         raise NonUnitNormError(f"q(w) = {qw} is not invertible") from exc
     support = {j: x for j, x in enumerate(w) if x}
     total = sum(support.values(), space.zero)
+    return [(total + x) * qw_inv for x in w], support
+
+
+def transvection(space: QuadSpace, w) -> RMatrix:
+    """Matrix of x -> x + ((x, w)/q(w)) w; requires q(w) to be a unit.
+    Row i is e_i + c_i w (``_rank_one``), built from w's nonzero entries."""
+    c, support = _rank_one(space, w)
     rows = []
-    for i in range(space.rank):
-        c = (total + w[i]) * qw_inv
-        row = {j: c * x for j, x in support.items()}
+    for i, ci in enumerate(c):
+        row = {j: ci * x for j, x in support.items()}
         row[i] = row.get(i, space.zero) + space.one
         rows.append({j: x for j, x in row.items() if x})
     return RMatrix._sparse(tuple(rows), space.zero)
+
+
+def transvection_ops(space: QuadSpace, w) -> tuple:
+    """How the transvection along w acts in ``laurent_product``, in its
+    transvection form: (0, span, True, ((sources, targets),)), the kept
+    identity and one term.  With c and w as in ``_rank_one``, lo_w the
+    lowest exponent of w, the sources are a (k, e) pair per set bit of
+    c_k and the targets a (j, e) pair per set bit of w_j, their exponents
+    moved by +lo_w and -lo_w: y = sum c_k col_k s**lo_w, then col_j ^=
+    y w_j s**-lo_w.  ``span`` is one more than the top exponent of c w
+    (at least 1, for the identity).  Raises ValueError if c w has a
+    negative exponent, which the kept identity at s**0 cannot hold; such
+    a transvection takes ``laurent_ops`` of its matrix."""
+    c, support = _rank_one(space, w)
+    c = {k: x for k, x in enumerate(c) if x}
+    if not c:  # w is orthogonal to everything: r_w is the identity
+        return 0, 1, True, ()
+    lo_w = min(x.off for x in support.values())
+    sources, targets = _shifts(c, -lo_w), _shifts(support, lo_w)
+    if min(e for _, e in sources) < 0:
+        raise ValueError("the transvection's rank-one part has a negative exponent")
+    span = max(e for _, e in sources) + max(e for _, e in targets) + 1
+    return 0, span, True, ((sources, targets),)
 
 
 class HyperbolicDecomposition(Record):

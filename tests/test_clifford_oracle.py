@@ -25,11 +25,11 @@ from ytwo.clifford import (
     conjugation_matrix,
     get_algebra,
     intertwines,
-    lifts,
 )
-from ytwo.errors import NotCliffordGroupError
+from ytwo.errors import NotCliffordGroupError, NotScalarError
+from ytwo.ortho import OrthoRep
 from ytwo.presentation import evaluate, relator_failures, schedule
-from ytwo.quadspace import RMatrix
+from ytwo.quadspace import QuadSpace, RMatrix
 from ytwo.rings import L_ONE, L_ZERO, LaurentScalar, QEScalar, S
 
 from oracles import (
@@ -741,10 +741,11 @@ def test_planted_intertwining_faults_are_caught(plant, monkeypatch):
         check()
 
 
-def test_lifting_check_rejects_zero_and_non_units(monkeypatch):
+def test_lifting_check_rejects_zero_and_non_units(plant):
     # The identity alone holds for 0 with every matrix and for the
     # non-unit scalar 1 + s with the identity matrix; the norm rejects
-    # both, and 1 + u, whose norm (1 + u)**2 is 0.
+    # both, and 1 + u, whose norm (1 + u)**2 is 0.  The plant drops the
+    # norm's comparison from ``lifts``.
     alg = get_algebra(4)
     ident = RMatrix.identity(5, L_ONE, L_ZERO)
     elements = (alg.zero, alg.scalar(L_ONE + S), alg.one + alg.u())
@@ -752,9 +753,112 @@ def test_lifting_check_rejects_zero_and_non_units(monkeypatch):
 
     def check():
         for c in elements:
-            assert not lifts(c, ident)
+            assert not clifford.lifts(c, ident)
 
     check()
-    monkeypatch.setattr(clifford, "spinor_norm", lambda c: L_ONE)  # no norm check
+    plant(clifford, "lifts", ("lo > 0 or xs[0] != 1 << -lo or any(xs[1:])", "False"))
     with pytest.raises(AssertionError):
         check()
+
+
+# -- the spinor norm on packed ints -------------------------------------------
+
+
+def norm_outcome(fn, *args):
+    """fn(*args), or "not scalar" if it raised NotScalarError."""
+    try:
+        return fn(*args)
+    except NotScalarError:
+        return "not scalar"
+
+
+def check_norm(c, mat):
+    """The norm kernel against the product c * c^tr: ``spinor_norm`` is
+    its scalar part, and ``lifts`` is "the norm is 1 and c intertwines
+    mat"; both raise NotScalarError exactly when the product is not a
+    scalar."""
+    want = c * c.transpose()
+    norm = norm_outcome(clifford.spinor_norm, c)
+    judged = norm_outcome(clifford.lifts, c, mat)
+    if not want.is_scalar:
+        assert norm == judged == "not scalar"
+        return
+    assert norm == want.scalar_part()
+    assert judged == (norm.is_one and intertwines(c, mat))
+
+
+def norm_cases(m, ring):
+    """(c, mat) pairs: the zero element; pin images of seeded words with
+    their phi images (norm 1), each scaled by s (norm s**2) and by
+    s**(m + 1) (the s**0 bit below the slot, for short words), and plus 1
+    (mostly not scalar); over "qe" the scalar alpha (norm 1 + s*alpha, a
+    scalar with an alpha part) and v1 + alpha*u*v2 (norm
+    alpha*(u + v1 + v2 + s**-1), not scalar only in the alpha block)."""
+    psi, phi = PinRep(m, ring), OrthoRep(QuadSpace(m))
+    alg = psi.algebra
+    ident = RMatrix.identity(m + 1, L_ONE, L_ZERO)
+    cases = [(alg.zero, ident)]
+    rng = random.Random(m)
+    for _ in range(4):
+        word = random_word(psi, rng, 12)
+        c, mat = evaluate(word, psi), evaluate(word, phi)
+        cases += [(c, mat), (c.scale(S), mat), (c.scale(LaurentScalar(m + 1, 1)), mat)]
+        cases.append((c + alg.one, mat))
+    if ring == "qe":
+        cases.append((alg.scalar(ALPHA), ident))
+        cases.append((alg.v(1) + (alg.u() * alg.v(2)).scale(ALPHA), ident))
+    return cases
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS + (7, 8))
+def test_norm_kernel_matches_product(m, ring):
+    cases = norm_cases(m, ring)
+    for c, mat in cases:
+        check_norm(c, mat)
+    # every kind of outcome is reached
+    judged = [norm_outcome(clifford.lifts, c, mat) for c, mat in cases]
+    assert {True, False, "not scalar"} <= set(judged)
+    if ring == "qe":
+        assert clifford.spinor_norm(cases[-2][0]) == QEScalar(L_ONE, S)
+        assert norm_outcome(clifford.lifts, *cases[-1]) == "not scalar"
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(x=raw_terms)
+@example(x=[])
+@example(x=CANCEL)
+@example(x=RADICAL)
+@example(x=[(0, [20], [])])
+@example(x=[(0, [-20], [3])])
+def test_norm_kernel_matches_product_on_any_element(m, ring, x):
+    # any element, mostly not scalar; scalars s**20 and s**-20 put the
+    # s**0 bit far outside the slot on either side
+    alg = get_algebra(m, ring)
+    check_norm(build(alg, x), RMatrix.identity(m + 1, L_ONE, L_ZERO))
+
+
+NORM_FAULTS = {
+    # c's own right program chained on c, not the program of c^tr
+    "own program": ("_norm_slots", ("_transposed(c.parts)", "c.parts")),
+    # lifts compares the norm with s**2, not s**0
+    "s**0 bit off by 2": ("lifts", ("1 << -lo", "1 << 2 - lo")),
+    # the scalar test reads the first block only
+    "alpha block ignored": ("_norm_slots", ("if y:", "if y & (1 << span) - 1:")),
+    # lifts accepts a norm 1 + (alpha part)
+    "alpha part accepted": ("lifts", (" or any(xs[1:])", "")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_FAULTS))
+def test_planted_norm_faults_are_caught(plant, name):
+    cases = [case for ring in RINGS for case in norm_cases(4, ring)]
+    for c, mat in cases:
+        check_norm(c, mat)
+    owner, edit = NORM_FAULTS[name]
+    plant(clifford, owner, edit)
+    with pytest.raises(AssertionError):
+        for c, mat in cases:
+            check_norm(c, mat)

@@ -1,6 +1,6 @@
 """``presentation.evaluate`` (each representation's ``product``: run
 powers folded with ``*`` for eta, letter programs chained in one kernel
-call for psi, letter op lists chained in one kernel call for phi) against
+call for psi, letter factor ops chained in one kernel call for phi) against
 ``ref_evaluate`` in oracles.py (one product per letter): every relator
 word of the three schedule flavors at ``kmax`` 20, random words with
 planted runs of up to 25 letters, and the closed-form words

@@ -209,15 +209,16 @@ class TestRelatorSuites:
         "label, build, flavor, cls, products",
         [
             ("eta", SpinorRep, "y", RMatrix, 392),
-            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 1025),
+            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 2041),
             ("psi", PinRep, "y-tilde", CliffordElement, 1025),
         ],
     )
     def test_product_count(self, monkeypatch, label, build, flavor, cls, products):
         # pinned, so that a return to one product per letter (1000 for
-        # eta) fails on any host, however noisy; phi and psi chain one op
-        # list or program per letter by design (1025), phi without any
-        # generic RMatrix product and psi without any run power
+        # eta) fails on any host, however noisy; psi chains one program
+        # per letter by design (1025) without any run power; phi chains
+        # the transvections of each letter (2041: a, A and s<i> are two,
+        # t and S<i> one), without any generic RMatrix product
         rep = build(8)
         count = count_products(monkeypatch, label, cls)
         powers = count_powers(monkeypatch)
@@ -234,6 +235,7 @@ class TestRelatorSuites:
         "label, build, cls, products",
         [
             ("eta", SpinorRep, RMatrix, 5112),
+            ("phi", lambda m: OrthoRep(QuadSpace(m)), RMatrix, 19728),
             ("psi", PinRep, CliffordElement, 19704),
         ],
     )
@@ -241,13 +243,16 @@ class TestRelatorSuites:
         # eta: (b_i^k b_j^k)^2 is four run powers of two b-images, each
         # b-image evaluated once per rep; one product per b-letter would
         # be 19,680.  psi chains one program per b-letter, those 19,680,
-        # plus 24 for its eight b-images, and takes no run power.
+        # plus 24 for its eight b-images, and takes no run power.  phi
+        # chains one matrix per b-letter, the same 19,680, plus 48 for
+        # the b-images: their words' a, A and s<i> are two transvections
+        # each.
         rep = build(4)
         count = count_products(monkeypatch, label, cls)
         powers = count_powers(monkeypatch)
         assert relator_failures(schedule(4, 20, "Y"), rep) == []
         assert count() == products, label
-        assert (powers() == 0) == (label == "psi")
+        assert (powers() == 0) == (label != "eta")
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_Y_flavor(self, m):
@@ -260,7 +265,7 @@ class TestRelatorSuites:
 def count_products(monkeypatch, label, cls):
     """Count the products of ``cls`` images from now on; returns a reader.
     The packed kernels are counted by the factors they chain: for
-    ``label`` "phi" the letter op lists of one ``laurent_product`` call,
+    ``label`` "phi" the factor ops of one ``laurent_product`` call,
     for Clifford images each program ``clifford._chain`` runs (psi's
     letter programs, and a generic product's chained factors); any other
     label counts ``cls.__mul__`` calls."""

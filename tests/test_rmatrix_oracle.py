@@ -18,9 +18,16 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ytwo import quadspace
+from ytwo import ortho, quadspace
 from ytwo.ortho import OrthoRep
-from ytwo.quadspace import QuadSpace, RMatrix, laurent_ops, laurent_product
+from ytwo.quadspace import (
+    QuadSpace,
+    RMatrix,
+    laurent_ops,
+    laurent_product,
+    transvection,
+    transvection_ops,
+)
 from ytwo.rings import L_ONE, L_ZERO, QE_ZERO, FiniteField, LaurentScalar, QEScalar
 
 from oracles import REF_LP_RING, REF_QE_RING, RefField, ref_lp, ref_mat_mul, ref_qe
@@ -381,3 +388,94 @@ def test_planted_zero_column_skip_on_the_target_is_caught(plant):
     skip_on_j = ("new[j] ^= c << e", "new[j] ^= c << e if cols[j] else 0")
     plant(quadspace, "laurent_product", skip_on_j)
     assert quadspace.laurent_product(first, [laurent_ops(second)]) != want
+
+
+# -- phi words by transvection factors ------------------------------------------
+
+
+def check_phi_words(m, count, maxlen):
+    """Seeded phi words over every letter, b-letters included, against
+    the left fold of ``*`` and the schoolbook product: a, A, t and the
+    s- and S-letters chain their transvections, the b-letters their
+    matrices.  A fresh representation builds the factor ops anew."""
+    phi = OrthoRep(QuadSpace(m))
+    letters = phi.letters() + [f"{b}{i}" for b in "bB" for i in range(1, m + 1)]
+    rng = random.Random(m)
+    words = [(letter, letter) for letter in letters]
+    words += [
+        tuple(rng.choice(letters) for _ in range(rng.randint(2, maxlen)))
+        for _ in range(count)
+    ]
+    for word in words:
+        images = [phi.image(letter) for letter in word]
+        got = phi.product(word)
+        assert got == reduce(mul, images)
+        want = ref_rows("laurent", images[0])
+        for image in images[1:]:
+            want = ref_mat_mul(want, ref_rows("laurent", image), REF_LP_RING)
+        check_product("laurent", got, want)
+
+
+@pytest.mark.parametrize("m, count, maxlen", [(m, 12, 20) for m in range(3, 9)] + [(20, 3, 8)])
+def test_transvection_factors_match_reference(m, count, maxlen):
+    check_phi_words(m, count, maxlen)
+
+
+def test_transvection_ops_of_phi_letters():
+    # t and S<i> are one transvection, a, A and s<i> two, a b-letter one
+    # matrix; a transvection keeps the identity and has one term, and
+    # the span of r_v1 holds t = s**2
+    phi = OrthoRep(QuadSpace(4))
+    phi.product(("t", "t", "S1", "a", "A", "s2", "b3"))
+    ops = phi._ops
+    assert [len(ops[x]) for x in ("t", "S1", "a", "A", "s2", "b3")] == [1, 1, 2, 2, 2, 1]
+    for letter in ("t", "S1", "a", "A", "s2"):
+        assert all(keep and len(terms) == 1 for _, _, keep, terms in ops[letter])
+    assert not ops["b3"][0][2]
+    assert [f[1] for f in ops["a"]] == [1, 3]
+
+
+def test_transvection_with_negative_exponent_is_refused():
+    # w = s**-1 u: c = (W + w_i)/q(w) is s on the v_i, and c w = u's
+    # column of ones has the exponent 0.  w = s**-1 u + v1 has q(w) =
+    # s**-2 + s**-2 + s**-1 = s**-1 and c_1 = w_0/q(w) = 1, so c_1 w_0 =
+    # s**-1: below the kept identity at s**0.
+    space = QuadSpace(3)
+    w = (LaurentScalar(-1, 1), L_ZERO, L_ZERO, L_ZERO)
+    assert transvection_ops(space, w)[:3] == (0, 1, True)
+    w = (LaurentScalar(-1, 1), L_ONE, L_ZERO, L_ZERO)
+    with pytest.raises(ValueError):
+        transvection_ops(space, w)
+    assert laurent_ops(transvection(space, w))[0] == -1
+
+
+# name: the edit planted into ``laurent_product`` or ``transvection_ops``
+TRANSVECTION_FAULTS = {
+    # y summed again for each target, from columns already updated
+    "y read after the first col_j update": (
+        "laurent_product",
+        (
+            "                for j, e in targets:\n"
+            "                    new[j] ^= c << e",
+            "                for j, e in targets:\n"
+            "                    c = 0\n"
+            "                    for k, f in sources:\n"
+            "                        c ^= new[k] << f\n"
+            "                    new[j] ^= c << e",
+        ),
+    ),
+    "kept identity dropped": ("laurent_product", ("cols[:] if keep", "[0] * n if keep")),
+    "span one bit too narrow": (
+        "transvection_ops",
+        ("max(e for _, e in targets) + 1", "max(e for _, e in targets)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSVECTION_FAULTS))
+def test_planted_transvection_faults_are_caught(plant, name):
+    check_phi_words(4, 12, 20)
+    owner, edit = TRANSVECTION_FAULTS[name]
+    plant(ortho, owner, edit)
+    with pytest.raises((AssertionError, IndexError)):
+        check_phi_words(4, 12, 20)
