@@ -11,16 +11,16 @@ Generator images (row convention, composition left to right):
 Every image preserves the quadratic and bilinear forms, and all matrix
 entries in the image are polynomials in t even though the form values
 involve 1/t.  A word is multiplied by one packed column-int product
-(``quadspace.laurent_product``) that chains the factor ops of every
-letter after the first, letter by letter.  A letter given above as
-transvections acts by them, one or two factors in their transvection
-form (``quadspace.transvection_ops``): the kept identity and one term,
-y = sum c_k col_k and then col_j ^= w_j y, whose span is one more than
-the top exponent of c w (1 for r_u and r_{v_i + v_{i+1}}, 3 for
-r_{v1}, whose c holds t = s**2).  A b-letter acts by its image as a
-general matrix (``quadspace.laurent_ops``).  A letter's ops are built
-on its first use and kept by the representation; a run power would
-cost a generic product and new ops on every call, so runs take no
+(``quadspace.laurent_product``) from the identity, which chains the
+transvections of every letter in order, one or two per letter, each in
+the form of ``quadspace.transvection_ops``: y = sum c_k col_k and then
+col_j ^= w_j y, whose span is one more than the top exponent of c w (1
+for r_u and r_{v_i + v_{i+1}}, 3 for r_{v_i}, whose c holds t = s**2).
+A b-letter chains two transvections as well, b<i> -> r_u r_{v_i} and
+B<i> -> r_{v_i} r_u; its image stays the evaluation of its b-word
+(``Representation.image``), against which the tests check the pair.  A
+letter's ops are built on its first use and kept by the representation;
+a run power would cost a generic product on every call, so runs take no
 powers here.
 
 ``conjugate_power_matrix`` builds the closed-form matrix for the k-fold
@@ -43,7 +43,6 @@ from .presentation import A, A_INV, Representation, TAU, s_letter, st_letter
 from .quadspace import (
     QuadSpace,
     RMatrix,
-    laurent_ops,
     laurent_product,
     transvection,
     transvection_ops,
@@ -75,30 +74,30 @@ class OrthoRep(Representation):
                     r[w] = transvection(space, w)
             images[letter] = reduce(mul, (r[w] for w in axes))
         super().__init__(m, images, space.identity_matrix())
-        # letter -> its factor ops, built on the letter's first use: the
-        # ``transvection_ops`` of its axes, or ``laurent_ops`` of a
-        # b-letter's image.  At m = 100 the ops of all 2m + 1 images take
-        # about 4 MB as matrices, and a closed-form word uses three letters
+        # b<i> -> r_u r_{v_i} and B<i> -> r_{v_i} r_u, for ``product`` only:
+        # their images stay the b-words' evaluations, out of ``letters()``
+        for i in range(1, m + 1):
+            v = space.basis_vector(i)
+            self._axes[f"b{i}"], self._axes[f"B{i}"] = (u, v), (v, u)
+        # letter -> the ``transvection_ops`` of its axes, built on the
+        # letter's first use; a closed-form word uses three letters
         self._ops = {}
 
     def product(self, word):
         """The image of a non-empty word by one packed column-int product
-        (``laurent_product``): the first letter's image is packed, every
-        other letter acts by its one or two transvections, a b-letter by
-        its matrix."""
+        (``laurent_product``) from the identity: every letter acts by its
+        one or two transvections."""
         ops = self._ops
         chain = []
-        for letter in word[1:]:
+        for letter in word:
             op = ops.get(letter)
             if op is None:
                 axes = self._axes.get(letter)
-                if axes:
-                    op = tuple(transvection_ops(self.space, w) for w in axes)
-                else:
-                    op = (laurent_ops(self.image(letter)),)
-                ops[letter] = op
+                if axes is None:
+                    self.image(letter)  # outside the alphabet: raises ValueError
+                op = ops[letter] = tuple(transvection_ops(self.space, w) for w in axes)
             chain += op
-        return laurent_product(self.image(word[0]), chain)
+        return laurent_product(self.space.rank, chain)
 
 
 def triple_form_matrix(space: QuadSpace, f0, f1, f2) -> RMatrix:

@@ -26,10 +26,9 @@ representations use, multiplies maximal runs x**k, not letters: each
 run's image is one power by squaring (``runs``), equal runs in one word
 share it, and the fold multiplies the run powers with ``*``.
 ``OrthoRep`` and ``PinRep`` take no powers.  Their kernels apply a
-letter by an action kept per letter (a list of column shifts, a Clifford
-chain program), while a power would cost a generic product and a new
-action on every call, so each chains one action per letter in one
-packed-int kernel call.
+letter by an action kept per letter, while a power would cost a generic
+product and a new action on every call, so each chains one action per
+letter in one packed-int kernel call.
 
 The b-generators are the conjugates b_1 = a, b_{i+1} = S<i> b_i S<i>.
 Because t inverts every b_i, they can be rewritten without t-letters:

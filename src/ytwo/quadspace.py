@@ -25,48 +25,36 @@ Scalars only need +, *, truth (nonzero), is_one and inverse(), so the
 same code runs over the Laurent ring, its quadratic extension, or a
 finite field after specialization.
 
-Products of several Laurent matrices (the transvection images of a
-word) have a packed kernel, ``laurent_product``.  The running product
-is a list of n column ints: entry (i, j) is a ``width``-bit slot at bit
-i*width of column j, bit b of the slot standing for s**(lo + b), lo the
-sum of the first factor's lowest exponent and the chained factors'
-lo_F.  Since column j of P * F is the sum of column k of P times
-F[k][j], a factor acts on whole columns.  Every factor is given by its
-factor ops (lo_F, span_F, keep, terms): the new columns start as the
-old ones if ``keep`` (a kept identity) or as zeros, and each term
-(sources, targets) takes
+Products of Laurent transvections (the images of a phi word) have a
+packed kernel, ``laurent_product``.  The running product is a list of
+n column ints, started from the identity: entry (i, j) is a
+``width``-bit slot at bit i*width of column j, bit b of the slot
+standing for s**b.  Since column j of P * F is the sum of column k of P
+times F[k][j], a factor acts on whole columns.  A transvection r_w,
+x -> x + c(x) w with row i of its matrix e_i + c_i w, is given by its
+factor ops (span, sources, targets) (``transvection_ops``): a (k, e)
+source per set bit of c_k and a (j, e) target per set bit of w_j, the
+two sides' exponents moved by +lo_w and -lo_w so that both are at
+least 0 (a rank-one part c w with a negative exponent is refused).  It
+takes
 
     y = sum(cols[k] << e for (k, e) in sources),
-    new[j] ^= y << e for (j, e) in targets,
+    cols[j] ^= y << e for (j, e) in targets,
 
-every y read from the columns before the factor, and skipped when it
-is zero.  Two kinds of factor take this one form:
+in place, y = sum c_k col_k read in full before the first update.
+r_u costs m + 1 shifts where its matrix takes 2m + 1, and a swap
+r_{v_i + v_{i+1}} four where its matrix takes m + 1.
 
-* A general matrix (``laurent_ops``): no kept identity, and one term
-  per nonzero row k, its one source (k, 0) and a target (j, e) per set
-  bit e of F[k][j] over s**lo_F (a zero column k skips its term).
-* A transvection r_w (``transvection_ops``): x -> x + c(x) w, row i of
-  its matrix being e_i + c_i w.  The identity is kept, lo_F = 0, and
-  one term has a source (k, e) per set bit of c_k and a target (j, e)
-  per set bit of w_j: y = sum c_k col_k, then col_j ^= w_j y, the two
-  sides' exponents moved by +lo_w and -lo_w so that both are at least
-  0 (a rank-one part c w with a negative exponent is refused).  r_u
-  costs m + 1 shifts where its matrix takes 2m + 1, and a swap
-  r_{v_i + v_{i+1}} four where its matrix takes m + 1.
-
-Over s**lo_F every entry of F has degree below its span_F: for a
-matrix, the most bits any of its entries needs; for a
-transvection, one more than the top exponent of c w, the sum of the
-top source and target exponents, and at least 1 for the identity.  A
-term's y may pass the top of its slot, but it is no truncated value:
-each of its bits lands, shifted by a target, at its entry's true
-degree.  So an entry of a product of r + 1 factors, or of a prefix of
-it, has degree at most the sum of (span_i - 1): with ``width`` = sum
-span_i - r (at least 1; a zero factor has span 0 and zeroes the
-product), no shift leaves its slot.  The result is unpacked once, by
-walking the lowest set bit of each column.  A phi word takes only this
-kernel (``OrthoRep.product``), no generic product; ``RMatrix.__mul__``
-stays the one generic product, over every ring.
+Every entry of r_w has degree below its span: one more than the top
+exponent of c w, the sum of the top source and target exponents, and 1
+for the identity.  y may pass the top of its slot, but it is no
+truncated value: each of its bits lands, shifted by a target, at its
+entry's true degree.  So an entry of a product of r factors, or of a
+prefix of it, has degree at most the sum of (span_i - 1): with
+``width`` = 1 + that sum, no shift leaves its slot.  The result is
+unpacked once, by walking the lowest set bit of each column.  A phi
+word takes only this kernel (``OrthoRep.product``), no generic product;
+``RMatrix.__mul__`` stays the one generic product, over every ring.
 """
 
 from . import rings
@@ -200,18 +188,6 @@ def _combine(coeffs, entries):
     return {j: x for j, x in acc.items() if x}
 
 
-def _lo_span(entries) -> tuple:
-    """(lo, span) of a Laurent matrix's row dicts: the lowest exponent of
-    its entries and the most bits an entry needs over s**lo ((0, 0) for
-    the zero matrix)."""
-    lo = min((x.off for row in entries for x in row.values()), default=0)
-    span = max(
-        (x.off - lo + x.mask.bit_length() for row in entries for x in row.values()),
-        default=0,
-    )
-    return lo, span
-
-
 def _shifts(entries, base: int) -> tuple:
     """A (j, e) pair per set bit of each entry x of the {j: x} dict
     ``entries``, e the bit's exponent less ``base``."""
@@ -225,46 +201,20 @@ def _shifts(entries, base: int) -> tuple:
     return tuple(out)
 
 
-def laurent_ops(mat: RMatrix) -> tuple:
-    """How the Laurent matrix ``mat`` acts in ``laurent_product``, as a
-    general factor: (lo, span, False, terms) with (lo, span) as in
-    ``_lo_span`` and one term per nonzero row k, its one source (k, 0)
-    and a target (j, e) per set bit e of entry (k, j) over s**lo."""
-    lo, span = _lo_span(mat.entries)
-    terms = tuple(
-        (((k, 0),), _shifts(row, lo)) for k, row in enumerate(mat.entries) if row
-    )
-    return lo, span, False, terms
-
-
-def laurent_product(first: RMatrix, chain) -> RMatrix:
-    """first * F_1 * ... * F_r for Laurent matrices, each F_i given by its
-    factor ops (``laurent_ops`` or ``transvection_ops``) in ``chain``, in
-    one packed column-int product (module docstring): ``first`` is packed
-    straight from its entries, each F_i acts by its terms, and the result
-    is unpacked once."""
-    if not chain:
-        return first
-    entries = first.entries
-    n = len(entries)
-    base, span = _lo_span(entries)
-    lo = base + sum(f[0] for f in chain)
-    width = max(span + sum(f[1] - 1 for f in chain), 1)
-    cols = [0] * n
-    for i, row in enumerate(entries):
-        at = i * width - base
-        for j, x in row.items():
-            cols[j] |= x.mask << (at + x.off)
-    for _, _, keep, terms in chain:
-        new = cols[:] if keep else [0] * n
-        for sources, targets in terms:
-            c = 0
-            for k, e in sources:
-                c ^= cols[k] << e
-            if c:
-                for j, e in targets:
-                    new[j] ^= c << e
-        cols = new
+def laurent_product(n: int, chain) -> RMatrix:
+    """The n x n product r_1 * ... * r_k of Laurent transvections, each
+    given by its factor ops (``transvection_ops``) in ``chain``, in one
+    packed column-int product from the identity (module docstring): each
+    factor adds its y into its target columns, and the result is
+    unpacked once."""
+    width = 1 + sum(span - 1 for span, _, _ in chain)
+    cols = [1 << j * width for j in range(n)]
+    for _, sources, targets in chain:
+        y = 0
+        for k, e in sources:
+            y ^= cols[k] << e
+        for j, e in targets:
+            cols[j] ^= y << e
     full = (1 << width) - 1
     out = tuple({} for _ in range(n))
     for j, c in enumerate(cols):
@@ -273,10 +223,10 @@ def laurent_product(first: RMatrix, chain) -> RMatrix:
             skip = ((c & -c).bit_length() - 1) // width
             i += skip
             c >>= skip * width
-            out[i][j] = LaurentScalar(lo, c & full)
+            out[i][j] = LaurentScalar(0, c & full)
             c >>= width
             i += 1
-    return RMatrix._sparse(out, first.zero)
+    return RMatrix._sparse(out, L_ZERO)
 
 
 class QuadSpace:
@@ -370,26 +320,25 @@ def transvection(space: QuadSpace, w) -> RMatrix:
 
 
 def transvection_ops(space: QuadSpace, w) -> tuple:
-    """How the transvection along w acts in ``laurent_product``, in its
-    transvection form: (0, span, True, ((sources, targets),)), the kept
-    identity and one term.  With c and w as in ``_rank_one``, lo_w the
+    """How the transvection along w acts in ``laurent_product``: (span,
+    sources, targets).  With c and w as in ``_rank_one``, lo_w the
     lowest exponent of w, the sources are a (k, e) pair per set bit of
     c_k and the targets a (j, e) pair per set bit of w_j, their exponents
     moved by +lo_w and -lo_w: y = sum c_k col_k s**lo_w, then col_j ^=
     y w_j s**-lo_w.  ``span`` is one more than the top exponent of c w
-    (at least 1, for the identity).  Raises ValueError if c w has a
-    negative exponent, which the kept identity at s**0 cannot hold; such
-    a transvection takes ``laurent_ops`` of its matrix."""
+    (1, with no sources or targets, for the identity).  Raises
+    ValueError if c w has a negative exponent, which the identity
+    columns at s**0 cannot hold."""
     c, support = _rank_one(space, w)
     c = {k: x for k, x in enumerate(c) if x}
     if not c:  # w is orthogonal to everything: r_w is the identity
-        return 0, 1, True, ()
+        return 1, (), ()
     lo_w = min(x.off for x in support.values())
     sources, targets = _shifts(c, -lo_w), _shifts(support, lo_w)
     if min(e for _, e in sources) < 0:
         raise ValueError("the transvection's rank-one part has a negative exponent")
     span = max(e for _, e in sources) + max(e for _, e in targets) + 1
-    return 0, span, True, ((sources, targets),)
+    return span, sources, targets
 
 
 class HyperbolicDecomposition(Record):

@@ -209,7 +209,7 @@ class TestRelatorSuites:
         "label, build, flavor, cls, products",
         [
             ("eta", SpinorRep, "y", RMatrix, 392),
-            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 2041),
+            ("phi", lambda m: OrthoRep(QuadSpace(m)), "y-tilde", RMatrix, 2158),
             ("psi", PinRep, "y-tilde", CliffordElement, 1025),
         ],
     )
@@ -217,8 +217,9 @@ class TestRelatorSuites:
         # pinned, so that a return to one product per letter (1000 for
         # eta) fails on any host, however noisy; psi chains one program
         # per letter by design (1025) without any run power; phi chains
-        # the transvections of each letter (2041: a, A and s<i> are two,
-        # t and S<i> one), without any generic RMatrix product
+        # the transvections of every letter from the identity, the first
+        # letter's included (2158: a, A and s<i> are two, t and S<i> one),
+        # without any generic RMatrix product
         rep = build(8)
         count = count_products(monkeypatch, label, cls)
         powers = count_powers(monkeypatch)
@@ -235,7 +236,7 @@ class TestRelatorSuites:
         "label, build, cls, products",
         [
             ("eta", SpinorRep, RMatrix, 5112),
-            ("phi", lambda m: OrthoRep(QuadSpace(m)), RMatrix, 19728),
+            ("phi", lambda m: OrthoRep(QuadSpace(m)), RMatrix, 40320),
             ("psi", PinRep, CliffordElement, 19704),
         ],
     )
@@ -244,15 +245,18 @@ class TestRelatorSuites:
         # b-image evaluated once per rep; one product per b-letter would
         # be 19,680.  psi chains one program per b-letter, those 19,680,
         # plus 24 for its eight b-images, and takes no run power.  phi
-        # chains one matrix per b-letter, the same 19,680, plus 48 for
-        # the b-images: their words' a, A and s<i> are two transvections
-        # each.
+        # chains two transvections per b-letter from the identity, the
+        # first letter's included: 2 * (19,680 + 480 relators) = 40,320,
+        # and never evaluates a b-image nor takes a generic product.
         rep = build(4)
         count = count_products(monkeypatch, label, cls)
         powers = count_powers(monkeypatch)
+        generic = count_products(monkeypatch, "RMatrix.__mul__", RMatrix)
         assert relator_failures(schedule(4, 20, "Y"), rep) == []
         assert count() == products, label
         assert (powers() == 0) == (label != "eta")
+        if label == "phi":
+            assert generic() == 0
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_Y_flavor(self, m):

@@ -1,8 +1,8 @@
 """RMatrix products, row_apply and is_identity against the schoolbook
 product in oracles.py, over Laurent, QE and GF(8) entries, matrix
 equality across rings and across the order a row's entries were found
-in, and the packed n-factor Laurent product against the schoolbook
-product and the left fold of ``*``.
+in, and the packed product of Laurent transvections, on its own and in
+phi words, against the schoolbook product and the left fold of ``*``.
 
 A raw entry is a pair (e0, e1) of s-exponent lists.  Over the Laurent
 ring it is e0; over QE it is e0 + e1*alpha; over GF(8) it is the residue
@@ -11,7 +11,6 @@ three rings and the explicit examples below hold in each.
 """
 
 import random
-import sys
 from functools import reduce
 from operator import mul
 
@@ -23,8 +22,7 @@ from ytwo.ortho import OrthoRep
 from ytwo.quadspace import (
     QuadSpace,
     RMatrix,
-    laurent_ops,
-    laurent_product,
+    q_eval,
     transvection,
     transvection_ops,
 )
@@ -249,145 +247,97 @@ def test_empty_identity_rejected():
         RMatrix.identity(0, L_ONE, L_ZERO)
 
 
-# -- the packed n-factor Laurent product --------------------------------------
+# -- the packed product of Laurent transvections --------------------------------
 
-factor_lists = st.integers(1, 5).flatmap(
-    lambda n: st.lists(
-        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
-        min_size=1,
-        max_size=5,
+
+def axis(m, mask, k):
+    """s**k times the 0/1 vector of ``mask`` over u, v_1, ..., v_m."""
+    one = LaurentScalar(k, 1)
+    return tuple(one if mask >> i & 1 else L_ZERO for i in range(m + 1))
+
+
+def is_axis(m, raw):
+    # a transvection needs q(w) a unit; a nonzero 0/1 vector w has
+    # q(w) in {0, 1, s**-2, 1 + s**-2}
+    mask, k = raw
+    return mask and q_eval(QuadSpace(m), axis(m, mask, k)).mask == 1
+
+
+chains = st.integers(3, 6).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            st.tuples(st.integers(1, 2 ** (m + 1) - 1), st.integers(-3, 3)).filter(
+                lambda raw: is_axis(m, raw)
+            ),
+            max_size=12,
+        ),
     )
 )
-
-# lowest exponents -7 and -3: the result's base is their sum
-NEGATIVE = [[((-7, 2), ()), ((-4,), ())], [ONE, ((-5, -7), ())]]
-NEGATIVE_B = [[((-3,), ()), Z], [((-1, 4), ()), ((0, -2), ())]]
-# columns 0 and 2 are zero; ORDER_B then maps column 1 into column 2
-ZERO_COLS = [[Z, ONE, Z], [Z, S, Z], [Z, ONE, Z]]
-# (1 + s**15)**2 = 1 + s**30: the width must hold the sum of the spans
-# less one per chained factor, and needs all 31 bits here
-WIDE = [[((0, 15), ()), ONE], [Z, ((0, 15), ())]]
-# 1 + 1 = 0 on every entry: the product is the zero matrix
-ALL_ONES = [[ONE, ONE], [ONE, ONE]]
-
-
-def packed(mats):
-    return laurent_product(mats[0], [laurent_ops(f) for f in mats[1:]])
+# a = r_u r_v1 ten times: the entries of a**10 reach s**20, so the width
+# must be the full 1 + sum(span - 1) = 21 bits
+A10 = (3, [(1, 0), (2, 0)] * 10)
+# s**-3 u, s**2 v_1, s**-1 (v_1 + v_2) and s**3 (u + v_1): the same
+# transvections as the plain axes, with the source and target exponents
+# moved apart
+SCALED = (3, [(1, -3), (2, 2), (6, -1), (2, 2), (1, 0), (0b11, 3)])
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(raws=factor_lists)
-@example(raws=[NEGATIVE])
-@example(raws=[NEGATIVE, NEGATIVE_B, NEGATIVE])
-@example(raws=[ZERO_ROWS, CANCEL_B, CANCEL_A])
-@example(raws=[ZERO_COLS, ORDER_B, ZERO_COLS])
-@example(raws=[CANCEL_A, CANCEL_B, ZERO_ROWS, ZERO_COLS])
-@example(raws=[ALL_ONES, ALL_ONES])
-@example(raws=[ALL_ONES, NEGATIVE, ALL_ONES, NEGATIVE_B])
-@example(raws=[WIDE, WIDE])
-@example(raws=[WIDE, NEGATIVE, WIDE, NEGATIVE_B])
-def test_laurent_product_matches_reference(raws):
-    rr = ref_ring("laurent")
-    mats = [build("laurent", raw) for raw in raws]
-    want = ref_build("laurent", raws[0])
-    for raw in raws[1:]:
-        want = ref_mat_mul(want, ref_build("laurent", raw), rr)
-    got = packed(mats)
+@given(chain=chains)
+@example(chain=(3, []))
+@example(chain=A10)
+@example(chain=SCALED)
+def test_laurent_product_matches_reference(chain):
+    """A chain of transvections along s**k times 0/1 vectors, phi's axes
+    among them, against the schoolbook product and the left fold of
+    ``*`` from the identity."""
+    m, raws = chain
+    space = QuadSpace(m)
+    axes = [axis(m, mask, k) for mask, k in raws]
+    got = quadspace.laurent_product(m + 1, [transvection_ops(space, w) for w in axes])
+    mats = [transvection(space, w) for w in axes]
+    want = ref_identity("laurent", m + 1)
+    for mat in mats:
+        want = ref_mat_mul(want, ref_rows("laurent", mat), REF_LP_RING)
     check_product("laurent", got, want)
-    assert got == reduce(mul, mats)
+    assert got == reduce(mul, mats, space.identity_matrix())
 
 
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=0)
 def test_laurent_product_of_long_words(seed):
-    # words of up to 100 letters at m = 10, one factor per letter, as
-    # ``verify lifting --m 10 --maxlen 100`` draws them; the last is 100
-    # letters long
+    # words of up to 100 letters at m = 10, as ``verify lifting --m 10
+    # --maxlen 100`` draws them, b-letters added; the last is 100 letters
+    # long
     phi = OrthoRep(QuadSpace(10))
     rng = random.Random(seed)
-    letters = phi.letters()
+    letters = phi.letters() + [f"{b}{i}" for b in "bB" for i in range(1, 11)]
     for length in (rng.randint(1, 100), 100):
-        mats = [phi.image(rng.choice(letters)) for _ in range(length)]
-        assert packed(mats) == reduce(mul, mats)
+        word = [rng.choice(letters) for _ in range(length)]
+        assert phi.product(word) == reduce(mul, map(phi.image, word))
 
 
-# -- planted faults in the packed product's slot frame --------------------------
+# -- planted faults in the packed product's slot width ---------------------------
 
-
-def plant_frame(monkeypatch, frame):
-    """Make ``laurent_product`` read its first factor's (lo, span) from
-    ``_lo_span`` as frame(lo, span, chain); ``laurent_ops`` reads the
-    true one."""
-    real = quadspace._lo_span
-
-    def planted(entries):
-        lo, span = real(entries)
-        caller = sys._getframe(1)
-        if caller.f_code is laurent_product.__code__:
-            return frame(lo, span, caller.f_locals["chain"])
-        return lo, span
-
-    monkeypatch.setattr(quadspace, "_lo_span", planted)
-
-
-# name: (frame, the explicit example that catches it, how it fails)
-FRAMES = {
-    # a width of sum span - r - 1 bits: s**30 is carried past the last row
-    "one bit narrow": (
-        lambda lo, span, chain: (lo, span - 1),
-        [WIDE, WIDE],
-        IndexError,
-    ),
-    # the first factor's lowest exponent left out of the packing and the sum
-    "first lo left out": (
-        lambda lo, span, chain: (0, span),
-        [NEGATIVE, NEGATIVE_B, NEGATIVE],
-        ValueError,
-    ),
-    # a width of the largest span, the plain bound for one factor
-    "largest span": (
-        lambda lo, span, chain: (
-            lo,
-            max([span] + [f[1] for f in chain]) - sum(f[1] - 1 for f in chain),
-        ),
-        [WIDE, WIDE],
-        IndexError,
-    ),
+# name: the width planted into ``laurent_product``
+WIDTHS = {
+    # sum(span - 1) bits: s**20 of a**10 is carried into the next row
+    "one bit narrow": "sum(span - 1 for span, _, _ in chain)",
+    # the largest span, the plain bound for one factor
+    "largest span": "max((span for span, _, _ in chain), default=1)",
 }
 reference = test_laurent_product_matches_reference.hypothesis.inner_test
 
 
-@pytest.mark.parametrize("name", sorted(FRAMES))
-def test_planted_slot_frame_fails_the_reference(monkeypatch, name):
-    frame, raws, error = FRAMES[name]
-    reference(raws=raws)
-    plant_frame(monkeypatch, frame)
-    with pytest.raises(error):
-        reference(raws=raws)
-
-
-def test_planted_chained_lo_left_out_fails_the_reference(monkeypatch):
-    # each chained factor's lowest exponent left out of the result's base
-    real = laurent_ops
-    monkeypatch.setattr(
-        sys.modules[__name__], "laurent_ops", lambda mat: (0,) + real(mat)[1:]
-    )
-    with pytest.raises(AssertionError):
-        reference(raws=[WIDE, NEGATIVE, WIDE, NEGATIVE_B])
-
-
-def test_planted_zero_column_skip_on_the_target_is_caught(plant):
-    # column 0 of the first factor is zero, and the second moves column 1
-    # into it: a skip that tests the target column, not the source, drops
-    # the product's only term
-    first = build("laurent", [[Z, ONE], [Z, Z]])
-    second = build("laurent", [[Z, Z], [ONE, Z]])
-    want = first * second
-    assert quadspace.laurent_product(first, [laurent_ops(second)]) == want
-    skip_on_j = ("new[j] ^= c << e", "new[j] ^= c << e if cols[j] else 0")
-    plant(quadspace, "laurent_product", skip_on_j)
-    assert quadspace.laurent_product(first, [laurent_ops(second)]) != want
+@pytest.mark.parametrize("name", sorted(WIDTHS))
+def test_planted_slot_frame_fails_the_reference(plant, name):
+    reference(chain=A10)
+    width = "1 + sum(span - 1 for span, _, _ in chain)"
+    plant(quadspace, "laurent_product", (width, WIDTHS[name]))
+    with pytest.raises((AssertionError, IndexError)):
+        reference(chain=A10)
 
 
 # -- phi words by transvection factors ------------------------------------------
@@ -395,9 +345,9 @@ def test_planted_zero_column_skip_on_the_target_is_caught(plant):
 
 def check_phi_words(m, count, maxlen):
     """Seeded phi words over every letter, b-letters included, against
-    the left fold of ``*`` and the schoolbook product: a, A, t and the
-    s- and S-letters chain their transvections, the b-letters their
-    matrices.  A fresh representation builds the factor ops anew."""
+    the left fold of ``*`` and the schoolbook product: every letter
+    chains its transvections, a b-letter's against its b-word's image.
+    A fresh representation builds the factor ops anew."""
     phi = OrthoRep(QuadSpace(m))
     letters = phi.letters() + [f"{b}{i}" for b in "bB" for i in range(1, m + 1)]
     rng = random.Random(m)
@@ -422,31 +372,57 @@ def test_transvection_factors_match_reference(m, count, maxlen):
 
 
 def test_transvection_ops_of_phi_letters():
-    # t and S<i> are one transvection, a, A and s<i> two, a b-letter one
-    # matrix; a transvection keeps the identity and has one term, and
+    # t and S<i> are one transvection, a, A, s<i> and the b-letters two;
     # the span of r_v1 holds t = s**2
     phi = OrthoRep(QuadSpace(4))
-    phi.product(("t", "t", "S1", "a", "A", "s2", "b3"))
+    phi.product(("t", "t", "S1", "a", "A", "s2", "b3", "B3"))
     ops = phi._ops
-    assert [len(ops[x]) for x in ("t", "S1", "a", "A", "s2", "b3")] == [1, 1, 2, 2, 2, 1]
-    for letter in ("t", "S1", "a", "A", "s2"):
-        assert all(keep and len(terms) == 1 for _, _, keep, terms in ops[letter])
-    assert not ops["b3"][0][2]
-    assert [f[1] for f in ops["a"]] == [1, 3]
+    letters = ("t", "S1", "a", "A", "s2", "b3", "B3")
+    assert [len(ops[x]) for x in letters] == [1, 1, 2, 2, 2, 2, 2]
+    assert [f[0] for f in ops["a"]] == [1, 3]
+    assert ops["b3"] == ops["B3"][::-1] and ops["b3"][0] == ops["t"][0]
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_b_axes_match_b_words(m):
+    # b<i> = r_u r_{v_i} and B<i> = r_{v_i} r_u, the axes ``product``
+    # chains, against the images of the b-words
+    space = QuadSpace(m)
+    phi = OrthoRep(space)
+    r_u = transvection(space, space.basis_vector(0))
+    for i in range(1, m + 1):
+        r_v = transvection(space, space.basis_vector(i))
+        assert r_u * r_v == phi.image(f"b{i}")
+        assert r_v * r_u == phi.image(f"B{i}")
+        assert phi.product((f"b{i}",)) == phi.image(f"b{i}")
+        assert phi.product((f"B{i}",)) == phi.image(f"B{i}")
+
+
+def test_planted_b_axes_swap_is_caught(plant):
+    # B<i> given the axes of b<i>, (u, v_i): the two differ for every i.
+    # The copy is compiled outside the class, so it names its base class
+    plant(
+        OrthoRep,
+        "__init__",
+        ("(u, v), (v, u)", "(u, v), (u, v)"),
+        ("super().__init__(m,", "Representation.__init__(self, m,"),
+    )
+    with pytest.raises(AssertionError):
+        test_b_axes_match_b_words(3)
 
 
 def test_transvection_with_negative_exponent_is_refused():
     # w = s**-1 u: c = (W + w_i)/q(w) is s on the v_i, and c w = u's
     # column of ones has the exponent 0.  w = s**-1 u + v1 has q(w) =
     # s**-2 + s**-2 + s**-1 = s**-1 and c_1 = w_0/q(w) = 1, so c_1 w_0 =
-    # s**-1: below the kept identity at s**0.
+    # s**-1: below the identity columns at s**0.
     space = QuadSpace(3)
     w = (LaurentScalar(-1, 1), L_ZERO, L_ZERO, L_ZERO)
-    assert transvection_ops(space, w)[:3] == (0, 1, True)
+    assert transvection_ops(space, w)[0] == 1
     w = (LaurentScalar(-1, 1), L_ONE, L_ZERO, L_ZERO)
     with pytest.raises(ValueError):
         transvection_ops(space, w)
-    assert laurent_ops(transvection(space, w))[0] == -1
+    assert min(x.off for row in transvection(space, w).entries for x in row.values()) == -1
 
 
 # name: the edit planted into ``laurent_product`` or ``transvection_ops``
@@ -455,16 +431,15 @@ TRANSVECTION_FAULTS = {
     "y read after the first col_j update": (
         "laurent_product",
         (
-            "                for j, e in targets:\n"
-            "                    new[j] ^= c << e",
-            "                for j, e in targets:\n"
-            "                    c = 0\n"
-            "                    for k, f in sources:\n"
-            "                        c ^= new[k] << f\n"
-            "                    new[j] ^= c << e",
+            "        for j, e in targets:\n"
+            "            cols[j] ^= y << e",
+            "        for j, e in targets:\n"
+            "            y = 0\n"
+            "            for k, f in sources:\n"
+            "                y ^= cols[k] << f\n"
+            "            cols[j] ^= y << e",
         ),
     ),
-    "kept identity dropped": ("laurent_product", ("cols[:] if keep", "[0] * n if keep")),
     "span one bit too narrow": (
         "transvection_ops",
         ("max(e for _, e in targets) + 1", "max(e for _, e in targets)"),

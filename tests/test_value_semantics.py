@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from ytwo.clifford import cl_inverse, get_algebra
 from ytwo.errors import YtwoError
-from ytwo.quadspace import RMatrix, laurent_ops, laurent_product
+from ytwo.ortho import OrthoRep
+from ytwo.quadspace import QuadSpace, RMatrix
 from ytwo.rings import ALPHA, L_ONE, L_ZERO, QE_ONE, QE_ZERO
 
 from test_clifford_oracle import build as build_element, raw_terms
@@ -67,7 +68,14 @@ def test_operations_leave_operands_unchanged(ring, raw, mats, terms, m):
         lambda: pq.map_entries(frobenius),
     ]
     if ring == "laurent":
-        ops.append(lambda: laurent_product(p, [laurent_ops(q), laurent_ops(pq)]))
+        # a phi word with a b-letter: its images and its letters' kept
+        # factor ops are read, not written
+        phi = OrthoRep(QuadSpace(m))
+        word = ("a", "s1", "b2", "t", "B3", "S2", "A")
+        phi.product(word)
+        operands += [phi.image(x) for x in word]
+        kept = dict(phi._ops)
+        ops.append(lambda: phi.product(word))
     constants = [L_ZERO, L_ONE, QE_ZERO, QE_ONE, ALPHA, FIELD.zero, FIELD.one]
     if ring != "ff":
         alg = get_algebra(m, ring)
@@ -89,3 +97,5 @@ def test_operations_leave_operands_unchanged(ring, raw, mats, terms, m):
     for op in ops:
         op()
     assert [snapshot(x) for x in operands + constants] == before
+    if ring == "laurent":
+        assert phi._ops == kept
