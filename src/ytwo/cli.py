@@ -326,8 +326,8 @@ def _int_in(lo, hi):
 
 
 def _eval_order(text):
-    """Argument type: an evaluation order n, odd and >= 3, whose field
-    GF(2**d) is within the supported degree (checked without building it)."""
+    """Argument type: an evaluation order n, odd and >= 3, within the
+    supported order and field degree (checked without building the field)."""
     n = int(text)
     try:
         field_degree(n)

@@ -64,8 +64,8 @@ class InconclusiveError(YtwoError):
 
 
 class FieldTooLargeError(YtwoError):
-    """Requested finite field is above the supported degree; raised before
-    any table is built."""
+    """Requested finite field or evaluation order is above the supported
+    size; raised before any modulus search or factoring of 2**d - 1."""
 
 
 class CapExceededError(YtwoError):

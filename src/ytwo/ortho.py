@@ -105,18 +105,16 @@ def triple_form_matrix(space: QuadSpace, f0, f1, f2) -> RMatrix:
     w = u + v1 + v2, and v_i -> v_i + (f0+1)u + (f1+1)v1 + (f2+1)v2
     beyond, for QE scalars f0, f1, f2 (zero coefficient sum assumed).
     """
-    pad = (QE_ZERO,) * (space.rank - 3)
-    rows = [
-        (QE_ONE + f0, f0, f0) + pad,
-        (f1, QE_ONE + f1, f1) + pad,
-        (f2, f2, QE_ONE + f2) + pad,
-    ]
-    tail = (QE_ONE + f0, QE_ONE + f1, QE_ONE + f2) + pad
-    for i in range(3, space.rank):
-        row = list(tail)
-        row[i] += QE_ONE
-        rows.append(tuple(row))
-    return RMatrix(rows)
+    head = (
+        (QE_ONE + f0, f0, f0),
+        (f1, QE_ONE + f1, f1),
+        (f2, f2, QE_ONE + f2),
+        (QE_ONE + f0, QE_ONE + f1, QE_ONE + f2),
+    )
+    rows = [{j: x for j, x in enumerate(row) if x} for row in head]
+    tail = rows.pop()  # the nonzero entries that every v_i row shares
+    rows += ({**tail, i: QE_ONE} for i in range(3, space.rank))
+    return RMatrix._sparse(tuple(rows), QE_ZERO)
 
 
 def conjugate_power_matrix(space: QuadSpace, k: int) -> RMatrix:

@@ -363,9 +363,10 @@ def _pdeg(p: int) -> int:
 
 
 def _pmod(a: int, m: int) -> int:
-    dm = _pdeg(m)
-    while _pdeg(a) >= dm and a:
-        a ^= m << (_pdeg(a) - dm)
+    # deg a >= deg m exactly when a has at least as many bits as m
+    dm = m.bit_length()
+    while (da := a.bit_length()) >= dm:
+        a ^= m << (da - dm)
     return a
 
 
@@ -437,9 +438,11 @@ def find_irreducible(degree: int) -> int:
     raise ArithmeticError(f"no irreducible polynomial of degree {degree} found")
 
 
-# GF(2**d) keeps 2**d-entry exp/log tables; degree 20 (n = 41) builds them
-# in about a second, degree 28 (n = 29) would need gigabytes.
-MAX_FIELD_DEGREE = 20
+# Building GF(2**d) factors 2**d - 1 by trial division: at most 0.3 s for
+# d <= 60, about 1.5e9 steps at d = 61 (2**61 - 1 is prime).  Work such as
+# cyclotomic_cosets is linear in n, so n keeps the bound 2**20 - 1 of d = 20.
+MAX_FIELD_DEGREE = 60
+MAX_EVAL_ORDER = (1 << 20) - 1
 
 
 def field_degree(n: int) -> int:
@@ -447,10 +450,15 @@ def field_degree(n: int) -> int:
     of unity: the order of 2 modulo odd n >= 3.
 
     Takes at most ``MAX_FIELD_DEGREE`` steps and raises
-    ``FieldTooLargeError`` when the order is larger.
+    ``FieldTooLargeError`` when the order is larger or n is above
+    ``MAX_EVAL_ORDER``.
     """
     if n < 3 or n % 2 == 0:
         raise EvenNError(f"n must be odd and >= 3, got {n}")
+    if n > MAX_EVAL_ORDER:
+        raise FieldTooLargeError(
+            f"n = {n} is above {MAX_EVAL_ORDER}, the largest supported order"
+        )
     x = 1
     for d in range(1, MAX_FIELD_DEGREE + 1):
         x = 2 * x % n
@@ -465,10 +473,10 @@ def field_degree(n: int) -> int:
 class FiniteField:
     """GF(2**degree) presented by an irreducible modulus bit mask.
 
-    Multiplication uses exp/log tables over the least primitive element,
-    built once at construction, so the degree is at most
-    ``MAX_FIELD_DEGREE``; a larger one raises ``FieldTooLargeError``
-    before anything is searched or allocated.
+    Elements multiply and raise to powers by ``_pmulmod`` and
+    ``_ppowmod``, the polynomial routines of the modulus search, so
+    nothing is tabulated; a degree above ``MAX_FIELD_DEGREE`` raises
+    ``FieldTooLargeError`` before anything is searched or factored.
     """
 
     def __init__(self, degree: int, modulus: int | None = None):
@@ -490,23 +498,10 @@ class FiniteField:
         self.order = 1 << degree
         self._qm1 = self.order - 1
         self._qm1_factors = prime_factors(self._qm1)
-        self._build_tables()
+        self.generator_bits = self._least_primitive()
         self.zero = FFElement(self, 0)
         self.one = FFElement(self, 1)
         self.x = FFElement(self, 2 if degree > 1 else _pmod(2, modulus))
-
-    def _build_tables(self):
-        g = self._least_primitive()
-        exp = [0] * self._qm1
-        log = [0] * self.order
-        v = 1
-        for i in range(self._qm1):
-            exp[i] = v
-            log[v] = i
-            v = _pmulmod(v, g, self.modulus)
-        self._exp = exp
-        self._log = log
-        self.generator_bits = g
 
     def _least_primitive(self) -> int:
         for g in range(2, self.order):
@@ -527,9 +522,7 @@ class FiniteField:
         return FFElement(self, bits & (self.order - 1))
 
     def mul_bits(self, a: int, b: int) -> int:
-        if not (a and b):
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % self._qm1]
+        return _pmulmod(a, b, self.modulus)
 
     def pow_bits(self, a: int, k: int) -> int:
         if a == 0:
@@ -538,7 +531,7 @@ class FiniteField:
             if k < 0:
                 raise ZeroInputError("0 has no negative powers")
             return 0
-        return self._exp[(self._log[a] * k) % self._qm1]
+        return _ppowmod(a, k % self._qm1, self.modulus)
 
     def mulx_bits(self, a: int) -> int:
         a <<= 1
@@ -648,20 +641,25 @@ class EvalMap:
             raise ValueError("degenerate map: zeta + 1/zeta = 0")
         self.alpha_image = zeta
         self.t_image = self.s_image * self.s_image
-        self._log_s = field._log[self.s_image.bits]
+        self._s_powers = {}
 
     def apply(self, x):
-        """Apply to a LaurentScalar or QEScalar; returns an FFElement."""
+        """Apply to a LaurentScalar or QEScalar; returns an FFElement.
+
+        Powers of the s-image are cached by exponent on first use; no
+        command caches more than 8 (``verify basis --m 7``: -6..1)."""
         if isinstance(x, QEScalar):
             return self.apply(x.c0) + self.apply(x.c1) * self.zeta
-        field = self.field
-        qm1 = field._qm1
+        field, powers = self.field, self._s_powers
         bits = 0
         m, base = x.mask, x.off
         while m:
             low = m & -m
             e = base + low.bit_length() - 1
-            bits ^= field._exp[(self._log_s * e) % qm1]
+            p = powers.get(e)
+            if p is None:
+                p = powers[e] = field.pow_bits(self.s_image.bits, e)
+            bits ^= p
             m ^= low
         return FFElement(field, bits)
 
@@ -690,8 +688,9 @@ def make_eval_map(n: int) -> EvalMap:
     2 modulo n, so that n divides 2**d - 1.  zeta is g**((2**d - 1)/n)
     for the least primitive element g, a deterministic choice recorded in
     ``describe()``.  Each map is built once per process, and each field
-    (2**d-entry tables) once per degree, so a process holds at most
-    ``MAX_FIELD_DEGREE`` fields; neither is mutated after construction.
+    once per degree, so a process holds at most ``MAX_FIELD_DEGREE``
+    fields; neither is mutated after construction but for the map's cache
+    of s-image powers.
     """
     field = _field(field_degree(n))
     zeta = FFElement(field, field.generator_bits) ** ((field.order - 1) // n)

@@ -294,6 +294,11 @@ class TestSuites:
         assert run(["augmentation", "--n", "7"]) == 0
         assert "[3, 3]" in capsys.readouterr().out
 
+    def test_augmentation_past_degree_20(self, capsys):
+        # n = 29 needs GF(2**28), built without tables
+        assert run(["augmentation", "--n", "29"]) == 0
+        assert "[28]" in capsys.readouterr().out
+
     def test_skip_over_cap(self, capsys):
         code = run(["specialize", "--m", "6", "--n", "5"])
         assert code == 0  # skip without --enumerate is not a cap failure
@@ -367,8 +372,8 @@ class TestArgumentValidation:
             ["verify", "lifting", "--maxlen", "-1"],
             ["verify", "basis", "--m", "9"],
             ["decompose", "--rank", "3"],
-            ["augmentation", "--n", "29"],
-            ["verify", "center", "--m", "3", "--n", "29"],
+            ["augmentation", "--n", "67"],
+            ["verify", "center", "--m", "3", "--n", "67"],
             ["verify", "relations", "--kmax", "31"],
             ["verify", "closed-form", "--kmax", "51"],
             ["verify", "powers", "--kmax", "1001"],
@@ -376,6 +381,7 @@ class TestArgumentValidation:
             ["verify", "lifting", "--maxlen", "101"],
             ["decompose", "--rank", "151"],
             ["specialize", "--m", "3", "--n", "5", "--cap", "2000001"],
+            ["augmentation", "--n", "1048577"],
         ],
     )
     def test_exit_2(self, capsys, argv):

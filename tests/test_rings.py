@@ -232,7 +232,7 @@ class TestEvalMap:
         assert emap.zeta.order() == 7
 
     def test_one_field_per_degree(self):
-        # n = 5 and 15 both need GF(16): their maps share its tables
+        # n = 5 and 15 both need GF(16): their maps share one field object
         five, fifteen = make_eval_map(5), make_eval_map(15)
         assert five is not fifteen and five.field is fifteen.field
         assert make_eval_map(7).field is not five.field
@@ -332,25 +332,28 @@ class TestPackedRank:
 
 class TestFieldDegreeGuard:
     def test_degree_is_order_of_two(self):
-        for n, d in ((3, 2), (5, 4), (7, 3), (9, 6), (17, 8), (41, 20)):
+        cases = ((3, 2), (5, 4), (7, 3), (9, 6), (17, 8), (41, 20), (29, 28), (61, 60))
+        for n, d in cases:
             assert field_degree(n) == d
         with pytest.raises(EvenNError):
             field_degree(4)
 
     def test_rejected_before_allocation(self, monkeypatch):
-        """n = 29 needs GF(2**28): refused before the modulus search or the
-        exp/log tables, both replaced here by a function that must not run."""
+        """n = 67 needs GF(2**66), and n = 2**20 + 1 (degree 40) is above the
+        largest order: refused before the modulus search or the factoring of
+        2**d - 1, both replaced here by a function that must not run."""
 
         def forbidden(*args):
             raise AssertionError("field construction started")
 
         monkeypatch.setattr(rings, "find_irreducible", forbidden)
-        monkeypatch.setattr(FiniteField, "_build_tables", forbidden)
+        monkeypatch.setattr(rings, "prime_factors", forbidden)
+        for n in (67, (1 << 20) + 1):
+            with pytest.raises(FieldTooLargeError):
+                field_degree(n)
+            with pytest.raises(FieldTooLargeError):
+                make_eval_map(n)
         with pytest.raises(FieldTooLargeError):
-            field_degree(29)
+            FiniteField(66)
         with pytest.raises(FieldTooLargeError):
-            make_eval_map(29)
-        with pytest.raises(FieldTooLargeError):
-            FiniteField(28)
-        with pytest.raises(FieldTooLargeError):
-            FiniteField(21, (1 << 21) | 0b101)
+            FiniteField(61, (1 << 61) | 0b101)

@@ -2,14 +2,26 @@
 
 Laurent and QE sums, products and inverses are compared with
 ``ref_lp``/``ref_qe``, products by one and zero on both sides too; GF(2**d) products and powers and ``ff_rank`` with
-``RefField`` and its Gaussian elimination ``ref_ff_rank``.
+``RefField`` and its Gaussian elimination ``ref_ff_rank``, and
+``EvalMap.apply`` with sums of the s-image's powers taken in ``RefField``.
 """
+
+import copy
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ytwo import rings
 from ytwo.errors import NotUnitError, ZeroInputError
-from ytwo.rings import L_ONE, L_ZERO, QE_ONE, QE_ZERO, FiniteField, ff_rank
+from ytwo.rings import (
+    L_ONE,
+    L_ZERO,
+    QE_ONE,
+    QE_ZERO,
+    FiniteField,
+    ff_rank,
+    make_eval_map,
+)
 
 from oracles import (
     RefField,
@@ -24,8 +36,9 @@ from oracles import (
 
 from test_power_oracle import exps, lp, lp_ref, qe, qe_ref
 
-FIELDS = {d: FiniteField(d) for d in range(1, 6)}
+FIELDS = {d: FiniteField(d) for d in (1, 2, 3, 4, 5, 8, 12, 20, 28, 40)}
 REFS = {d: RefField(f.modulus) for d, f in FIELDS.items()}
+MAPS = {n: make_eval_map(n) for n in (5, 25, 29, 41)}
 
 # unit factors of GF(2)[s, 1/s][alpha]: alpha, 1/alpha = s + alpha, and
 # 1 + alpha and 1 + 1/alpha (both of norm s), as (c0, c1) exponent lists
@@ -120,14 +133,101 @@ def test_qe_inverse_of_units(e, factors):
     assert ref_qe_mul(want, qe_ref(x.inverse())) == ref_qe([0])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 31), st.integers(0, 31), st.integers(-40, 40))
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(FIELDS)),
+    st.integers(0, (1 << 40) - 1),
+    st.integers(0, (1 << 40) - 1),
+    st.integers(-40, 40),
+)
 def test_ff_mul_pow(d, a, b, k):
     field, ref = FIELDS[d], REFS[d]
     a, b = a % field.order, b % field.order
     assert (field.element(a) * field.element(b)).bits == ref.mul(a, b)
-    if a or k >= 0:
+    if k >= 0:
         assert (field.element(a) ** k).bits == ref.pow(a, k)
+    elif a:
+        # a**k is the reduced x with x * a**(-k) = 1
+        got = (field.element(a) ** k).bits
+        assert got < field.order and ref.mul(got, ref.pow(a, -k)) == 1
+
+
+def fresh_map(n):
+    """``make_eval_map(n)`` with an empty power cache, so that ``apply``
+    computes every power it uses; the shared map is left as it was."""
+    emap = copy.copy(MAPS[n])
+    emap._s_powers = {}
+    return emap
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(MAPS)),
+    st.lists(st.integers(-8, 8), max_size=5),
+    st.lists(st.integers(-8, 8), max_size=5),
+)
+def test_eval_map_apply(n, e0, e1):
+    # s**(-lo) * apply(c0 + c1 alpha) against the sum of the s-image's
+    # nonnegative powers, zeta**(n-1) standing for 1/zeta: no inverse
+    # is taken in the reference field, whose product reduces its operands,
+    # so each image is checked to be reduced first
+    emap = fresh_map(n)
+    ref = RefField(emap.field.modulus)
+    zeta = emap.zeta.bits
+    assert ref.order(zeta) == n
+    s = zeta ^ ref.pow(zeta, n - 1)
+    x0, x1 = lp(e0), lp(e1)
+    exps0, exps1 = x0.exponents(), x1.exponents()
+    lo = min((0,) + exps0 + exps1)
+    want = 0
+    for e in exps0:
+        want ^= ref.pow(s, e - lo)
+    for e in exps1:
+        want ^= ref.mul(zeta, ref.pow(s, e - lo))
+    shift = ref.pow(s, -lo)
+    images = [emap.apply(qe(e0, e1))] + ([] if exps1 else [emap.apply(x0)])
+    for image in images:
+        assert image.bits < emap.field.order
+        assert ref.mul(shift, image.bits) == want
+
+
+def test_planted_short_reduction_is_caught(plant):
+    # a reduction that stops one bit early leaves x**d in the product
+    # x**(d-1) * x, and wrong bits in every power built from such products
+    check_mul = test_ff_mul_pow.hypothesis.inner_test
+    check_apply = test_eval_map_apply.hypothesis.inner_test
+    check_mul(d=8, a=1 << 7, b=2, k=-3)
+    check_apply(n=25, e0=[-2, 1], e1=[3])
+    plant(rings, "_pmod", ("a.bit_length()) >= dm", "a.bit_length()) > dm"))
+    with pytest.raises(AssertionError):
+        check_mul(d=8, a=1 << 7, b=2, k=-3)
+    with pytest.raises(AssertionError):
+        check_apply(n=25, e0=[-2, 1], e1=[3])
+
+
+# the modulus and zeta of five maps, pinned: a change of either fails here
+DESCRIPTIONS = {
+    5: {"n": 5, "degree": 4, "modulus": "x^4 + x + 1", "zeta": "0001"},
+    7: {"n": 7, "degree": 3, "modulus": "x^3 + x + 1", "zeta": "010"},
+    9: {"n": 9, "degree": 6, "modulus": "x^6 + x + 1", "zeta": "011000"},
+    25: {
+        "n": 25,
+        "degree": 20,
+        "modulus": "x^20 + x^3 + 1",
+        "zeta": "11001110000001000011",
+    },
+    41: {
+        "n": 41,
+        "degree": 20,
+        "modulus": "x^20 + x^3 + 1",
+        "zeta": "01010111000000000101",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(DESCRIPTIONS))
+def test_describe_pinned(n):
+    assert make_eval_map(n).describe() == DESCRIPTIONS[n]
 
 
 @st.composite
