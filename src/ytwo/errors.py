@@ -19,10 +19,6 @@ class NotUnitError(YtwoError):
     """Element is not invertible in its ring."""
 
 
-class BadModulusError(YtwoError):
-    """Supplied field modulus is reducible or has the wrong degree."""
-
-
 class EvenNError(YtwoError):
     """Evaluation order n must be odd (and at least 3)."""
 

@@ -29,13 +29,7 @@ zeta**2 + 1/zeta**2, and is a ring homomorphism on both scalar levels.
 import functools
 import itertools
 
-from .errors import (
-    BadModulusError,
-    EvenNError,
-    FieldTooLargeError,
-    NotUnitError,
-    ZeroInputError,
-)
+from .errors import EvenNError, FieldTooLargeError, NotUnitError, ZeroInputError
 
 
 def _clmul(a: int, b: int) -> int:
@@ -358,10 +352,6 @@ ALPHA_INV = QEScalar(S, L_ONE)  # 1/alpha = s + alpha
 # -- GF(2)[x] helpers on int bit masks -----------------------------------
 
 
-def _pdeg(p: int) -> int:
-    return p.bit_length() - 1
-
-
 def _pmod(a: int, m: int) -> int:
     # deg a >= deg m exactly when a has at least as many bits as m
     dm = m.bit_length()
@@ -393,7 +383,7 @@ def _ppowmod(a: int, k: int, m: int) -> int:
 
 def is_irreducible(poly: int) -> bool:
     """Rabin irreducibility test for a GF(2)[x] polynomial bit mask."""
-    d = _pdeg(poly)
+    d = poly.bit_length() - 1
     if d <= 0:
         return False
     if d == 1:
@@ -471,7 +461,8 @@ def field_degree(n: int) -> int:
 
 
 class FiniteField:
-    """GF(2**degree) presented by an irreducible modulus bit mask.
+    """GF(2**degree) presented by the modulus ``find_irreducible(degree)``,
+    irreducible by Rabin's test there.
 
     Elements multiply and raise to powers by ``_pmulmod`` and
     ``_ppowmod``, the polynomial routines of the modulus search, so
@@ -479,29 +470,20 @@ class FiniteField:
     ``FieldTooLargeError`` before anything is searched or factored.
     """
 
-    def __init__(self, degree: int, modulus: int | None = None):
+    def __init__(self, degree: int):
         if degree > MAX_FIELD_DEGREE:
             raise FieldTooLargeError(
                 f"GF(2**{degree}) is above the largest supported degree "
                 f"{MAX_FIELD_DEGREE}"
             )
-        if modulus is None:
-            modulus = find_irreducible(degree)
-        if _pdeg(modulus) != degree:
-            raise BadModulusError(
-                f"modulus {bin(modulus)} has degree {_pdeg(modulus)}, wanted {degree}"
-            )
-        if not is_irreducible(modulus):
-            raise BadModulusError(f"modulus {bin(modulus)} is reducible")
         self.degree = degree
-        self.modulus = modulus
+        self.modulus = find_irreducible(degree)
         self.order = 1 << degree
         self._qm1 = self.order - 1
         self._qm1_factors = prime_factors(self._qm1)
         self.generator_bits = self._least_primitive()
         self.zero = FFElement(self, 0)
         self.one = FFElement(self, 1)
-        self.x = FFElement(self, 2 if degree > 1 else _pmod(2, modulus))
 
     def _least_primitive(self) -> int:
         for g in range(2, self.order):
@@ -519,7 +501,8 @@ class FiniteField:
         return e
 
     def element(self, bits: int) -> "FFElement":
-        return FFElement(self, bits & (self.order - 1))
+        """The element of the polynomial ``bits``, reduced by the modulus."""
+        return FFElement(self, _pmod(bits, self.modulus))
 
     def mul_bits(self, a: int, b: int) -> int:
         return _pmulmod(a, b, self.modulus)
@@ -639,8 +622,6 @@ class EvalMap:
         self.s_image = zeta + zeta ** -1
         if not self.s_image:
             raise ValueError("degenerate map: zeta + 1/zeta = 0")
-        self.alpha_image = zeta
-        self.t_image = self.s_image * self.s_image
         self._s_powers = {}
 
     def apply(self, x):
@@ -742,34 +723,35 @@ def gf2_rank(rows) -> int:
     return rank
 
 
-def ff_rank(field: FiniteField, rows) -> int:
-    """Rank of a matrix over GF(2**d), via its GF(2) blow-up.
-
-    ``rows`` is a list of equal-length lists of raw element bits (ints
-    below 2**d), never ``FFElement`` objects.  Each nonzero entry c
-    becomes the d x d GF(2) matrix of multiplication by c; zero entries
-    contribute nothing and are skipped.  The blown-up GF(2) rank is
-    exactly d times the rank over the field.
-    """
+def ff_blowup(field: FiniteField, rows) -> list:
+    """The GF(2) blow-up of a matrix over GF(2**d), given as rows of
+    ``(column, bits)`` pairs (raw bits below 2**d, zeros may be left
+    out): per row i and power k < d, the row x**k * row_i packed with
+    entry j at bits j*d and up, by one ``mulx_bits`` chain per nonzero
+    entry.  These are the images of the GF(2) basis x**k e_i under right
+    multiplication, so their GF(2) rank is d times the field rank."""
     d = field.degree
     mulx = field.mulx_bits
-    packed = []
+    out = []
     for row in rows:
         acc = [0] * d
-        for j, v in enumerate(row):
+        for j, v in row:
             if not v:
                 continue
-            bit = 1 << (j * d)
-            for _ in range(d):
-                vv = v
-                while vv:
-                    low = vv & -vv
-                    acc[low.bit_length() - 1] |= bit
-                    vv ^= low
+            shift = j * d
+            for k in range(d):
+                acc[k] |= v << shift
                 v = mulx(v)
-                bit <<= 1
-        packed.extend(acc)
-    r = gf2_rank(packed)
+        out += acc
+    return out
+
+
+def ff_rank(field: FiniteField, rows) -> int:
+    """Rank over GF(2**d) of ``rows``, equal-length lists of raw element
+    bits (never ``FFElement`` objects): the GF(2) rank of ``ff_blowup``
+    divided by d.  Zero cells cost nothing but their enumeration."""
+    d = field.degree
+    r = gf2_rank(ff_blowup(field, map(enumerate, rows)))
     if r % d:
         raise ArithmeticError("blow-up rank not divisible by the field degree")
     return r // d

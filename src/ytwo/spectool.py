@@ -9,8 +9,10 @@ Enumeration is Dimino's coset closure under right multiplication
 (Butler, *Fundamental Algorithms for Permutation Groups*, 1991).  A
 matrix over GF(2**d) is packed row-major into a single integer (each
 entry contributing its d coefficient bits, little-endian) -- the
-canonical encoding used for deduplication.  Because a fixed right
-factor is GF(2)-linear in the packed row bits, each generator is
+canonical encoding used for deduplication.  A fixed right factor is
+GF(2)-linear in the packed row bits, and its bit images are the rows
+of ``rings.ff_blowup``, the blow-up that ``ff_rank`` ranks; its GF(2)
+rank is the check that the factor is invertible.  So each generator is
 compiled into a block schedule: a state of any number of components is
 the concatenation of their packings, its whole rows (across component
 boundaries) are grouped into blocks of at most 128 bits, and each block
@@ -49,8 +51,8 @@ from .quadspace import (
     radical_vector,
 )
 from .rings import (
-    EvalMap, Record, cyclotomic_cosets, cyclotomic_split, ff_rank, make_eval_map,
-    prime_factors,
+    EvalMap, Record, cyclotomic_cosets, cyclotomic_split, ff_blowup, ff_rank,
+    gf2_rank, make_eval_map, prime_factors,
 )
 from .spinor import SpinorRep
 
@@ -151,22 +153,6 @@ _BLOCK_BITS = 128
 _CHUNK_BITS = 12
 
 
-def _row_images(mat: RMatrix) -> list:
-    """Packed image under right multiplication by ``mat`` of each bit of
-    one packed row (bit k of entry j is x**k in column j)."""
-    field = mat.zero.field
-    d = field.degree
-    powers = [field.pow_bits(field.x.bits, k) for k in range(d)]
-    images = []
-    for row in mat.entries:
-        for xk_bits in powers:
-            packed = 0
-            for c, entry in row.items():
-                packed |= field.mul_bits(xk_bits, entry.bits) << (c * d)
-            images.append(packed)
-    return images
-
-
 def _chunk_tables(images: list) -> list:
     """XOR table for each ``_CHUNK_BITS`` chunk of a block with these bit
     images; the last table may be narrower, and len(table) - 1 is its mask."""
@@ -184,10 +170,16 @@ def _compile_generator(gens) -> list:
     matrix per component) on the concatenated packing: consecutive whole
     rows, crossing component boundaries, grouped into ``(shift, tables)``
     blocks of at most ``_BLOCK_BITS`` bits (a wider row is a block alone).
-    Blocks with equal bit images share one table list."""
+    Blocks with equal bit images share one table list.  The bit images
+    of a component's rows are its matrix's ``ff_blowup``, whose GF(2)
+    rank is also the check that the matrix is invertible."""
     rows = []
     for mat in gens:
-        rows += [_row_images(mat)] * mat.size
+        entries = [[(j, x.bits) for j, x in row.items()] for row in mat.entries]
+        images = ff_blowup(mat.zero.field, entries)
+        if gf2_rank(images) != len(images):
+            raise ValueError("generator matrix is singular")
+        rows += [images] * mat.size
     shared = {}
     blocks = []
     shift = 0
@@ -308,14 +300,10 @@ def _group_order(generator_tuples, cap: int) -> int:
     for c, mat0 in enumerate(generator_tuples[0]):
         n = mat0.size
         field = mat0.zero.field
-        for tup in generator_tuples:
-            mat = tup[c]
-            if mat.size != n or mat.zero.field != field:
-                raise ValueError(
-                    f"component {c}: generators must all be {n}x{n} over {field}"
-                )
-            if ff_rank(field, [[x.bits for x in row] for row in mat.rows]) != n:
-                raise ValueError("generator matrix is singular")
+        if any(t[c].size != n or t[c].zero.field != field for t in generator_tuples):
+            raise ValueError(
+                f"component {c}: generators must all be {n}x{n} over {field}"
+            )
         ident |= pack_matrix(RMatrix.identity(n, field.one, field.zero)) << offset
         offset += n * n * field.degree
     schedules = [_compile_generator(tup) for tup in generator_tuples]

@@ -157,7 +157,9 @@ def full_rank_at(elements, emap: EvalMap) -> bool:
 
     Row i holds the raw field bits of ``emap`` applied to the
     coefficients of ``elements[i]``, one column per monomial and 0 where
-    the monomial is absent; ``ff_rank`` skips those zero cells.
+    the monomial is absent; ``ff_rank`` ranks the GF(2) blow-up of these
+    rows (``rings.ff_blowup``, shared with the enumeration's compiled
+    generators), to which those zero cells contribute nothing.
     """
     if not elements:
         return True

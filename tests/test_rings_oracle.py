@@ -2,11 +2,13 @@
 
 Laurent and QE sums, products and inverses are compared with
 ``ref_lp``/``ref_qe``, products by one and zero on both sides too; GF(2**d) products and powers and ``ff_rank`` with
-``RefField`` and its Gaussian elimination ``ref_ff_rank``, and
-``EvalMap.apply`` with sums of the s-image's powers taken in ``RefField``.
+``RefField`` and its Gaussian elimination ``ref_ff_rank``, the GF(2)
+blow-up ``ff_blowup`` with row vector products r * M taken in ``RefField``,
+and ``EvalMap.apply`` with sums of the s-image's powers taken in ``RefField``.
 """
 
 import copy
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -268,3 +270,69 @@ def test_ff_rank(case):
         ri, rj = rows[i % len(rows)], rows[j % len(rows)]
         rows = rows + [[ref.mul(c, x) ^ y for x, y in zip(ri, rj)]]
     assert ff_rank(field, rows) == ref_ff_rank(ref, rows) == want
+
+
+def check_blowup(d):
+    """For seeded random sparse and dense matrices M over GF(2**d), the
+    XOR of the blow-up rows picked by the bits of a packed row vector r
+    is the packing of r * M, taken entry by entry in ``RefField``."""
+    field, ref = FIELDS[d], REFS[d]
+    rng = random.Random(d)
+    for density in (0.3, 1.0):
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            mat = [
+                [rng.randrange(field.order) if rng.random() < density else 0
+                 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            # sparse rows list their nonzero (column, bits) pairs in a
+            # shuffled order, dense rows every pair, zeros included
+            rows = []
+            for row in mat:
+                pairs = list(enumerate(row))
+                if density < 1:
+                    pairs = [(j, v) for j, v in pairs if v]
+                    rng.shuffle(pairs)
+                rows.append(pairs)
+            images = rings.ff_blowup(field, rows)  # looked up, so a plant applies
+            assert len(images) == nrows * d
+            for _ in range(8):
+                r = [rng.randrange(field.order) for _ in range(nrows)]
+                packed = sum(x << (i * d) for i, x in enumerate(r))
+                got = 0
+                for b, image in enumerate(images):
+                    if packed >> b & 1:
+                        got ^= image
+                want = 0
+                for j in range(ncols):
+                    entry = 0
+                    for i in range(nrows):
+                        entry ^= ref.mul(r[i], mat[i][j])
+                    want |= entry << (j * d)
+                assert got == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_ff_blowup(d):
+    check_blowup(d)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # the mulx step taken before the first OR: row x**k * row_i
+        # lands where x**(k+1) * row_i belongs
+        (
+            "acc[k] |= v << shift\n                v = mulx(v)",
+            "v = mulx(v)\n                acc[k] |= v << shift",
+        ),
+        # entry j placed at (j + 1) * d
+        ("shift = j * d", "shift = (j + 1) * d"),
+    ],
+    ids=["mulx-first", "entry-shifted"],
+)
+def test_planted_blowup_fault_is_caught(plant, edit):
+    plant(rings, "ff_blowup", edit)
+    with pytest.raises(AssertionError):
+        check_blowup(4)

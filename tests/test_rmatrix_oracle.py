@@ -31,9 +31,8 @@ from ytwo.rings import L_ONE, L_ZERO, QE_ZERO, FiniteField, LaurentScalar, QESca
 from oracles import REF_LP_RING, REF_QE_RING, RefField, ref_lp, ref_mat_mul, ref_qe
 
 RINGS = ("laurent", "qe", "ff")
-MODULUS = 0b1011  # x**3 + x + 1
-FIELD = FiniteField(3, MODULUS)
-REF_FIELD = RefField(MODULUS)
+FIELD = FiniteField(3)  # modulus x**3 + x + 1
+REF_FIELD = RefField(FIELD.modulus)
 
 Z = ((), ())
 ONE = ((0,), ())
@@ -221,8 +220,8 @@ def test_product_equals_plain_rows_filled_in_another_order(ring):
 ZEROS = {
     "laurent": L_ZERO,
     "qe": QE_ZERO,
-    "gf4": FiniteField(2, 0b111).zero,
-    "gf16": FiniteField(4, 0b10011).zero,
+    "gf4": FiniteField(2).zero,
+    "gf16": FiniteField(4).zero,
 }
 
 

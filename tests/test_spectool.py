@@ -44,7 +44,7 @@ class TestSpecialize:
         # (3, 5): matrix entries are polynomials in t, so they live in
         # the subfield generated by eval(t), which is GF(4) inside GF(16)
         rep = specialize(3, 5, "phi")
-        t_img = rep.map.t_image
+        t_img = rep.map.s_image * rep.map.s_image
         subfield = {rep.field.zero, rep.field.one}
         x = t_img
         while x not in subfield:

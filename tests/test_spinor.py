@@ -119,7 +119,7 @@ class TestActionMatrices:
         # has determinant 1 over GF(2**d)
         emap = make_eval_map(n)
         field = RefField(emap.field.modulus)
-        zeta = emap.alpha_image.bits
+        zeta = emap.zeta.bits
         assert ref_ff_det(field, [[zeta, 0], [1, 1]]) == zeta != 1
         eta = SpinorRep(m)
         for letter in eta.letters():
