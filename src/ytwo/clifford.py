@@ -16,12 +16,14 @@ chosen so that the OR of all stored ints is odd (the zero element has
 ``lo = 0``).  Scalar objects are built only by the views (``terms``,
 ``scalar_part``, ``as_vector``); products work on the ints directly.
 
-A product of n factors packs the factor with the most terms into a
-single int with a W-bit slot per monomial: slot M of the alpha**i block
-sits at bit (i*N + M)*W, N = 2**(m+1), and holds the coefficient int
-shifted up by a headroom H, i.e. over the fixed base
-s**(lo_1 + ... + lo_n - H).  Multiplying by one generator then acts on
-every slot at once.  Moving x_g through a canonical monomial M gives
+A product of n factors packs its first factor into a single int with
+a W-bit slot per monomial: slot M of the alpha**i block sits at bit
+(i*N + M)*W, N = 2**(m+1), and holds the coefficient int shifted up by
+a headroom H, i.e. over the fixed base s**(lo_1 + ... + lo_n - H).
+``CliffordAlgebra._frame`` is the one place that sizes and packs, for
+products, the norm and the intertwining check alike.  Multiplying by
+one generator then acts on every slot at once.  Moving x_g through a
+canonical monomial M gives
 
     x_g M = q_g**[g in M] (M ^ g) + sum(M ^ k for k in M, k < g)
     M x_g = q_g**[g in M] (M ^ g) + sum(M ^ k for k in M, k > g)
@@ -31,23 +33,25 @@ with mask_g the slots whose monomial holds g and hi = X & mask_g, the
 main term is (hi >> (W << g) + 2*[g >= 1]) | ((X ^ hi) << (W << g)), and
 each extra term is (X & mask_k) >> (W << k).
 
-Every other factor is chained onto the packed int X: the factors to
-its left by left actions, nearest first, those to its right
-by right actions.  A chained factor sends X to the sum over its
-monomials p of the coefficient of p times the chain x_p * X (x_g1 *
-(x_g2 * ...), g1 < ... < gk the generators of p) or X * x_p.  A
-chained factor is first compiled into a program (``_compile``): its
-monomials in the depth-first order of the trie of their chains, one
-step each, which keeps a prefix of the current path, applies the
-generators the monomial adds to it and adds its coefficient ints times
-the last int of the path.  ``_chain`` runs a program.  Chains that share
+Every other factor is chained onto the packed int X on its right, in
+order, by right actions: a chained factor sends X to the sum over its
+monomials p of the coefficient of p times the chain X * x_p = ((X *
+x_g1) * ...) * x_gk, g1 < ... < gk the generators of p.  A chained
+factor is first compiled into a program (``_compile``): its monomials
+in the depth-first order of the trie of their chains, one step each,
+which keeps a prefix of the current path, applies the generators the
+monomial adds to it and adds its coefficient ints times the last int
+of the path.  ``_chain`` runs a program, and ``_chained`` packs the
+first factor and runs the others' programs on it.  Chains that share
 their first actions share those steps, and only the current path is
-alive, at most m + 2 ints whatever the number of terms.  Each set bit of
-a coefficient is one shift-XOR of a whole chain, a factor's alpha**i
-part lands i blocks up, and alpha**2 = s*alpha + 1 folds the third block
-back after each chained factor.  The result is unpacked once, by walking
-its lowest set bit, so the cost follows the nonzero slots, and made
-canonical once.
+alive, at most m + 2 ints whatever the number of terms.  Each set bit
+of a coefficient is one shift-XOR of a whole chain, a factor's
+alpha**i part lands i blocks up, and alpha**2 = s*alpha + 1 folds the
+third block back after each chained factor.  The result is unpacked
+once, by walking its lowest set bit, so the cost follows the nonzero
+slots, and made canonical once.  A factor is chained at the cost of its
+terms, so a product is cheapest with its densest factor first; the left
+actions x_g M serve only the intertwining check below.
 
 Word products by letter programs.  ``PinRep`` keeps the right-action
 program of each letter's image, compiled on the letter's first use.
@@ -88,13 +92,13 @@ monomials: its width depends on the bit lengths alone, and binary
 products share few widths (the masks are built once per width).
 
 Intertwining.  ``intertwines(c, M)`` asks whether x_i c = c * sum_j
-M_ij x_j for every generator x_i.  It packs c once and takes the m + 1
-right actions c x_j once; row i is then a shift-XOR of those, one per
-set bit of each entry M_ij (its alpha part one block up, folded as
-above), compared with the one left action x_i c.  It is the product
-c * (row i) with the row chained on the right, so the binary width
-above holds it (the row's entries, shifted to one base, as the chained
-factor).  When c has spinor norm c c^tr = 1, the identity says that c
+M_ij x_j for every generator x_i.  It packs c once (``_frame``) and
+takes the m + 1 right actions c x_j once; row i is then a shift-XOR of
+those, one per set bit of each entry M_ij (its alpha part one block
+up, folded as above), compared with the one left action x_i c.  It is
+the product c * (row i) with the row chained on the right, so the
+binary width above holds it (the row's entries, shifted to one base,
+as the chained factor).  When c has spinor norm c c^tr = 1, the identity says that c
 conjugates the vector module by M: left multiplication by c is then an
 onto endomorphism of the algebra (it has the right inverse c^tr), a
 finitely generated module over the scalars, and an onto endomorphism
@@ -106,11 +110,11 @@ conjugation matrix is needed: ``lifts(c, M)`` is this judgment, and
 The norm.  ``_norm_slots(c)`` computes c * c^tr on packed ints alone:
 it XORs c's coefficient ints into the submasks of the transposes
 (``_transposed``, cancelled ints dropped), compiles the right program
-of c^tr straight from those dicts, packs c at the binary width W =
-l_c + l_tr + 2m (one less on the Laurent ring, rounded as above; l_tr
-<= l_c, as every int of c^tr XORs ints of c) with headroom H = 2m, and
-chains the program on it.  Slot M of the alpha**i block then holds
-the coefficient over s**(2 lo - 2m), lo being c's.  A set bit in any
+of c^tr straight from those dicts and chains it on c (``_chained``):
+c is packed at the binary width W = l_c + l_tr + 2m (one less on the
+Laurent ring, rounded as above; l_tr <= l_c, as every int of c^tr XORs
+ints of c) with headroom H = 2m.  Slot M of the alpha**i block then
+holds the coefficient over s**(2 lo - 2m), lo being c's.  A set bit in any
 slot but monomial 0's raises NotScalarError; ``spinor_norm`` reads
 the two slots of monomial 0 as its scalar, and ``lifts`` asks that the
 alpha slot be zero and the other be the single bit of s**0, bit 2m -
@@ -289,9 +293,8 @@ def _fold(x: int, fold: int, span: int) -> int:
 
 def _chain(x: int, steps, actions, span: int, fold: int) -> int:
     """The packed int x acted on by a program's ``steps`` (from
-    ``CliffordAlgebra._compile``) through ``actions``, the left or right
-    table of ``CliffordAlgebra._actions``, with the alpha**2 block folded
-    back."""
+    ``CliffordAlgebra._compile``) through ``actions``, the right table of
+    ``CliffordAlgebra._actions``, with the alpha**2 block folded back."""
     acc = 0
     path = [x]
     for keep, gens, coeffs in steps:
@@ -362,7 +365,8 @@ class CliffordAlgebra:
     def _actions(self, width: int) -> tuple:
         """The packed-int tables for ``width``-bit slots, cached per width:
         (left, right, fold).  ``left`` and ``right`` hold the generator
-        actions (``right`` indexed by m - g, as ``_compile`` numbers it), the
+        actions (``right``, the products' table, indexed by m - g, as
+        ``_compile`` numbers it; ``left`` serves ``intertwines``), the
         entry of g being (mask, up, down, extras): ``mask`` covers every
         slot whose monomial holds g; the slots outside it move up by ``up``
         = width << g (M to M | g), those inside down by ``down`` (M to M ^
@@ -390,19 +394,19 @@ class CliffordAlgebra:
         tables = self._polybits_cache[width] = (left, right[::-1], fold)
         return tables
 
-    def _compile(self, lo: int, parts, left: bool) -> tuple:
+    def _compile(self, lo: int, parts) -> tuple:
         """The program by which the element with ``lo`` and ``parts`` (as
-        a ``CliffordElement`` holds them) acts on a packed int X, as
-        sum(c * x_p * X) (left) or sum(c * X * x_p) over its terms c * p:
-        (lo, bits, vcount, steps), with ``lo``, the bit length of the
-        ORed ints, the ``_vcount`` and one (keep, gens, coeffs) step per
-        monomial, run by ``_chain``.
+        a ``CliffordElement`` holds them) acts on a packed int X from the
+        right, as sum(c * X * x_p) over its terms c * p: (lo, bits,
+        vcount, steps), with ``lo``, the bit length of the ORed ints, the
+        ``_vcount`` and one (keep, gens, coeffs) step per monomial, run by
+        ``_chain``.
 
-        A chain applies p's generators highest first on the left and
-        lowest first on the right; reversing the bits of every monomial
-        (``_reversed``, with the right actions indexed to match) turns the
-        right case into the left one.  Taken in increasing order, the keys
-        are then a depth-first walk of the trie of chains, the parent of a
+        X * x_p applies p's generators lowest first.  Each monomial is
+        keyed by its bits in reverse order (``_reversed``, with the right
+        actions indexed to match), so that the first generator applied is
+        the key's highest bit.  Taken in increasing order, the keys are
+        then a depth-first walk of the trie of chains, the parent of a
         key being the key without its lowest bit, and the path from the
         root X to a key holds one int per prefix of its top bits.  A key
         shares with the key before it the prefix above the highest bit
@@ -416,7 +420,7 @@ class CliffordAlgebra:
         monos = parts[0].keys() | parts[1].keys() if len(parts) == 2 else parts[0]
         steps = []
         prev = 0
-        for key in sorted(monos if left else [rev[p] for p in monos]):
+        for key in sorted([rev[p] for p in monos]):
             rest = key & (1 << (key ^ prev).bit_length()) - 1
             keep = (key ^ rest).bit_count() + 1
             gens = []
@@ -424,39 +428,51 @@ class CliffordAlgebra:
                 g = rest.bit_length() - 1
                 rest ^= 1 << g
                 gens.append(g)
-            p = key if left else rev[key]
+            p = rev[key]
             # coeffs is a list: tuple() of a generator left CPython's tuple
             # free lists 0.1 MB fuller on 2,000 m = 4 lifting words
             steps.append((keep, tuple(gens), [part.get(p, 0) for part in parts]))
             prev = key
         return lo, _or_all(parts).bit_length(), _vcount(parts), tuple(steps)
 
-    def _run(self, x: "CliffordElement", lefts, rights) -> "CliffordElement":
-        """x with the programs ``lefts`` (nearest first) chained on its
-        left and ``rights`` on its right (see the module docstring): x is
-        packed once, each program runs on the packed int, and the result
-        is unpacked and made canonical once."""
-        programs = (*lefts, *rights)
-        if not programs:
-            return x
-        m = self.m
+    def _frame(self, parts, lb: int, squares: int) -> tuple:
+        """The pack frame of an element's ``parts`` for a product whose
+        chained factors raise the top bit by ``lb`` and in which one term
+        meets at most ``squares`` squares: (width, span, tables, x), with
+        the slot width (``_slot_width``), the bits of one power of alpha,
+        the ``_actions`` tables of that width and the packed int, each
+        coefficient shifted up by the headroom 2 * squares."""
+        width = _slot_width(_or_all(parts).bit_length(), lb, squares)
+        tables = self._polybits_cache.get(width) or self._actions(width)
+        span = width << (self.m + 1)
+        return width, span, tables, _pack(parts, width, 2 * squares, span)
+
+    def _chained(self, x: "CliffordElement", programs) -> tuple:
+        """x packed once with the ``programs`` chained on its right, in
+        order (see the module docstring): (y, lo, width), slot M of the
+        alpha**i block of y at bit (i * 2**(m+1) + M) * width holding the
+        coefficient over s**lo."""
         spare = self.ring == "laurent"  # no fold: a spare bit per factor
         lo, chained = x.lo, 0
         for f_lo, bits, _, _ in programs:
             lo += f_lo
             chained += max(bits - spare, 0)  # a zero factor has no bits
-        squares = m  # two factors hold at most 2m v-generators
+        squares = self.m  # two factors hold at most 2m v-generators
         if len(programs) > 1:
             v = _vcount(x.parts) + sum(f_v for _, _, f_v, _ in programs)
-            squares = max(m, v // 2)
-        width = _slot_width(_or_all(x.parts).bit_length(), chained, squares)
-        left, right, fold = self._polybits_cache.get(width) or self._actions(width)
-        span = width << (m + 1)  # the bits of one power of alpha
-        y = _pack(x.parts, width, 2 * squares, span)
-        for *_, steps in lefts:
-            y = _chain(y, steps, left, span, fold)
-        for *_, steps in rights:
+            squares = max(squares, v // 2)
+        width, span, (_, right, fold), y = self._frame(x.parts, chained, squares)
+        for *_, steps in programs:
             y = _chain(y, steps, right, span, fold)
+        return y, lo - 2 * squares, width
+
+    def _run(self, x: "CliffordElement", programs) -> "CliffordElement":
+        """x times the ``programs`` in order, chained on its right
+        (``_chained``), unpacked and made canonical once."""
+        if not programs:
+            return x
+        y, lo, width = self._chained(x, programs)
+        m = self.m
         parts = [[] for _ in self.zero.parts]
         full, last = (1 << width) - 1, (1 << (m + 1)) - 1
         slot = 0  # the slot at bit 0 of y
@@ -467,23 +483,14 @@ class CliffordAlgebra:
             parts[slot >> (m + 1)].append((slot & last, y & full))
             y >>= width
             slot += 1
-        return _canonical(self, lo - 2 * squares, parts)
+        return _canonical(self, lo, parts)
 
     def _product(self, factors) -> "CliffordElement":
-        """The product of a sequence of elements: the factor with the most
-        terms is packed once and every other factor is compiled and
-        chained onto it (``_run``)."""
-        most = -1
-        for i, f in enumerate(factors):
-            size = sum(map(len, f.parts))
-            if size >= most:  # pack the last factor with the most terms
-                j, most = i, size
+        """The product of a sequence of elements: the first is packed once
+        and every other factor is compiled and chained on its right
+        (``_run``)."""
         compile = self._compile
-        return self._run(
-            factors[j],
-            [compile(f.lo, f.parts, True) for f in reversed(factors[:j])],
-            [compile(f.lo, f.parts, False) for f in factors[j + 1 :]],
-        )
+        return self._run(factors[0], [compile(f.lo, f.parts) for f in factors[1:]])
 
     def _scalar(self, lo: int, xs):
         """The scalar whose alpha**i part has bit k -> s**(lo + k) of xs[i]."""
@@ -759,10 +766,10 @@ class PinRep(Representation):
             program = programs.get(letter)
             if program is None:
                 image = self.image(letter)
-                program = self.algebra._compile(image.lo, image.parts, False)
+                program = self.algebra._compile(image.lo, image.parts)
                 programs[letter] = program
             chain.append(program)
-        return self.algebra._run(x, (), chain)
+        return self.algebra._run(x, chain)
 
     def product(self, word):
         """The image of a non-empty word: the first letter's image times
@@ -775,24 +782,20 @@ class PinRep(Representation):
 def _norm_slots(c: CliffordElement) -> tuple:
     """The spinor norm c * c^tr as (lo, xs), bit k of xs[i] standing for
     s**(lo + k) in its alpha**i part; raises NotScalarError if it is not
-    scalar.  c is packed at the binary width and the right program of
-    c^tr, compiled from c's parts, is chained on it (module docstring):
-    no element is built for c^tr or for the product."""
+    scalar.  The right program of c^tr, compiled from c's parts, is
+    chained on c (``_chained``, module docstring) and only the two slots
+    of monomial 0 are read: no element is built for c^tr or for the
+    product."""
     alg = c.algebra
-    m = alg.m
-    _, bits, _, steps = alg._compile(c.lo, _transposed(c.parts), False)
-    spare = alg.ring == "laurent"
-    width = _slot_width(_or_all(c.parts).bit_length(), max(bits - spare, 0), m)
-    _, right, fold = alg._polybits_cache.get(width) or alg._actions(width)
-    span = width << (m + 1)
-    y = _chain(_pack(c.parts, width, 2 * m, span), steps, right, span, fold)
+    y, lo, width = alg._chained(c, [alg._compile(c.lo, _transposed(c.parts))])
+    span = width << (alg.m + 1)
     full = (1 << width) - 1
     xs = [y >> i * span & full for i in range(len(c.parts))]
     for i, x in enumerate(xs):
         y ^= x << i * span
     if y:
         raise NotScalarError("spinor norm is not a pure scalar")
-    return 2 * (c.lo - m), xs
+    return lo, xs
 
 
 def spinor_norm(c: CliffordElement):
@@ -847,10 +850,7 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
     pieces = [piece for row in rows for *_, piece in row]
     low = min([0] + [p.off for p in pieces])
     top = max([1] + [p.off + p.mask.bit_length() for p in pieces])
-    width = _slot_width(_or_all(c.parts).bit_length(), top - low, m)
-    left, right, fold = alg._polybits_cache.get(width) or alg._actions(width)
-    span = width << (m + 1)
-    x = _pack(c.parts, width, 2 * m, span)
+    _, span, (left, right, fold), x = alg._frame(c.parts, top - low, m)
     acts = [_act(x, right[m - j]) for j in range(m + 1)]  # c * x_j
     for i, row in enumerate(rows):
         acc = 0

@@ -504,9 +504,6 @@ class FiniteField:
         """The element of the polynomial ``bits``, reduced by the modulus."""
         return FFElement(self, _pmod(bits, self.modulus))
 
-    def mul_bits(self, a: int, b: int) -> int:
-        return _pmulmod(a, b, self.modulus)
-
     def pow_bits(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:
@@ -557,7 +554,7 @@ class FFElement:
     __sub__ = __add__
 
     def __mul__(self, other):
-        return FFElement(self.field, self.field.mul_bits(self.bits, other.bits))
+        return FFElement(self.field, _pmulmod(self.bits, other.bits, self.field.modulus))
 
     def __pow__(self, k: int):
         return FFElement(self.field, self.field.pow_bits(self.bits, k))

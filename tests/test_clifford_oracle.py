@@ -136,6 +136,8 @@ def test_transpose_matches_reference(m, ring, x):
 
 
 TOP = [(511, [-8, 8], [3]), (0b100000000, [0], [-1])]
+# twelve terms up to the top monomial, for a one-term factor times it
+WIDE_DENSE = [(mono, [mono % 5 - 2, 6], [mono % 3]) for mono in range(500, 512)]
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -143,6 +145,7 @@ TOP = [(511, [-8, 8], [3]), (0b100000000, [0], [-1])]
 @given(x=wide_terms, y=wide_terms)
 @example(x=TOP, y=TOP)
 @example(x=[(0b110000001, [], [0])], y=TOP)
+@example(x=[(0b10, [0], [])], y=WIDE_DENSE)
 def test_mul_matches_reference_at_m8(ring, x, y):
     alg = get_algebra(8, ring)
     a, b = build(alg, x), build(alg, y)
@@ -240,9 +243,9 @@ def test_every_monomial_pair_on_fresh_algebra(m, ring, transposes_first, monkeyp
 
 
 # Factor pairs over "qe" at m = 4 that each planted fault below breaks: a
-# dense factor on either side, so that both left actions (on a packed
-# right factor) and right actions (on a packed left factor) run, and
-# alpha * alpha, whose alpha**2 fold reaches the top bit of its slot.
+# dense factor on either side, so that the right actions run both on a
+# dense packed factor and as a dense chained program, and alpha *
+# alpha, whose alpha**2 fold reaches the top bit of its slot.
 DENSE = [(mono, [mono % 3 - 1], [mono % 2]) for mono in range(32)]
 MUTANT_CASES = [
     (DENSE, [(0b10110, [1], [])]),
@@ -418,6 +421,8 @@ V1_POWER = [[(0b10, [0], [])]] * 14
 # over "qe", the middle step alpha * (...) leaves an alpha**2 block that
 # must be folded before the next factor is chained
 ALPHA_MIDDLE = [[(0b011, [-1], [0, 2])], [(0, [], [0])], [(0b101, [2], [-3])]]
+# a one-term factor times a dense one, which is then the chained program
+DENSE_12 = [(mono, [mono % 3 - 1, 4], [mono % 2]) for mono in range(12)]
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -430,6 +435,8 @@ ALPHA_MIDDLE = [[(0b011, [-1], [0, 2])], [(0, [], [0])], [(0b101, [2], [-3])]]
 @example(xs=ALPHA_MIDDLE)
 @example(xs=[[(0, [], [0])]] * 5)
 @example(xs=V1_POWER)
+@example(xs=[[(0b10, [0], [])], DENSE_12])
+@example(xs=[[(0b1, [0], [])], RADICAL + [(0, [0], [])]])
 def test_product_matches_fold(m, ring, xs):
     alg = get_algebra(m, ring)
     els = [build(alg, x) for x in xs]
@@ -445,22 +452,20 @@ PRODUCT_PLANTS = {
     # alpha**2 folded once, after the last chained factor: alpha**3
     # chains alpha onto alpha * alpha and leaves a block past alpha**2
     "fold after the last factor only": (
-        (CliffordAlgebra, "_run"),
+        (CliffordAlgebra, "_chained"),
         [
-            ("left, span, fold)", "left, span, 0)"),
             ("right, span, fold)", "right, span, 0)"),
-            ("parts = [[] for", "y = _fold(y, fold, span); parts = [[] for"),
+            ("return y, lo", "y = _fold(y, fold, span); return y, lo"),
         ],
         "qe",
         [[(0, [], [0])]] * 3,
         IndexError,
     ),
-    # factor 0, the farthest of the left-chained factors, left out of V:
-    # v1**8 meets 4 squares, 8 bits down, and the headroom is then
-    # 2 * max(3, 7 // 2) = 6 bits
+    # factor 0, the packed one, left out of V: v1**8 meets 4 squares, 8
+    # bits down, and the headroom is then 2 * max(3, 7 // 2) = 6 bits
     "factor 0 left out of V": (
-        (CliffordAlgebra, "_run"),
-        [("f_v for _, _, f_v, _ in programs)", "f_v for _, _, f_v, _ in programs[:-1])")],
+        (CliffordAlgebra, "_chained"),
+        [("v = _vcount(x.parts) + sum(", "v = sum(")],
         "laurent",
         [[(0b10, [0], [])]] * 8,
         AssertionError,
@@ -478,7 +483,7 @@ PRODUCT_PLANTS = {
     # alpha * alpha(1 + s**9) gets slots of 6 + 10 bits, not 6 + 10 + 1
     # rounded up to 32, and the fold puts its s**10 * alpha term on bit 16
     "Laurent width over qe": (
-        (CliffordAlgebra, "_run"),
+        (CliffordAlgebra, "_chained"),
         [('spare = self.ring == "laurent"', "spare = True")],
         "qe",
         [[(0, [], [0])], [(0, [], [0, 9])]],
