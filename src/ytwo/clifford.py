@@ -50,8 +50,8 @@ alpha**i part lands i blocks up, and alpha**2 = s*alpha + 1 folds the
 third block back after each chained factor.  The result is unpacked
 once, by walking its lowest set bit, so the cost follows the nonzero
 slots, and made canonical once.  A factor is chained at the cost of its
-terms, so a product is cheapest with its densest factor first; the left
-actions x_g M serve only the intertwining check below.
+terms, so a product is cheapest with its densest factor first.  Only
+right actions are tabled: x_g M is M x_g plus the commutator below.
 
 Word products by letter programs.  ``PinRep`` keeps the right-action
 program of each letter's image, compiled on the letter's first use.
@@ -95,7 +95,8 @@ Intertwining.  ``intertwines(c, M)`` asks whether x_i c = c * sum_j
 M_ij x_j for every generator x_i.  It packs c once (``_frame``) and
 takes the m + 1 right actions c x_j once; row i is then a shift-XOR of
 those, one per set bit of each entry M_ij (its alpha part one block
-up, folded as above), compared with the one left action x_i c.  It is
+up, folded as above), compared with x_i c: c x_i plus the extra terms
+(X & mask_k) >> (W << k), k != i (the commutator below).  It is
 the product c * (row i) with the row chained on the right, so the
 binary width above holds it (the row's entries, shifted to one base,
 as the chained factor).  When c has spinor norm c c^tr = 1, the identity says that c
@@ -134,7 +135,8 @@ generator loses the shared main term,
 
     x_j M + M x_j = sum(M ^ k for k in M, k != j),
 
-which gives ``center_report`` its GF(2) rows.
+which gives ``intertwines`` its x_i c and ``center_report`` its GF(2)
+rows.
 
 The pin representation sends
 
@@ -148,7 +150,7 @@ transvection representation row for row.
 
 from functools import reduce
 from itertools import islice
-from operator import or_
+from operator import or_, xor
 
 from .errors import (
     MismatchError,
@@ -333,15 +335,12 @@ class CliffordAlgebra:
             self.scalar_zero = QE_ZERO
             self.scalar_one = QE_ONE
         # Products act by generators on packed ints (module docstring).
-        # x_g * M and M * x_g are q_g**[g in M] (M ^ g) plus M ^ k for
-        # each k in M on one side of g: q_g = s**-square_shift[g] (u**2 =
-        # 1, v_i**2 = 1/t = s**-2), and extras[0][g] (left, k < g) or
-        # extras[1][g] (right, k > g) lists the k.
+        # M * x_g is q_g**[g in M] (M ^ g) plus M ^ k for each k in M
+        # above g: q_g = s**-square_shift[g] (u**2 = 1, v_i**2 = 1/t =
+        # s**-2), and extras[g] lists the k > g.  x_g * M differs from it
+        # by the commutator, M ^ k for each k in M but g.
         self._square_shift = (0,) + (2,) * m
-        self._extras = (
-            tuple(tuple(range(g)) for g in range(m + 1)),
-            tuple(tuple(range(g + 1, m + 1)) for g in range(m + 1)),
-        )
+        self._extras = tuple(tuple(range(g + 1, m + 1)) for g in range(m + 1))
         # W -> _actions(W), built on first use: one entry per slot width,
         # and rounding W keeps the entries few.  (perfbench's
         # cache_entries counts it under this name.)  _reversed[M] is M
@@ -364,16 +363,15 @@ class CliffordAlgebra:
 
     def _actions(self, width: int) -> tuple:
         """The packed-int tables for ``width``-bit slots, cached per width:
-        (left, right, fold).  ``left`` and ``right`` hold the generator
-        actions (``right``, the products' table, indexed by m - g, as
-        ``_compile`` numbers it; ``left`` serves ``intertwines``), the
-        entry of g being (mask, up, down, extras): ``mask`` covers every
-        slot whose monomial holds g; the slots outside it move up by ``up``
-        = width << g (M to M | g), those inside down by ``down`` (M to M ^
-        g, with the square's s**-2 for a v-generator); ``extras`` holds a
-        (mask, shift) pair per anticommutator generator k.  ``fold`` covers
-        the alpha**2 block (0 on the Laurent ring).  The masks repeat with
-        period 2**(m+1) * width."""
+        (right, fold).  ``right`` holds the right actions M * x_g, indexed
+        by m - g, as ``_compile`` numbers them, the entry of g being (mask,
+        up, down, extras): ``mask`` covers every slot whose monomial holds
+        g; the slots outside it move up by ``up`` = width << g (M to M |
+        g), those inside down by ``down`` (M to M ^ g, with the square's
+        s**-2 for a v-generator); ``extras`` holds the (mask, shift) pair
+        of each anticommutator generator k > g, as (mask, up) is g's.
+        ``fold`` covers the alpha**2 block (0 on the Laurent ring).  The
+        masks repeat with period 2**(m+1) * width."""
         m = self.m
         span = width << (m + 1)
         blocks = len(self.zero.parts)
@@ -382,16 +380,13 @@ class CliffordAlgebra:
         for g in range(m + 1):
             shift = width << g
             steps.append((_repeat(((1 << shift) - 1) << shift, shift << 1, total), shift))
-        square = self._square_shift
-        left, right = (
-            tuple(
-                (mask, shift, shift + square[g], tuple(steps[k] for k in ks[g]))
-                for g, (mask, shift) in enumerate(steps)
-            )
-            for ks in self._extras
+        square, extras = self._square_shift, self._extras
+        right = tuple(
+            (mask, shift, shift + square[g], tuple(steps[k] for k in extras[g]))
+            for g, (mask, shift) in enumerate(steps)
         )
         fold = ((1 << span) - 1) << 2 * span if blocks == 2 else 0
-        tables = self._polybits_cache[width] = (left, right[::-1], fold)
+        tables = self._polybits_cache[width] = (right[::-1], fold)
         return tables
 
     def _compile(self, lo: int, parts) -> tuple:
@@ -461,7 +456,7 @@ class CliffordAlgebra:
         if len(programs) > 1:
             v = _vcount(x.parts) + sum(f_v for _, _, f_v, _ in programs)
             squares = max(squares, v // 2)
-        width, span, (_, right, fold), y = self._frame(x.parts, chained, squares)
+        width, span, (right, fold), y = self._frame(x.parts, chained, squares)
         for *_, steps in programs:
             y = _chain(y, steps, right, span, fold)
         return y, lo - 2 * squares, width
@@ -832,7 +827,8 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
     """True iff x_i * c == c * sum_j mat[i][j] x_j for every generator
     x_i: with spinor norm 1, iff conjugation by c is ``mat`` (module
     docstring).  The right actions c * x_j are taken once and shared by
-    the rows; each row is compared with one left action x_i * c."""
+    the rows; each row is compared with x_i * c, read as c * x_i plus its
+    commutator."""
     alg = c.algebra
     m = alg.m
     if mat.size != m + 1:
@@ -850,8 +846,11 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
     pieces = [piece for row in rows for *_, piece in row]
     low = min([0] + [p.off for p in pieces])
     top = max([1] + [p.off + p.mask.bit_length() for p in pieces])
-    _, span, (left, right, fold), x = alg._frame(c.parts, top - low, m)
+    _, span, (right, fold), x = alg._frame(c.parts, top - low, m)
     acts = [_act(x, right[m - j]) for j in range(m + 1)]  # c * x_j
+    # x_i * c = c * x_i + the sum of downs[k] over every k but i
+    downs = [(x & mask) >> shift for mask, shift, *_ in reversed(right)]
+    comm = reduce(xor, downs)
     for i, row in enumerate(rows):
         acc = 0
         for j, b, piece in row:
@@ -861,7 +860,7 @@ def intertwines(c: CliffordElement, mat: RMatrix) -> bool:
                 one = mask & -mask
                 acc ^= y << one.bit_length() - 1
                 mask ^= one
-        if _fold(acc, fold, span) != _act(x, left[i]) << -low:
+        if _fold(acc, fold, span) != (acts[i] ^ comm ^ downs[i]) << -low:
             return False
     return True
 
@@ -935,15 +934,18 @@ class CenterReport(Record):
 
 def _center_rows(alg) -> dict:
     """{(j, mono): row} for the commutators x_j M + M x_j: bit M of the
-    row is the coefficient of mono in the commutator with monomial M."""
+    row is the coefficient of mono in the commutator with monomial M.
+    A pair j < k of ``_extras`` adds M ^ k to x_j's rows, M ^ j to x_k's."""
     ncols = 1 << (alg.m + 1)
     rows: dict = {}
-    for j, (left, right) in enumerate(zip(*alg._extras)):
-        for k in left + right:
-            for col in range(ncols):
-                if col >> k & 1:
-                    key = j, col ^ 1 << k
-                    rows[key] = rows.get(key, 0) ^ 1 << col
+    for j, ks in enumerate(alg._extras):
+        for k in ks:
+            for row, gen in ((j, k), (k, j)):
+                bit = 1 << gen
+                for col in range(ncols):
+                    if col & bit:
+                        key = row, col ^ bit
+                        rows[key] = rows.get(key, 0) ^ 1 << col
     return rows
 
 
@@ -953,34 +955,26 @@ def center_report(m: int) -> CenterReport:
 
     The dimension is computed by exact linear algebra: z is central iff
     it commutes with every generator, a linear condition on the 2**(m+1)
-    monomial coefficients.  By the generator actions of the module
-    docstring, x_j M and M x_j share the main term q_j**[j in M] (M ^ j),
-    so it cancels and
-
-        x_j M + M x_j = sum(M ^ k for k in M, k != j),
-
-    read off the same ``_extras`` table the products use.  Every
-    coefficient is 1: the system lies over GF(2), and its nullity is the
-    same in every GF(2**d) the evaluation maps reach.  The rows are
-    GF(2) bit masks over the monomial columns, ranked by ``gf2_rank``.
+    monomial coefficients.  Its rows are the module docstring's
+    commutators x_j M + M x_j, read off the products' ``_extras`` table
+    (``_center_rows``).  Every coefficient is 1: the system lies over
+    GF(2), and its nullity is the same in every GF(2**d) the evaluation
+    maps reach.  The rows are GF(2) bit masks over the monomial columns,
+    ranked by ``gf2_rank``.  The coefficient of mono in x_j r + r x_j is
+    the parity of row (j, mono) on r's columns 1 << i; the witness is
+    the first odd x_j.
     """
     if not 3 <= m <= 8:
         raise ValueError(f"need 3 <= m <= 8, got {m}")
-    alg = get_algebra(m, "laurent")
-    r = alg.radical_element()
-    witness = None
-    radical_central = True
-    for i in range(m + 1):
-        g = alg.gen(i)
-        if r * g + g * r:
-            radical_central = False
-            witness = "u" if i == 0 else f"v{i}"
-            break
+    rows = _center_rows(get_algebra(m, "laurent"))
+    radical = sum(1 << (1 << i) for i in range(m + 1))  # the columns of r
+    odd = [j for (j, _), row in rows.items() if (row & radical).bit_count() & 1]
+    first = min(odd, default=None)
     return CenterReport(
         m=m,
-        radical_is_central=radical_central,
-        witness=witness,
-        specialized_dim=(1 << (m + 1)) - gf2_rank(_center_rows(alg).values()),
+        radical_is_central=not odd,
+        witness=None if first is None else "u" if first == 0 else f"v{first}",
+        specialized_dim=(1 << (m + 1)) - gf2_rank(rows.values()),
     )
 
 

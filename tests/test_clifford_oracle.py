@@ -2,13 +2,14 @@
 reference in oracles.py, on both scalar rings for m = 3..6 and 8, plus
 every monomial product and transpose of fresh algebras at m = 3 and 4,
 planted faults in the packed generator actions, the closed-form
-transposes and centre rows against the products, the canonical raw
-storage form under operations that must not change an element, the
-n-factor product (with planted faults) and the conjugation rows against
-left folds of the reference product, scaling by a monomial (with a
-planted fault) and ``cl_inverse`` against the product path, and the
-intertwining check against the conjugation matrix, with planted
-faults."""
+transposes, centre rows and centre report against the products (with
+planted faults), the canonical raw storage form under operations that
+must not change an element, the n-factor product (with planted faults)
+and the conjugation rows against left folds of the reference product,
+scaling by a monomial (with a planted fault) and ``cl_inverse`` against
+the product path, and the intertwining check against the conjugation
+matrix and, with the identity matrix, against commutation by products,
+with planted faults."""
 
 import random
 
@@ -255,8 +256,8 @@ MUTANT_CASES = [
 
 
 def no_extras(alg, monkeypatch):
-    # x_g * M without the anticommutator terms M ^ k
-    monkeypatch.setattr(alg, "_extras", tuple(((),) * 5 for _ in alg._extras))
+    # M * x_g without the anticommutator terms M ^ k
+    monkeypatch.setattr(alg, "_extras", ((),) * (alg.m + 1))
 
 
 def no_square_shift(alg, monkeypatch):
@@ -265,8 +266,8 @@ def no_square_shift(alg, monkeypatch):
 
 
 def right_below(alg, monkeypatch):
-    # M * x_g collecting M ^ k for k < g, as the left action does
-    monkeypatch.setattr(alg, "_extras", (alg._extras[0],) * 2)
+    # M * x_g collecting M ^ k for k < g, as the left action x_g * M does
+    monkeypatch.setattr(alg, "_extras", tuple(tuple(range(g)) for g in range(alg.m + 1)))
 
 
 def no_fold_headroom(alg, monkeypatch):
@@ -301,6 +302,18 @@ def check_transposes_against_kernel(m):
         assert sorted(rev.parts[0].items()) == [(sub, 1) for sub in subs]
 
 
+def check_center_report_against_products(m):
+    """center_report's radical_is_central and witness against the
+    products r * g + g * r on a fresh algebra: the witness is the first
+    generator that does not commute with r."""
+    alg = CliffordAlgebra(m)
+    r = alg.radical_element()
+    first = next((i for i, g in enumerate(alg._gens) if r * g + g * r), None)
+    rep = clifford.center_report(m)
+    assert rep.radical_is_central == (first is None)
+    assert rep.witness == (None if first is None else "u" if first == 0 else f"v{first}")
+
+
 def check_center_rows_against_kernel(m):
     """center_report's rows are the kernel's commutators g * e + e * g,
     column e for each monomial, taken on a fresh algebra."""
@@ -328,7 +341,33 @@ def test_center_rows_match_kernel(m):
     check_center_rows_against_kernel(m)
 
 
-def odd_transpose(alg, monkeypatch):
+@pytest.mark.parametrize("m", range(3, 9))
+def test_center_report_matches_products(m):
+    check_center_report_against_products(m)
+
+
+def count_products(monkeypatch) -> list:
+    """A one-item list counting the CliffordAlgebra._product calls made
+    from here to the test's end."""
+    calls = [0]
+    real = CliffordAlgebra._product
+
+    def counted(alg, factors):
+        calls[0] += 1
+        return real(alg, factors)
+
+    monkeypatch.setattr(CliffordAlgebra, "_product", counted)
+    return calls
+
+
+def test_center_report_makes_no_product(monkeypatch):
+    # radical_is_central and witness are read off the commutator rows
+    calls = count_products(monkeypatch)
+    assert center_report(8).radical_is_central
+    assert calls == [0]
+
+
+def odd_transpose(plant, monkeypatch):
     # the submasks T with |M ^ T| odd in place of even
     def planted(mono):
         subs = (t for t in range(mono + 1) if t | mono == mono)
@@ -337,18 +376,37 @@ def odd_transpose(alg, monkeypatch):
     monkeypatch.setattr(clifford, "_mono_transpose", planted)
 
 
+def one_direction(plant, monkeypatch):
+    # each pair j < k adds M ^ k to the row of x_j but not M ^ j to x_k's
+    plant(clifford, "_center_rows", ("((j, k), (k, j))", "((j, k),)"))
+
+
 @pytest.mark.parametrize(
-    "plant, check",
+    "fault, check",
     (
         (odd_transpose, check_transposes_against_kernel),
-        (right_below, check_center_rows_against_kernel),
+        (one_direction, check_center_rows_against_kernel),
     ),
 )
-def test_planted_closed_form_faults_are_caught(plant, check, monkeypatch):
+def test_planted_closed_form_faults_are_caught(fault, check, plant, monkeypatch):
     check(3)
-    plant(get_algebra(3), monkeypatch)  # the algebra center_report uses
+    fault(plant, monkeypatch)
     with pytest.raises(AssertionError):
         check(3)
+
+
+def test_planted_center_parity_fault_is_caught(plant):
+    # the parity read on the columns 0..m, the monomials 1, u, v1, u v1,
+    # v2, ..., in place of the generators' columns 1 << i: at m = 3 it
+    # still finds u, but at m = 4 it finds u where r is central
+    def check():
+        for m in (3, 4):
+            check_center_report_against_products(m)
+
+    check()
+    plant(clifford, "center_report", ("1 << (1 << i)", "1 << i"))
+    with pytest.raises(AssertionError):
+        check()
 
 
 def check_unchanged_by_identities(alg, el):
@@ -590,17 +648,9 @@ def test_cl_inverse_makes_three_products(monkeypatch):
     # c * c^tr and the two checks of the candidate; the scale by the
     # inverse norm, a monomial, is a shift
     c = evaluate(("a", "s1", "A", "t", "S2"), PinRep(4))
-    calls = 0
-    real = CliffordAlgebra._product
-
-    def counted(alg, factors):
-        nonlocal calls
-        calls += 1
-        return real(alg, factors)
-
-    monkeypatch.setattr(CliffordAlgebra, "_product", counted)
+    calls = count_products(monkeypatch)
     cl_inverse(c)
-    assert calls == 3
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("m", MS)
@@ -645,7 +695,7 @@ def perturbed(mat, i, j, delta):
 
 
 @pytest.mark.parametrize("ring", RINGS)
-@pytest.mark.parametrize("m", MS + (8,))
+@pytest.mark.parametrize("m", MS + (8, 10))
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.booleans())
 @example(seed=0, scale=True)
@@ -666,6 +716,25 @@ def test_intertwines_matches_conjugation_matrix(m, ring, seed, scale):
         delta = QEScalar(L_ZERO, delta) if rng.random() < 0.5 else QEScalar(delta)
     wrong = perturbed(mat, rng.randrange(m + 1), rng.randrange(m + 1), delta)
     assert not intertwines(c, wrong) and conjugation_matrix(c) != wrong
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("m", MS)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(x=raw_terms)
+@example(x=[])
+@example(x=[(0, [3], [1])])
+@example(x=RADICAL + [(0, [0], [])])
+@example(x=[(1 << i, [-2], [0]) for i in range(7)])
+def test_intertwines_identity_matches_commutation(m, ring, x):
+    # intertwines(c, 1) asks x_i * c == c * x_i for every generator, here
+    # of any element, mostly not a pin image, against the products.  The
+    # scalars are central, and so is 1 + r at m = 4 and 6 (the monomials
+    # of RADICAL above the top one reduce to monomial 0 at m = 4).
+    alg = get_algebra(m, ring)
+    c = build(alg, x)
+    ident = RMatrix.identity(m + 1, L_ONE, L_ZERO)
+    assert intertwines(c, ident) == all(g * c == c * g for g in alg._gens)
 
 
 def lifting_cases():
@@ -704,20 +773,17 @@ def fresh_action_tables(monkeypatch):
         monkeypatch.setattr(alg, "_polybits_cache", {})
 
 
-def right_as_left(monkeypatch):
-    # c * x_j taken as the left action x_j * c
-    real = CliffordAlgebra._actions
-
-    def planted(alg, width):
-        left, _, fold = real(alg, width)
-        tables = alg._polybits_cache[width] = (left, left[::-1], fold)
-        return tables
-
-    fresh_action_tables(monkeypatch)
-    monkeypatch.setattr(CliffordAlgebra, "_actions", planted)
+def right_as_left(plant, monkeypatch):
+    # x_i * c read as c * x_i: the commutator dropped
+    plant(clifford, "intertwines", ("(acts[i] ^ comm ^ downs[i])", "acts[i]"))
 
 
-def narrow_slots(monkeypatch):
+def commutator_with_i(plant, monkeypatch):
+    # the commutator summed over every k, k = i included
+    plant(clifford, "intertwines", ("acts[i] ^ comm ^ downs[i]", "acts[i] ^ comm"))
+
+
+def narrow_slots(plant, monkeypatch):
     # A width one bit short of the least that holds the identity.  That
     # least is one below _slot_width's unrounded bound: the alpha**2
     # fold's extra bit is never needed here, as a bit it pushes out of a
@@ -727,21 +793,21 @@ def narrow_slots(monkeypatch):
     monkeypatch.setattr(clifford, "_slot_width", lambda la, lb, m: la + lb + 2 * m - 2)
 
 
-@pytest.mark.parametrize("plant", (right_as_left, narrow_slots))
-def test_planted_intertwining_faults_are_caught(plant, monkeypatch):
+@pytest.mark.parametrize("fault", (right_as_left, commutator_with_i, narrow_slots))
+def test_planted_intertwining_faults_are_caught(fault, plant, monkeypatch):
     cases = lifting_cases()
 
     def check():
         for c, mat in cases:
-            assert intertwines(c, mat)
-            assert not intertwines(c, perturbed(mat, 1, 0, c.algebra.scalar_one))
+            assert clifford.intertwines(c, mat)
+            assert not clifford.intertwines(c, perturbed(mat, 1, 0, c.algebra.scalar_one))
 
     check()
     fresh_action_tables(monkeypatch)
     monkeypatch.setattr(clifford, "_slot_width", lambda la, lb, m: la + lb + 2 * m - 1)
     check()  # the unused fold bit: one bit below the bound is still exact
     monkeypatch.undo()
-    plant(monkeypatch)
+    fault(plant, monkeypatch)
     with pytest.raises(AssertionError):
         check()
 
